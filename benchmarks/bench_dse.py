@@ -6,7 +6,7 @@ configs-scored/s, then measures the *naive* rate — fully re-simulating
 a seeded sample of grid points, the way a partition-less sweep would
 score every point — and records the speedup to ``BENCH_dse.json``.
 
-Honesty conventions (matching ``bench_hotpath``):
+Honesty conventions:
 
 * The naive baseline is measured, not modelled: real simulations of a
   random sample of the same grid, same duration, same seed, then

@@ -141,7 +141,7 @@ def _sample_equivalence(apps, groups, samples, seed):
 def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
                  chunk=4, cache=None, retries=0, deadline_s=None,
                  equivalence_samples=8, rtol=EQUIVALENCE_RTOL,
-                 kernel=None, executor=None):
+                 executor=None):
     """Score every (app, config) grid point; simulate only per signature.
 
     ``apps`` are registry names; ``machines`` the config list (e.g.
@@ -189,7 +189,7 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
             continue
         for index, score in zip(members, batch_score(
                 app, run, [machines[i] for i in members],
-                indices=members, kernel=kernel)):
+                indices=members)):
             scores[app][index] = score
 
     equivalence = None

@@ -140,7 +140,7 @@ def _assemble(app, config_index, machine, tlp, duration_us,
     )
 
 
-def batch_score(app, base_run, machines, indices=None, kernel=None):
+def batch_score(app, base_run, machines, indices=None):
     """Fast path: score ``machines`` from one base run, no simulation.
 
     Every machine must share the base run's trace-changing signature
@@ -158,7 +158,7 @@ def batch_score(app, base_run, machines, indices=None, kernel=None):
              for c in coeffs]
     exponents = [c.clock_exponent for c in coeffs]
     active_ref = batch_active_energy(t_us, class_idx, factors, power,
-                                     exponents, kernel=kernel)
+                                     exponents)
     return [
         _assemble(app, indices[k] if indices is not None else k,
                   machine, base_run.tlp.tlp, base_run.duration_us,

@@ -95,28 +95,7 @@ def _check_exec_args(args, out):
         out("error: --salvage recovers a prefix of the recorded trace; "
             "incompatible with --streaming")
         return 2
-    _apply_hotpath_args(args)
     return 0
-
-
-def _apply_hotpath_args(args):
-    """Export the hot-path mode flags into the environment.
-
-    The kernel/transport/epoch selections are environment-driven so
-    they reach pool and supervisor worker processes without widening
-    every call signature in between; the CLI flags are just a typed
-    front end that sets the variables before any simulation starts.
-    """
-    from repro.harness.transport import TRANSPORT_ENV
-    from repro.metrics.kernels import KERNEL_ENV
-    from repro.sim.environment import EPOCH_ENV
-
-    for attr, env in (("kernel", KERNEL_ENV),
-                      ("transport", TRANSPORT_ENV),
-                      ("epoch", EPOCH_ENV)):
-        value = getattr(args, attr, None)
-        if value is not None:
-            os.environ[env] = value
 
 
 def _supervised(args):
@@ -608,26 +587,6 @@ def build_parser():
         p.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 25 "
                             "functions by cumulative time")
-        add_hotpath_args(p)
-
-    def add_hotpath_args(p):
-        p.add_argument("--kernel", choices=("auto", "vector", "scalar"),
-                       default=None,
-                       help="sweep-kernel backend (sets REPRO_KERNEL): "
-                            "vector = batched buffer kernels, scalar = "
-                            "legacy tuple-list sweep; bit-identical "
-                            "results either way")
-        p.add_argument("--transport",
-                       choices=("auto", "shm", "pickle"), default=None,
-                       help="worker result transport (sets "
-                            "REPRO_TRANSPORT): shm = shared-memory "
-                            "segments, pickle = legacy pipe payloads")
-        p.add_argument("--epoch", choices=("auto", "legacy"),
-                       default=None,
-                       help="simulation loop (sets REPRO_EPOCH): auto = "
-                            "epoch-partitioned virtual clocks, legacy = "
-                            "event-at-a-time; bit-identical results "
-                            "either way")
 
     run_parser = sub.add_parser("run", help="run one application")
     run_parser.add_argument("app", help="registry key (see `list`)")
@@ -676,7 +635,6 @@ def build_parser():
     validate_parser.add_argument(
         "--no-static", action="store_true",
         help="skip the static work/span TLP-bound cross-check")
-    add_hotpath_args(validate_parser)
 
     lint_parser = sub.add_parser(
         "lint",
@@ -735,7 +693,7 @@ def build_parser():
              "over many configs; keep this modest)")
     dse_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="parallel simulation processes (default: auto; 0 = one "
+        help="parallel simulation processes (default: serial; 0 = one "
              "per CPU)")
     dse_parser.add_argument(
         "--chunk", type=int, default=4, metavar="K",
@@ -764,7 +722,6 @@ def build_parser():
         "--scores", action="store_true",
         help="include every grid point's score in the JSON "
              "(not just the frontiers)")
-    add_hotpath_args(dse_parser)
 
     serve_parser = sub.add_parser(
         "serve",
@@ -833,7 +790,6 @@ def build_parser():
         "--dse", default=None, metavar="PATH",
         help="DSE frontier file served under /frontiers "
              "(default: tests/golden/golden_dse.json)")
-    add_hotpath_args(serve_parser)
     return parser
 
 

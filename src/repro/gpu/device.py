@@ -87,7 +87,6 @@ class GpuEngine:
     def _run(self):
         env = self.device.env
         session = self.device.session
-        epoch = env.epoch
         while True:
             while not self._high and not self._normal:
                 self._wakeup = env.event()
@@ -99,14 +98,14 @@ class GpuEngine:
             # Engine processes are never interrupted, so both waits may
             # take the epoch virtual-clock skip (Environment.advance)
             # when nothing else would run before they fire.
-            if gap and not (epoch and env.advance(gap)):
+            if gap and not env.advance(gap):
                 yield env.timeout(gap)
             start = env.now
             # Occupancy edges bracket packet execution for streaming
             # consumers (guarded so untraced runs pay nothing).
             if session.subscribers:
                 session.emit_engine_busy(packet.process_name, self.name)
-            if not (epoch and env.advance(service)):
+            if not env.advance(service):
                 yield env.timeout(service)
             self.busy_us += service
             self.packets_executed += 1

@@ -115,16 +115,6 @@ def execute_spec(spec):
     return run_app_once(app, **spec.kwargs)
 
 
-def execute_spec_transported(spec):
-    """Pool-worker entry point: run the spec, then hand the result to
-    the configured transport (:mod:`repro.harness.transport`) — a
-    shared-memory handle under ``REPRO_TRANSPORT=shm``/``auto``, the
-    plain (pickled) result otherwise."""
-    from repro.harness.transport import encode_for_pipe
-
-    return encode_for_pipe(execute_spec(spec))
-
-
 def default_jobs():
     """Worker count for ``jobs=0`` (auto): the usable CPU count."""
     try:
@@ -228,17 +218,13 @@ class ParallelExecutor(_CachingExecutor):
         if len(remote) == 1:
             local.append(remote.pop())
         if remote:
-            from repro.harness.transport import decode_from_pipe
-
             pool = _ProcessPool(max_workers=min(self.jobs, len(remote)))
-            futures = []
             try:
-                futures = [(i, pool.submit(execute_spec_transported,
-                                           specs[i]))
+                futures = [(i, pool.submit(execute_spec, specs[i]))
                            for i in remote]
                 for i, future in futures:
                     try:
-                        results[i] = decode_from_pipe(future.result())
+                        results[i] = future.result()
                     except Exception as exc:
                         # The pool re-raises worker exceptions with the
                         # remote traceback only as a chained cause that
@@ -252,19 +238,6 @@ class ParallelExecutor(_CachingExecutor):
                 # KeyboardInterrupt or a worker failure: drop queued
                 # work and do not block on stragglers — callers (the
                 # supervisor journal above us) need control back now.
-                # Results that already completed but will never be
-                # consumed are unlinked so their shared-memory
-                # segments do not outlive the sweep.
-                from repro.harness.transport import ShmHandle, discard_result
-
-                for _i, future in futures:
-                    if future.done() and not future.cancelled():
-                        try:
-                            payload = future.result()
-                        except Exception:
-                            continue
-                        if isinstance(payload, ShmHandle):
-                            discard_result(payload)
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
             pool.shutdown(wait=True)
@@ -296,8 +269,7 @@ def resolve_executor(jobs=None, executor=None, cache=None):
         return SerialExecutor(cache=cache)
     if jobs == 0 and default_jobs() == 1:
         # Auto mode on a single usable CPU: a process pool is pure
-        # IPC/startup overhead (the 0.67x pool result in
-        # BENCH_hotpath.json), so auto degrades to serial.  An
+        # IPC/startup overhead, so auto degrades to serial.  An
         # explicit jobs=N pool is still honoured.
         return SerialExecutor(cache=cache)
     return ParallelExecutor(jobs=jobs, cache=cache)

@@ -57,12 +57,6 @@ from repro.harness.executor import (
     default_jobs,
     execute_spec,
 )
-from repro.harness.transport import (
-    decode_from_pipe,
-    discard_result,
-    encode_for_pipe,
-    ShmHandle,
-)
 
 #: The complete failure taxonomy, in the order the docs present it.
 FAILURE_KINDS = ("crash", "deadline", "invalid-trace", "cache-corrupt")
@@ -126,6 +120,52 @@ def sweep_digest(keys):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def read_jsonl(path, what):
+    """Entries of an append-only JSONL log whose every line was written
+    whole, flushed and fsynced (the sweep journal, the service's job
+    ledger).
+
+    A crash can cut short only the append in flight, which leaves a
+    final line without its newline: that line is dropped when it does
+    not parse.  Any other line that does not parse — a final one
+    included, once its newline made it to disk — is corruption no
+    crash explains, and raises ``ValueError`` naming the ``what``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    torn = not text.endswith("\n")
+    entries = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError:
+            if torn and lineno == len(lines):
+                break
+            raise ValueError(
+                f"corrupt {what} {path!r} at line {lineno}") from None
+    return entries
+
+
+def heal_torn_tail(path):
+    """Truncate a torn final line (one without its newline) before
+    appending to a JSONL log, so the next record starts on a line of
+    its own.  Returns the healed size; 0 for a missing file."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        return 0
+    if not blob or blob.endswith(b"\n"):
+        return len(blob)
+    keep = blob.rfind(b"\n") + 1
+    with open(path, "r+b") as fh:
+        fh.truncate(keep)
+    return keep
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint file of one sweep.
 
@@ -134,8 +174,8 @@ class SweepJournal:
     ``ok`` or ``failed``, the spec's cache ``key``, and the failure
     payload when quarantined).  Each line is flushed and fsynced
     before the sweep moves on, so a SIGKILL loses at most the line
-    being written — and :meth:`load` tolerates exactly that one
-    half-written final line.
+    being written — :meth:`load` tolerates exactly that one torn final
+    line, and a resume cuts it off before appending.
     """
 
     def __init__(self, path):
@@ -144,6 +184,8 @@ class SweepJournal:
 
     def start(self, digest, total, fresh=True):
         """Open for writing; ``fresh=False`` appends (resume)."""
+        if not fresh:
+            heal_torn_tail(self.path)
         self._fh = open(self.path, "w" if fresh else "a",
                         encoding="utf-8")
         if fresh:
@@ -167,19 +209,8 @@ class SweepJournal:
     @staticmethod
     def load(path):
         """``(header, {index: last entry})`` of a journal on disk."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
         header, entries = None, {}
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    break       # torn final line: the kill caught us mid-write
-                raise ValueError(
-                    f"corrupt sweep journal {path!r} at line {lineno + 1}")
+        for entry in read_jsonl(path, "sweep journal"):
             if header is None:
                 if entry.get("format") != JOURNAL_FORMAT:
                     raise ValueError(f"{path!r} is not a sweep journal")
@@ -204,11 +235,6 @@ def _worker_main(conn):
     traceback)``.  Exceptions never cross the pipe as objects (a
     custom exception class may not unpickle in the parent); the
     formatted worker-side traceback is what survives for reporting.
-
-    Result payloads cross either directly (pickle channel) or as a
-    :class:`~repro.harness.transport.ShmHandle` naming a shared-memory
-    segment the run was laid out in columnar form
-    (``REPRO_TRANSPORT``); the parent's reap path decodes both.
     """
     while True:
         try:
@@ -221,7 +247,7 @@ def _worker_main(conn):
         outcomes = []
         for spec in specs:
             try:
-                outcome = ("ok", encode_for_pipe(execute_spec(spec)))
+                outcome = ("ok", execute_spec(spec))
             except KeyboardInterrupt:
                 return
             except BaseException as exc:
@@ -490,8 +516,7 @@ class SupervisedExecutor:
         if jobs == 0:
             # Auto mode clamps to the usable CPUs, and a one-CPU
             # machine gets no pool at all: a single pipe worker is
-            # pure IPC overhead (the 0.67x pool-shm result in
-            # BENCH_hotpath.json).  Explicit jobs=N keeps its pool.
+            # pure IPC overhead.  Explicit jobs=N keeps its pool.
             jobs = default_jobs()
             if jobs == 1:
                 jobs = None
@@ -627,20 +652,7 @@ class SupervisedExecutor:
                 journal, queue):
         """Resolve one chunk member's outcome; 1 if final, 0 if retried."""
         if outcome[0] == "ok":
-            try:
-                result = decode_from_pipe(outcome[1])
-            except Exception as exc:
-                # The segment vanished or would not decode: treat it
-                # like any other failed attempt (retry, then
-                # quarantine) rather than crashing the sweep.
-                if self._retry(index, attempt, queue):
-                    return 0
-                self._fail(specs, keys, index, "crash", attempt,
-                           f"result transport failed: "
-                           f"{type(exc).__name__}: {exc}",
-                           results, journal, tb=traceback.format_exc())
-                return 1
-            self._complete(specs, keys, index, result, results,
+            self._complete(specs, keys, index, outcome[1], results,
                            journal)
             return 1
         _, exc_name, exc_message, remote_tb = outcome
@@ -656,18 +668,6 @@ class SupervisedExecutor:
     def _expire(self, specs, keys, worker, results, journal, queue):
         """Kill a worker that blew its deadline; retry or quarantine."""
         entries, _ = worker.job
-        # The chunk may have finished in the race window between the
-        # deadline check and now; drain the pipe so shared-memory
-        # results that will never be decoded are unlinked, not leaked.
-        try:
-            while worker.conn.poll(0):
-                message = worker.conn.recv()
-                for outcome in message[2]:
-                    if outcome[0] == "ok" and isinstance(outcome[1],
-                                                         ShmHandle):
-                        discard_result(outcome[1])
-        except (EOFError, OSError):
-            pass
         worker.respawn()
         resolved = 0
         for index, attempt in entries:

@@ -16,16 +16,12 @@ from repro.metrics.intervals import (
     union_length,
 )
 from repro.metrics.kernels import (
-    KERNEL_CHOICES,
-    KERNEL_ENV,
     build_event_arrays,
     clipped_busy_sum,
     fused_sweep_arrays,
-    kernel_backend,
     max_concurrency_arrays,
     occupancy_sweep,
     union_length_arrays,
-    vector_enabled,
 )
 from repro.metrics.online import FrameStats, OnlineMetricsEngine, OnlineSweep
 from repro.metrics.responsiveness import (
@@ -54,16 +50,12 @@ __all__ = [
     "FrameStats",
     "FusedSweep",
     "GpuUtilResult",
-    "KERNEL_CHOICES",
-    "KERNEL_ENV",
     "build_event_arrays",
     "clipped_busy_sum",
     "fused_sweep_arrays",
-    "kernel_backend",
     "max_concurrency_arrays",
     "occupancy_sweep",
     "union_length_arrays",
-    "vector_enabled",
     "OnlineMetricsEngine",
     "OnlineSweep",
     "ResponseLatency",

@@ -15,8 +15,7 @@ cross-validation.
 
 from dataclasses import dataclass
 
-from repro.metrics.intervals import fused_sweep, interval_events
-from repro.metrics.kernels import occupancy_sweep, vector_enabled
+from repro.metrics.kernels import occupancy_sweep
 
 
 @dataclass
@@ -69,26 +68,12 @@ def measure_gpu_utilization(gpu_table, processes=None, window=None,
     if stop <= start:
         raise ValueError("empty measurement window")
     total = stop - start
-    # Fast paths: the fused sweep over the table's memoized event data
-    # yields union length and peak concurrency in one traversal; the
-    # batched occupancy sweep (REPRO_KERNEL) additionally integrates
-    # the concurrency level, which equals the clipped busy sum — one
-    # pass over flat buffers replaces both the sweep and the
-    # sum-of-ratios span walk.
-    if vector_enabled() and hasattr(gpu_table, "packet_event_arrays"):
-        times, deltas = gpu_table.packet_event_arrays(processes)
-        sweep, busy = occupancy_sweep(times, deltas, start, stop)
-    else:
-        if hasattr(gpu_table, "packet_events"):
-            events = gpu_table.packet_events(processes)
-            spans = gpu_table.packet_spans(processes)
-        else:
-            spans = sorted((s, e) for _engine, s, e
-                           in gpu_table.packet_intervals(processes=processes))
-            events = interval_events(spans)
-        sweep = fused_sweep((), start, stop, events=events)
-        busy = sum(min(e, stop) - max(s, start) for s, e in spans
-                   if min(e, stop) > max(s, start))
+    # One occupancy sweep over the table's memoized event buffers
+    # yields union length and peak concurrency and integrates the
+    # concurrency level, which equals the clipped busy sum of the
+    # sum-of-ratios definition.
+    times, deltas = gpu_table.packet_event_arrays(processes)
+    sweep, busy = occupancy_sweep(times, deltas, start, stop)
     return gpu_result_from_totals(busy, sweep.union_length,
                                   sweep.max_concurrency, total, method)
 

@@ -1,36 +1,28 @@
 """Batched sweep kernels over whole event buffers.
 
-The scalar helpers in :mod:`repro.metrics.intervals` walk Python lists
-of ``(time, +1/-1)`` tuples one element at a time.  For a recorded run
-that list is born from columnar ``array('q')`` buffers
-(:mod:`repro.trace.columns`), so the per-tuple boxing and the
-interpreted sweep loop are pure overhead.  This module keeps the data
-flat end to end: the WPA tables hand over parallel ``(times, deltas)``
-buffers and the kernels sweep them wholesale.
+The WPA tables (:mod:`repro.trace.wpa`) hand the metric folds parallel
+``(times, deltas)`` buffers born from the columnar ``array('q')``
+trace stores (:mod:`repro.trace.columns`), and the kernels here sweep
+them wholesale instead of boxing one ``(time, +1/-1)`` tuple per
+event.
 
-Two backends implement the same kernels bit-identically:
+Two backends implement the same kernels, chosen by whether numpy
+imports (the package's runtime dependencies are empty, so a plain
+install takes the second):
 
-* ``numpy`` (when importable): clip/diff/cumsum/bincount over int64
-  views of the buffers — no per-event Python bytecode at all.
-* batched pure Python: the scalar sweep loop run over ``zip``-ed
-  memoryviews of the buffers; used when numpy is absent so the
-  ``vector`` mode never becomes a hard dependency.
+* ``numpy``: clip/diff/cumsum/bincount over int64 views of the
+  buffers — no per-event Python bytecode at all.
+* pure Python: the scalar sweep loop of :mod:`repro.metrics.intervals`
+  run over the zipped buffers.
 
-Selection is via the ``REPRO_KERNEL`` environment variable (or the
-``--kernel`` CLI flag, which sets it): ``auto`` (default) and
-``vector`` use the batched kernels, ``scalar`` forces the legacy
-tuple-list path everywhere — the benchmark baseline.  All three
-produce bit-identical metrics; the golden-fingerprint suite pins that.
+The integer sweeps agree bit for bit with
+:func:`repro.metrics.intervals.fused_sweep`, the reference the
+property suite compares both backends against.
 """
 
-import os
 from array import array
 
 from repro.metrics.intervals import FusedSweep, fused_sweep as _scalar_sweep
-
-#: Environment switch for the sweep-kernel backend.
-KERNEL_ENV = "REPRO_KERNEL"
-KERNEL_CHOICES = ("auto", "vector", "scalar")
 
 try:
     import numpy as _np
@@ -41,27 +33,6 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 def numpy_available():
     """True when the numpy backend can be used."""
     return _np is not None
-
-
-def kernel_backend(override=None):
-    """Resolve the kernel selection to ``"vector"`` or ``"scalar"``.
-
-    ``override`` (a choice string) wins over the environment; an
-    unrecognized value raises rather than silently falling back, so a
-    typo in ``REPRO_KERNEL`` cannot masquerade as a benchmark mode.
-    """
-    value = override if override is not None else os.environ.get(
-        KERNEL_ENV, "auto")
-    value = value.strip().lower()
-    if value not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown kernel {value!r}; choose from {KERNEL_CHOICES}")
-    return "vector" if value in ("auto", "vector") else "scalar"
-
-
-def vector_enabled(override=None):
-    """True when the batched kernels should be used."""
-    return kernel_backend(override) == "vector"
 
 
 def _as_int64(buffer):
@@ -217,7 +188,7 @@ def clipped_busy_sum(starts, stops, window_start, window_stop):
 
 
 def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
-                        exponents, kernel=None):
+                        exponents):
     """Active CPU joules of one activity histogram under N coefficient
     sets — the DSE re-scoring primitive.
 
@@ -232,7 +203,7 @@ def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
     ``sum_k  active_power_w[n][class_idx[k]]
              * clock_factors[k] ** exponents[n] * t_us[k] / 1e6``
 
-    accumulated in ``k`` order on both backends.  The vector backend
+    accumulated in ``k`` order on both backends.  The numpy backend
     runs one fused numpy pass per histogram entry over all N configs
     (K is tiny — work classes x clock levels — while N is the campaign
     grid, so the N axis is the one worth vectorizing).  Unlike the
@@ -242,7 +213,7 @@ def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
     tolerance accordingly.
     """
     n_configs = len(exponents)
-    if _np is not None and vector_enabled(kernel) and n_configs:
+    if _np is not None and n_configs:
         power = _np.asarray(active_power_w, dtype=_np.float64)
         alpha = _np.asarray(exponents, dtype=_np.float64)
         totals = _np.zeros(n_configs, dtype=_np.float64)

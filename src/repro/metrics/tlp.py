@@ -15,8 +15,7 @@ TLP of the 2000/2010 prior work — we do the same by passing
 
 from dataclasses import dataclass, field
 
-from repro.metrics.intervals import fused_sweep, interval_events
-from repro.metrics.kernels import fused_sweep_arrays, vector_enabled
+from repro.metrics.kernels import fused_sweep_arrays
 
 
 @dataclass
@@ -113,21 +112,10 @@ def measure_tlp(cpu_table, n_logical, processes=None, window=None):
     start, stop = window or (cpu_table.trace_start, cpu_table.trace_stop)
     if stop <= start:
         raise ValueError("empty measurement window")
-    # Fast paths: one fused traversal of the table's memoized sorted
-    # event data computes the profile and the peak together — windowed
-    # callers (instantaneous TLP) never re-extract or re-sort rows.
-    # Under the batched kernels (REPRO_KERNEL) the traversal runs over
-    # flat (times, deltas) buffers instead of a tuple list.
-    if vector_enabled() and hasattr(cpu_table, "busy_event_arrays"):
-        times, deltas = cpu_table.busy_event_arrays(processes)
-        sweep = fused_sweep_arrays(times, deltas, start, stop)
-    else:
-        if hasattr(cpu_table, "busy_events"):
-            events = cpu_table.busy_events(processes)
-        else:
-            events = interval_events(
-                [(s, e) for _cpu, s, e
-                 in cpu_table.busy_intervals(processes=processes)])
-        sweep = fused_sweep((), start, stop, events=events)
+    # One fused traversal of the table's memoized sorted event buffers
+    # computes the profile and the peak together — windowed callers
+    # (instantaneous TLP) never re-extract or re-sort rows.
+    times, deltas = cpu_table.busy_event_arrays(processes)
+    sweep = fused_sweep_arrays(times, deltas, start, stop)
     return tlp_result_from_profile(sweep.profile, sweep.max_concurrency,
                                    n_logical, stop - start)

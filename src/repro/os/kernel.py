@@ -20,7 +20,7 @@ class Kernel:
     """One booted instance of the simulated operating system."""
 
     def __init__(self, env, machine, session=None, seed=0, turbo=True,
-                 dispatch_policy="spread", quantum=None, epoch=None):
+                 dispatch_policy="spread", quantum=None):
         self.env = env
         self.machine = machine
         self.session = session if session is not None else NullSession()
@@ -30,8 +30,7 @@ class Kernel:
         scheduler_kwargs = {"memory_model": self.memory_model,
                             "energy_model": self.energy_model,
                             "turbo": turbo,
-                            "dispatch_policy": dispatch_policy,
-                            "epoch": epoch}
+                            "dispatch_policy": dispatch_policy}
         if quantum is not None:
             scheduler_kwargs["quantum"] = quantum
         self.scheduler = Scheduler(env, machine, self.session,

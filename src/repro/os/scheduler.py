@@ -19,9 +19,6 @@ from collections import deque
 from repro.os.threads import ThreadState
 from repro.os.work import smt_pair_throughput
 from repro.sim import MS
-# Re-exported here for backwards compatibility: the epoch switch
-# lives with the environment (the GPU engines gate on it too).
-from repro.sim.environment import EPOCH_ENV, epoch_enabled  # noqa: F401
 from repro.sim.exceptions import Interrupt
 
 #: Windows' foreground quantum is ~2 clock ticks (~31 ms); we use a
@@ -111,7 +108,7 @@ class Scheduler:
 
     def __init__(self, env, machine, session, memory_model=None,
                  energy_model=None, quantum=DEFAULT_QUANTUM, turbo=True,
-                 dispatch_policy="spread", epoch=None):
+                 dispatch_policy="spread"):
         if dispatch_policy not in self.POLICIES:
             raise ValueError(f"unknown dispatch policy {dispatch_policy!r}")
         self.env = env
@@ -147,8 +144,6 @@ class Scheduler:
         #: Total nominal work retired, per process name (for throughput
         #: metrics like transcode rate sanity checks).
         self.retired_work = {}
-        #: Epoch-partitioned burst execution (see :meth:`run_burst`).
-        self.epoch = epoch_enabled(epoch)
         #: Turbo clock factor is a pure function of the busy-core count;
         #: precomputing the table turns the per-slice call into a list
         #: index.  Index 0 (no busy cores) shares the single-core value
@@ -296,27 +291,26 @@ class Scheduler:
         Handles enqueueing, dispatch, SMT speed scaling, preemption and
         trace emission.
 
-        **Epoch-partitioned execution** (``self.epoch``, the default):
-        a thread granted a CPU while the environment is *quiescent* —
-        no other event queued at the current instant and no callback
-        cascade in flight (:meth:`~repro.sim.environment.Environment.
-        quiescent`) — takes the CPU synchronously instead of round-
-        tripping a grant event through the global queue.  Between such
-        grants the thread advances on its own virtual clock (its slice
-        timeouts), merging back into the globally ordered event stream
-        at every epoch boundary: a contended ready queue, a same-
-        instant event, or a callback fan-out.  Because the fast path
+        **Epoch-partitioned execution**: a thread granted a CPU while
+        the environment is *quiescent* — no other event queued at the
+        current instant and no callback cascade in flight
+        (:meth:`~repro.sim.environment.Environment.quiescent`) — takes
+        the CPU synchronously instead of round-tripping a grant event
+        through the global queue.  Between such grants the thread
+        advances on its own virtual clock (its slice timeouts), merging
+        back into the globally ordered event stream — one event per
+        step — at every epoch boundary: a contended ready queue, a
+        same-instant event, or a callback fan-out.  Because the fast path
         only triggers when nothing else could have run before the
         grant event would have been processed — and event removal
         preserves the relative (time, priority, eid) order of every
         other event — the schedule, the emitted trace and every metric
-        are bit-identical to the legacy loop; the golden suite pins
-        that equivalence across all 150 grid points.
+        are bit-identical to an event-per-step loop; the golden suite
+        pins the result across all 150 grid points.
         """
         env = self.env
         session = self.session
         remaining = int(amount)
-        epoch = self.epoch
         # Locals for the per-slice loop: attribute loads repeated tens
         # of thousands of times per run are bound once.  Only values
         # that never change mid-run may be hoisted — mutable scheduler
@@ -339,7 +333,7 @@ class Scheduler:
             thread.state = state_ready
             ready_time = env._now
             # ``env.quiescent()`` inlined (same test, no call).
-            if (epoch and not ready and self._idle_mask
+            if (not ready and self._idle_mask
                     and env._cb_pending == 0
                     and (not queue or queue[0][0] > ready_time)):
                 # Synchronous grant: same CPU choice and occupancy
@@ -398,7 +392,7 @@ class Scheduler:
             # test documented there, minus the call overhead.
             target = switch_in + wall
             horizon = env._horizon
-            if (epoch and env._cb_pending == 0
+            if (env._cb_pending == 0
                     and (horizon is None or target <= horizon)
                     and (not queue or queue[0][0] > target)):
                 env._now = target

@@ -133,7 +133,6 @@ class Thread:
         generator = self.body(ctx)
         scheduler = self.kernel.scheduler
         env = self.kernel.env
-        epoch = scheduler.epoch
         result = None
         try:
             request = next(generator)
@@ -152,7 +151,7 @@ class Thread:
                         # Epoch fast path: an uncontended sleep advances
                         # this thread's virtual clock without an event
                         # (see Environment.advance for the equivalence).
-                        if not (epoch and env.advance(request.duration)):
+                        if not env.advance(request.duration):
                             yield env.timeout(request.duration)
                         value = None
                     elif kind is _WaitRequest:
@@ -164,17 +163,17 @@ class Thread:
                         # very next step — consume it synchronously
                         # (popping it from the queue) instead of parking
                         # the thread for one event round-trip.  Failed
-                        # events always take the legacy path so throw/
+                        # events always take the event path so throw/
                         # defuse semantics stay in one place.
-                        if (epoch and event._ok
+                        if (event._ok
                                 and event._value is not PENDING
                                 and env._cb_pending == 0):
                             queue = env._queue
                             if (event.callbacks is None
                                     and (not queue
                                          or queue[0][0] > env._now)):
-                                # Processed earlier: the legacy relay
-                                # event would fire next with no other
+                                # Processed earlier: the relay event
+                                # would fire next with no other
                                 # runnable work — skip it.
                                 value = event._value
                             elif (event.callbacks == []

@@ -18,17 +18,21 @@ to rebuild the job byte-identically: the request re-validates into the
 same spec grid, finished grid points restore from the cache, and only
 work that never completed re-simulates.
 
-Crash discipline mirrors :class:`~repro.harness.supervisor.SweepJournal`:
-a SIGKILL can lose at most the line being written, so :func:`replay`
-tolerates exactly one torn final line, and :meth:`JobLedger.open`
-truncates that torn tail before appending so the file never holds an
-interior corrupt record.
+Crash discipline is shared with :class:`~repro.harness.supervisor.
+SweepJournal`: a SIGKILL can lose at most the line being written, so
+:func:`replay` tolerates exactly one torn final line
+(:func:`~repro.harness.supervisor.read_jsonl`), and
+:meth:`JobLedger.open` truncates that torn tail before appending
+(:func:`~repro.harness.supervisor.heal_torn_tail`) so the file never
+holds an interior corrupt record.
 """
 
 import json
 import os
 import threading
 from dataclasses import dataclass, field
+
+from repro.harness.supervisor import heal_torn_tail, read_jsonl
 
 #: First line of every ledger file.
 LEDGER_FORMAT = "repro-job-ledger-v1"
@@ -75,25 +79,11 @@ class JobLedger:
         one is truncated back to its last complete line so a record
         interrupted by SIGKILL never corrupts the next append.
         """
-        tail = self._heal_tail()
+        tail = heal_torn_tail(self.path)
         self._fh = open(self.path, "a", encoding="utf-8")
         if tail == 0:
             self._write({"format": LEDGER_FORMAT})
         return self
-
-    def _heal_tail(self):
-        """Drop a torn final line; returns the healed file size."""
-        try:
-            with open(self.path, "rb") as fh:
-                blob = fh.read()
-        except FileNotFoundError:
-            return 0
-        if not blob or blob.endswith(b"\n"):
-            return len(blob)
-        keep = blob.rfind(b"\n") + 1
-        with open(self.path, "r+b") as fh:
-            fh.truncate(keep)
-        return keep
 
     def record_submitted(self, job_id, request_payload):
         self._write({"event": "submitted", "id": job_id,
@@ -137,24 +127,12 @@ def replay(path):
     raises ``ValueError`` — replaying the wrong file must be loud.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        entries = read_jsonl(path, "job ledger")
     except FileNotFoundError:
         return []
-    lines = text.splitlines()
-    torn_tail = bool(text) and not text.endswith("\n")
     jobs, order = {}, []
     header_seen = False
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            if torn_tail and lineno == len(lines) - 1:
-                break           # torn final line: lose at most one record
-            raise ValueError(
-                f"corrupt job ledger {path!r} at line {lineno + 1}")
+    for entry in entries:
         if not header_seen:
             if not isinstance(entry, dict) \
                     or entry.get("format") != LEDGER_FORMAT:

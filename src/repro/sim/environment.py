@@ -5,7 +5,6 @@ integers keeps event ordering exact and runs deterministic — two runs
 with the same seed produce bit-identical traces.
 """
 
-import os
 import sys
 from heapq import heappop, heappush
 from sys import getrefcount
@@ -18,25 +17,6 @@ NORMAL = 1
 #: Priority used for urgent deliveries such as interrupts.
 URGENT = 0
 
-#: Environment switch for the epoch-partitioned fast paths (the
-#: scheduler's synchronous CPU grants and the :meth:`Environment.
-#: advance` virtual-clock skips).  Any of the "off" values falls back
-#: to the legacy one-event-per-step loop — used as the benchmark
-#: baseline; everything else, including unset, enables the partitioned
-#: paths, which are bit-identical by construction.
-EPOCH_ENV = "REPRO_EPOCH"
-_EPOCH_OFF = frozenset({"legacy", "off", "0", "no"})
-
-
-def epoch_enabled(override=None):
-    """Resolve the epoch-partitioned execution switch."""
-    if override is not None:
-        return bool(override)
-    value = os.environ.get(EPOCH_ENV)
-    if value is None:
-        return True
-    return value.strip().lower() not in _EPOCH_OFF
-
 #: Upper bound on recycled Timeout objects kept per environment.  The
 #: refcount-based recycling below is only meaningful on CPython;
 #: elsewhere the pool stays empty and every timeout is freshly built.
@@ -46,12 +26,8 @@ _TIMEOUT_POOL_CAP = 1024 if sys.implementation.name == "cpython" else 0
 class Environment:
     """Owns the simulation clock and executes events in time order."""
 
-    def __init__(self, initial_time=0, epoch=None):
+    def __init__(self, initial_time=0):
         self._now = int(initial_time)
-        #: Epoch-partitioned fast paths enabled (callers gate their
-        #: :meth:`advance` skips on this so ``REPRO_EPOCH=legacy``
-        #: restores the one-event-per-step baseline everywhere).
-        self.epoch = epoch_enabled(epoch)
         self._queue = []
         self._eid = 0
         self._timeout_pool = []
@@ -154,7 +130,7 @@ class Environment:
         * no callback cascade is in flight (``_cb_pending``),
         * the target time does not pass the :meth:`run` horizon (a
           timeout past ``until`` never fires, so the caller must stay
-          suspended exactly as the legacy path does), and
+          suspended exactly as it would on a real timeout), and
         * no queued event fires at or before the target — strict
           inequality, because an already-queued event at the same
           instant holds a smaller eid and would run first.

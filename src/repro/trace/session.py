@@ -4,18 +4,14 @@ The simulated OS kernel and GPU call the ``emit_*`` hooks; records are
 only retained while the session is recording, exactly like starting and
 stopping a UIforETW capture around a testbench run (paper Fig. 1).
 
-Two performance modes layer on top of that contract:
-
-* **Columnar buffering** (default): records are appended to flat
-  :mod:`~repro.trace.columns` stores instead of per-record dataclasses;
-  the :class:`~repro.trace.etl.EtlTrace` returned by :meth:`stop`
-  materializes dataclass records lazily, and the WPA tables read the
-  column tuples directly.  ``columnar=False`` keeps the original
-  record-list behaviour (used as the benchmark baseline).
-* **Streaming** (``retain_records=False``): nothing is buffered at all;
-  subscribers registered via :meth:`subscribe` (the online metrics
-  engine) receive every event as it happens and maintain their
-  accumulators in O(1) memory.
+Records are appended to flat :mod:`~repro.trace.columns` stores
+instead of per-record dataclasses; the :class:`~repro.trace.etl.
+EtlTrace` returned by :meth:`stop` materializes dataclass records
+lazily, and the WPA tables read the column buffers directly.  In
+**streaming** mode (``retain_records=False``) nothing is buffered at
+all: subscribers registered via :meth:`subscribe` (the online metrics
+engine) receive every event as it happens and maintain their
+accumulators in O(1) memory.
 
 Subscribers also receive *occupancy edges* (``emit_cpu_busy`` /
 ``emit_cpu_idle`` from the scheduler, ``emit_engine_busy`` /
@@ -33,12 +29,6 @@ from repro.trace.columns import (
     MarkColumns,
 )
 from repro.trace.etl import EtlTrace
-from repro.trace.records import (
-    ContextSwitchRecord,
-    FramePresentRecord,
-    GpuPacketRecord,
-    MarkRecord,
-)
 
 #: Provider flags, mirroring the WPA analyses the paper extracts.
 CPU_USAGE_PRECISE = "cpu-usage-precise"
@@ -54,14 +44,13 @@ class TraceSession:
     """Collects records between :meth:`start` and :meth:`stop`."""
 
     def __init__(self, env, providers=ALL_PROVIDERS, machine_name="",
-                 columnar=True, retain_records=True):
+                 retain_records=True):
         unknown = set(providers) - ALL_PROVIDERS
         if unknown:
             raise ValueError(f"unknown trace providers: {sorted(unknown)}")
         self.env = env
         self.providers = frozenset(providers)
         self.machine_name = machine_name
-        self.columnar = columnar
         self.retain_records = retain_records
         self.recording = False
         self.subscribers = []
@@ -77,16 +66,10 @@ class TraceSession:
         again — clearing shared buffers would silently empty traces the
         caller still holds.
         """
-        if self.columnar:
-            self._cswitches = CswitchColumns()
-            self._gpu_packets = GpuPacketColumns()
-            self._frames = FrameColumns()
-            self._marks = MarkColumns()
-        else:
-            self._cswitches = []
-            self._gpu_packets = []
-            self._frames = []
-            self._marks = []
+        self._cswitches = CswitchColumns()
+        self._gpu_packets = GpuPacketColumns()
+        self._frames = FrameColumns()
+        self._marks = MarkColumns()
 
     # -- streaming consumers -------------------------------------------
 
@@ -112,14 +95,14 @@ class TraceSession:
         self.recording = True
         self._start_time = self.env.now
         self._alloc_buffers()
-        # While recording with columnar retention, the two high-volume
+        # While recording with retention, the two high-volume
         # emit hooks collapse to the column stores' bound ``append``
         # methods (instance attributes shadowing the class methods):
         # the per-record provider/flag checks run once here instead of
         # tens of thousands of times in the scheduler hot loop.  The
         # signatures match field-for-field; :meth:`stop` removes the
         # shadows so the checking class methods return.
-        if self.columnar and self.retain_records:
+        if self.retain_records:
             if CPU_USAGE_PRECISE in self.providers:
                 self.emit_cswitch = self._cswitches.append
             if GPU_UTILIZATION_FM in self.providers:
@@ -177,41 +160,25 @@ class TraceSession:
     def emit_cswitch(self, process, pid, tid, thread_name, cpu,
                      ready_time, switch_in_time, switch_out_time):
         if self.recording and CPU_USAGE_PRECISE in self.providers:
-            if not self.retain_records:
-                return
-            if self.columnar:
+            if self.retain_records:
                 self._cswitches.append(
                     process, pid, tid, thread_name, cpu,
                     ready_time, switch_in_time, switch_out_time)
-            else:
-                self._cswitches.append(ContextSwitchRecord(
-                    process, pid, tid, thread_name, cpu,
-                    ready_time, switch_in_time, switch_out_time))
 
     def emit_gpu_packet(self, process, pid, engine, packet_type,
                         submit_time, start_execution, finished):
         if self.recording and GPU_UTILIZATION_FM in self.providers:
-            if not self.retain_records:
-                return
-            if self.columnar:
+            if self.retain_records:
                 self._gpu_packets.append(
                     process, pid, engine, packet_type,
                     submit_time, start_execution, finished)
-            else:
-                self._gpu_packets.append(GpuPacketRecord(
-                    process, pid, engine, packet_type,
-                    submit_time, start_execution, finished))
 
     def emit_frame(self, process, pid, present_time, target_fps,
                    reprojected=False):
         if self.recording and FRAME_PRESENTS in self.providers:
             if self.retain_records:
-                if self.columnar:
-                    self._frames.append(process, pid, present_time,
-                                        target_fps, reprojected)
-                else:
-                    self._frames.append(FramePresentRecord(
-                        process, pid, present_time, target_fps, reprojected))
+                self._frames.append(process, pid, present_time,
+                                    target_fps, reprojected)
             for consumer in self.subscribers:
                 consumer.on_frame(process, pid, present_time, target_fps,
                                   reprojected)
@@ -219,11 +186,7 @@ class TraceSession:
     def emit_mark(self, process, pid, label):
         if self.recording and MARKS in self.providers:
             if self.retain_records:
-                if self.columnar:
-                    self._marks.append(process, pid, self.env.now, label)
-                else:
-                    self._marks.append(
-                        MarkRecord(process, pid, self.env.now, label))
+                self._marks.append(process, pid, self.env.now, label)
             for consumer in self.subscribers:
                 consumer.on_mark(process, pid, self.env.now, label)
 

@@ -45,7 +45,6 @@ class CpuUsagePreciseTable:
             raise ValueError("need rows or a columnar store")
         self.trace_start = trace_start
         self.trace_stop = trace_stop
-        self._events_cache = {}
         self._arrays_cache = {}
         self._by_cpu_cache = {}
 
@@ -89,25 +88,10 @@ class CpuUsagePreciseTable:
             if processes is None or row[0] in processes:
                 yield row[4], row[6], row[7]
 
-    def busy_events(self, processes=None):
-        """Sorted ``(time, +1/-1)`` switch-in/out events, memoized per
-        process set — the fast path behind ``measure_tlp``."""
-        key = _freeze_processes(processes)
-        events = self._events_cache.get(key)
-        if events is None:
-            events = []
-            for row in self.rows:
-                if processes is None or row[0] in processes:
-                    events.append((row[6], 1))
-                    events.append((row[7], -1))
-            events.sort()
-            self._events_cache[key] = events
-        return events
-
     def busy_event_arrays(self, processes=None):
         """Sorted parallel ``(times, deltas)`` buffers of the
-        switch-in/out events, memoized per process set — what the
-        batched kernels (:mod:`repro.metrics.kernels`) sweep.
+        switch-in/out events, memoized per process set — what
+        ``measure_tlp`` sweeps (:mod:`repro.metrics.kernels`).
 
         Backed directly by the columnar store's ``array('q')`` buffers
         when the table has one (no row tuples are ever built); built
@@ -169,9 +153,7 @@ class GpuUtilizationTable:
             raise ValueError("need rows or a columnar store")
         self.trace_start = trace_start
         self.trace_stop = trace_stop
-        self._events_cache = {}
         self._arrays_cache = {}
-        self._spans_cache = {}
 
     @property
     def rows(self):
@@ -203,25 +185,11 @@ class GpuUtilizationTable:
             if processes is None or row[0] in processes:
                 yield row[2], row[5], row[6]
 
-    def packet_events(self, processes=None):
-        """Sorted ``(time, +1/-1)`` packet start/finish events, memoized
-        per process set (rows are immutable by convention)."""
-        key = _freeze_processes(processes)
-        events = self._events_cache.get(key)
-        if events is None:
-            events = []
-            for row in self.rows:
-                if processes is None or row[0] in processes:
-                    events.append((row[5], 1))
-                    events.append((row[6], -1))
-            events.sort()
-            self._events_cache[key] = events
-        return events
-
     def packet_event_arrays(self, processes=None):
         """Sorted parallel ``(times, deltas)`` buffers of the packet
         start/finish events (see ``CpuUsagePreciseTable.
-        busy_event_arrays``), memoized per process set."""
+        busy_event_arrays``), memoized per process set — what
+        ``measure_gpu_utilization`` sweeps."""
         from repro.metrics.kernels import build_event_arrays, interned_mask
 
         key = _freeze_processes(processes)
@@ -243,17 +211,6 @@ class GpuUtilizationTable:
                     [row[5] for row in keep], [row[6] for row in keep])
             self._arrays_cache[key] = arrays
         return arrays
-
-    def packet_spans(self, processes=None):
-        """Sorted ``(start_execution, finished)`` pairs, memoized —
-        feeds the sum-of-ratios utilization without re-filtering."""
-        key = _freeze_processes(processes)
-        spans = self._spans_cache.get(key)
-        if spans is None:
-            spans = sorted((row[5], row[6]) for row in self.rows
-                           if processes is None or row[0] in processes)
-            self._spans_cache[key] = spans
-        return spans
 
     def process_names(self):
         if self._rows is None:

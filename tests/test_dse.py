@@ -11,6 +11,7 @@ keys).
 
 import pytest
 
+import repro.metrics.kernels as kernels
 from repro.analysis.dse import (
     CampaignResult,
     batch_score,
@@ -92,16 +93,17 @@ class TestSignature:
 
 
 class TestBatchKernel:
-    def test_vector_matches_scalar(self):
+    def test_vector_matches_scalar(self, monkeypatch):
         t_us = [1000, 2500, 40, 999999]
         class_idx = [0, 2, 1, 0]
         factors = [1.0, 1.27, 1.1, 1.0054]
         power = [[10.0, 20.0, 5.0], [8.0, 16.0, 4.0]]
         exponents = [2.0, 1.8]
         vec = batch_active_energy(t_us, class_idx, factors, power,
-                                  exponents, kernel="vector")
+                                  exponents)
+        monkeypatch.setattr(kernels, "_np", None)
         sca = batch_active_energy(t_us, class_idx, factors, power,
-                                  exponents, kernel="scalar")
+                                  exponents)
         assert len(vec) == len(sca) == 2
         for a, b in zip(vec, sca):
             assert a == pytest.approx(b, rel=1e-12)
@@ -298,23 +300,6 @@ class TestAutoModeClamp:
         monkeypatch.setattr("repro.harness.supervisor.default_jobs",
                             lambda: 1)
         assert SupervisedExecutor(jobs=0)._pool_size(8) == 0
-
-    def test_transport_auto_picks_pickle_on_one_cpu(self, monkeypatch):
-        from repro.harness.transport import transport_backend
-
-        monkeypatch.setattr("repro.harness.executor.default_jobs",
-                            lambda: 1)
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-        assert transport_backend() == "pickle"
-
-    def test_transport_explicit_shm_is_untouched(self, monkeypatch):
-        from repro.harness.transport import shm_available, transport_backend
-
-        monkeypatch.setattr("repro.harness.executor.default_jobs",
-                            lambda: 1)
-        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
-        if shm_available():
-            assert transport_backend() == "shm"
 
 
 class TestMachineDigestCache:

@@ -1,30 +1,16 @@
-"""Hot-path mode equivalence: kernels, epochs, transports.
+"""Sweep-kernel platform paths replay the goldens bit for bit.
 
-The perf modes are only allowed to exist because they are invisible:
-``REPRO_KERNEL`` (scalar vs vectorized sweeps), ``REPRO_EPOCH``
-(legacy event-at-a-time vs epoch-partitioned simulation) and
-``REPRO_TRANSPORT`` (pickle vs shared-memory results) must all
-produce bit-identical metrics.  These tests pin each mode against the
-committed goldens on a cross-section of apps, and exercise the
-shared-memory transport's encode/decode lifecycle directly —
-including the fallback and discard paths a pool failure takes.
+The metric folds sweep event buffers with numpy when it imports and
+with the pure-Python loop otherwise (:mod:`repro.metrics.kernels`);
+which one runs is decided by the platform, not by a switch.  Both
+must reproduce the committed golden fingerprints exactly, so each is
+replayed here on a cross-section of apps — the pure-Python one by
+hiding numpy from the kernels.
 """
-
-import pickle
 
 import pytest
 
-from repro.harness.executor import ParallelExecutor, execute_spec, make_spec
-from repro.harness.transport import (
-    ShmHandle,
-    decode_result,
-    discard_result,
-    encode_for_pipe,
-    encode_result,
-    shm_available,
-    transport_backend,
-)
-from repro.sim import SECOND
+import repro.metrics.kernels as kernels
 from repro.validate import (
     GOLDEN_CONFIGS,
     compare_fingerprints,
@@ -54,110 +40,12 @@ def assert_matches_goldens(fingerprints, goldens, label):
 
 class TestModeEquivalence:
     def test_scalar_kernel_matches_goldens(self, goldens, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        monkeypatch.setattr(kernels, "_np", None)
         assert_matches_goldens(compute_fingerprints(CROSS_CHECK_APPS),
-                               goldens, "scalar kernel")
+                               goldens, "pure-Python kernels")
 
-    def test_vector_kernel_matches_goldens(self, goldens, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
+    def test_vector_kernel_matches_goldens(self, goldens):
+        if not kernels.numpy_available():
+            pytest.skip("numpy not installed")
         assert_matches_goldens(compute_fingerprints(CROSS_CHECK_APPS),
-                               goldens, "vector kernel")
-
-    def test_legacy_epoch_matches_goldens(self, goldens, monkeypatch):
-        monkeypatch.setenv("REPRO_EPOCH", "legacy")
-        assert_matches_goldens(compute_fingerprints(CROSS_CHECK_APPS),
-                               goldens, "legacy epoch")
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory")
-    def test_shm_pool_matches_pickle_pool_and_goldens(
-            self, goldens, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
-        shm = compute_fingerprints(CROSS_CHECK_APPS,
-                                   executor=ParallelExecutor(jobs=2))
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        pickled = compute_fingerprints(CROSS_CHECK_APPS,
-                                       executor=ParallelExecutor(jobs=2))
-        assert shm == pickled
-        assert_matches_goldens(shm, goldens, "shm pool")
-
-
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-class TestShmTransport:
-    def _run(self, keep_trace=False):
-        return execute_spec(make_spec("chrome", seed=2019,
-                                      duration_us=1 * SECOND,
-                                      keep_trace=keep_trace))
-
-    def test_round_trip_metrics_only(self):
-        run = self._run()
-        handle = encode_result(run)
-        assert isinstance(handle, ShmHandle)
-        back = decode_result(handle)
-        assert back.tlp == run.tlp
-        assert back.gpu_util == run.gpu_util
-        assert back.process_names == run.process_names
-
-    def test_round_trip_with_trace(self):
-        """The columnar trace crosses as raw buffers and reconstructs
-        record-for-record; the WPA tables rebuild lazily."""
-        run = self._run(keep_trace=True)
-        back = decode_result(encode_result(run))
-        assert back.trace.cswitches == run.trace.cswitches
-        assert back.trace.gpu_packets == run.trace.gpu_packets
-        assert back.trace.start_time == run.trace.start_time
-        assert back.trace.stop_time == run.trace.stop_time
-        assert back.cpu_table is not None
-        assert back.cpu_table.busy_events() == run.cpu_table.busy_events()
-        assert back.tlp == run.tlp
-
-    def test_segment_is_consumed(self):
-        run = self._run()
-        handle = encode_result(run)
-        decode_result(handle)
-        # The segment was unlinked; decoding again must fail loudly,
-        # not resurrect stale data.
-        with pytest.raises(FileNotFoundError):
-            decode_result(handle)
-
-    def test_discard_unlinks(self):
-        handle = encode_result(self._run())
-        discard_result(handle)
-        with pytest.raises(FileNotFoundError):
-            decode_result(handle)
-
-    def test_discard_tolerates_missing_segment(self):
-        discard_result(ShmHandle(name="psm_repro_nonexistent", size=8))
-
-    def test_unpicklable_result_falls_back(self):
-        run = self._run()
-        run.outputs["callback"] = lambda: None
-        assert encode_result(run) is None
-
-    def test_encode_for_pipe_respects_transport_env(self, monkeypatch):
-        run = self._run()
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        assert encode_for_pipe(run) is run
-        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
-        payload = encode_for_pipe(run)
-        assert isinstance(payload, ShmHandle)
-        decode_result(payload)
-
-    def test_handle_is_tiny_on_the_pipe(self):
-        run = self._run(keep_trace=True)
-        handle = encode_result(run)
-        try:
-            assert len(pickle.dumps(handle)) < 200
-            assert len(pickle.dumps(run)) > 10 * 1024
-        finally:
-            discard_result(handle)
-
-
-class TestTransportSelection:
-    def test_unknown_transport_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "bogus")
-        with pytest.raises(ValueError):
-            transport_backend()
-
-    def test_pickle_always_available(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        assert transport_backend() == "pickle"
+                               goldens, "numpy kernels")

@@ -1,28 +1,30 @@
 """Property tests: batched sweep kernels == scalar kernels, exactly.
 
-The ``REPRO_KERNEL=vector`` backend (:mod:`repro.metrics.kernels`)
-must be bit-identical to the scalar tuple-list sweep on *every* input,
+Both platform paths of :mod:`repro.metrics.kernels` — numpy when it
+imports, pure Python otherwise — must be bit-identical to the scalar
+tuple-list sweep of :mod:`repro.metrics.intervals` on *every* input,
 including the adversarial edges the vectorized math could plausibly
 get wrong: zero-length windows, duplicate timestamps (many intervals
 sharing endpoints), single-event traces, intervals entirely outside
 the window, and start/stop ties where the ``-1`` must sort first.
-Hypothesis drives randomized interval sets through both backends and
-asserts exact equality of profile, union length, peak and the GPU
-busy integral.
+Hypothesis drives randomized interval sets through each path (the
+pure-Python one by hiding numpy from the module) and asserts exact
+equality of profile, union length, peak and the GPU busy integral.
 """
 
 from array import array
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.metrics.kernels as kernels
 from repro.metrics import fused_sweep, interval_events
 from repro.metrics.kernels import (
     build_event_arrays,
     clipped_busy_sum,
     fused_sweep_arrays,
-    kernel_backend,
     max_concurrency_arrays,
     occupancy_sweep,
     union_length_arrays,
@@ -54,56 +56,90 @@ def to_columns(intervals):
     return starts, stops
 
 
+#: numpy (when installed) and the pure-Python fallback.
+BACKENDS = (("numpy", kernels._np), ("python", None)) \
+    if kernels.numpy_available() else (("python", None),)
+
+
+@contextmanager
+def backend(np_module):
+    """Run the kernels with ``_np`` patched to ``np_module``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_np", np_module)
+        yield
+
+
+def each_backend():
+    """``(name, context)`` per platform path, for use inside
+    hypothesis tests (which cannot take function-scoped fixtures)."""
+    return [(name, backend(np_module)) for name, np_module in BACKENDS]
+
+
 class TestVectorEqualsScalar:
     @given(intervals_strategy)
     def test_sweep_matches_scalar(self, intervals):
         expected, expected_busy = scalar_reference(intervals, *WINDOW)
-        times, deltas = build_event_arrays(*to_columns(intervals))
-        actual, busy = occupancy_sweep(times, deltas, *WINDOW)
-        assert actual.profile == expected.profile
-        assert actual.union_length == expected.union_length
-        assert actual.max_concurrency == expected.max_concurrency
-        assert busy == expected_busy
+        for name, context in each_backend():
+            with context:
+                times, deltas = build_event_arrays(*to_columns(intervals))
+                actual, busy = occupancy_sweep(times, deltas, *WINDOW)
+            assert actual.profile == expected.profile, name
+            assert actual.union_length == expected.union_length, name
+            assert actual.max_concurrency == expected.max_concurrency, name
+            assert busy == expected_busy, name
 
     @given(intervals_strategy)
     def test_event_arrays_match_interval_events(self, intervals):
         """Same edges, same order — including the -1-before-+1 ties."""
-        times, deltas = build_event_arrays(*to_columns(intervals))
-        assert list(zip(times, deltas)) == interval_events(intervals)
+        for name, context in each_backend():
+            with context:
+                times, deltas = build_event_arrays(*to_columns(intervals))
+            assert list(zip(times, deltas)) == \
+                interval_events(intervals), name
 
     @given(intervals_strategy)
     def test_wrappers_match_scalar(self, intervals):
         expected, _ = scalar_reference(intervals, *WINDOW)
-        times, deltas = build_event_arrays(*to_columns(intervals))
-        sweep = fused_sweep_arrays(times, deltas, *WINDOW)
-        assert sweep.profile == expected.profile
-        assert union_length_arrays(times, deltas, *WINDOW) == \
-            expected.union_length
-        assert max_concurrency_arrays(times, deltas, *WINDOW) == \
-            expected.max_concurrency
+        for name, context in each_backend():
+            with context:
+                times, deltas = build_event_arrays(*to_columns(intervals))
+                sweep = fused_sweep_arrays(times, deltas, *WINDOW)
+                union = union_length_arrays(times, deltas, *WINDOW)
+                peak = max_concurrency_arrays(times, deltas, *WINDOW)
+            assert sweep.profile == expected.profile, name
+            assert union == expected.union_length, name
+            assert peak == expected.max_concurrency, name
 
     @given(intervals_strategy)
     def test_clipped_busy_sum_matches_loop(self, intervals):
         starts, stops = to_columns(intervals)
         _, expected_busy = scalar_reference(intervals, *WINDOW)
-        assert clipped_busy_sum(starts, stops, *WINDOW) == expected_busy
+        for name, context in each_backend():
+            with context:
+                busy = clipped_busy_sum(starts, stops, *WINDOW)
+            assert busy == expected_busy, name
 
     @given(intervals_strategy, st.integers(0, 25_000_000))
     def test_zero_length_window(self, intervals, at):
         """A zero-measure window: empty profile, no peak, no busy."""
-        times, deltas = build_event_arrays(*to_columns(intervals))
-        sweep, busy = occupancy_sweep(times, deltas, at, at)
-        assert (sweep.profile, sweep.union_length,
-                sweep.max_concurrency, busy) == ({0: 0}, 0, 0, 0)
+        for name, context in each_backend():
+            with context:
+                times, deltas = build_event_arrays(*to_columns(intervals))
+                sweep, busy = occupancy_sweep(times, deltas, at, at)
+            assert (sweep.profile, sweep.union_length,
+                    sweep.max_concurrency, busy) == ({0: 0}, 0, 0, 0), name
 
     def test_single_event_trace(self):
         for interval in ((5_000, 5_001), (0, 50_000), (WINDOW[0], WINDOW[0]),
                          (21_000, 30_000), (-10, 0)):
             expected, expected_busy = scalar_reference([interval], *WINDOW)
-            times, deltas = build_event_arrays(*to_columns([interval]))
-            actual, busy = occupancy_sweep(times, deltas, *WINDOW)
-            assert actual.profile == expected.profile, interval
-            assert busy == expected_busy, interval
+            for name, context in each_backend():
+                with context:
+                    times, deltas = build_event_arrays(
+                        *to_columns([interval]))
+                    actual, busy = occupancy_sweep(times, deltas, *WINDOW)
+                assert actual.profile == expected.profile, (name, interval)
+                assert busy == expected_busy, (name, interval)
 
     @given(st.integers(0, 22), st.integers(1, 64))
     def test_duplicate_timestamps_stack(self, start_k, copies):
@@ -111,16 +147,20 @@ class TestVectorEqualsScalar:
         interval = (start_k * 1_000, start_k * 1_000 + 1_000)
         intervals = [interval] * copies
         expected, expected_busy = scalar_reference(intervals, *WINDOW)
-        times, deltas = build_event_arrays(*to_columns(intervals))
-        actual, busy = occupancy_sweep(times, deltas, *WINDOW)
-        assert actual.profile == expected.profile
-        assert actual.max_concurrency == expected.max_concurrency
-        assert busy == expected_busy
+        for name, context in each_backend():
+            with context:
+                times, deltas = build_event_arrays(*to_columns(intervals))
+                actual, busy = occupancy_sweep(times, deltas, *WINDOW)
+            assert actual.profile == expected.profile, name
+            assert actual.max_concurrency == expected.max_concurrency, name
+            assert busy == expected_busy, name
 
     def test_inverted_window_raises(self):
-        times, deltas = build_event_arrays(array("q"), array("q"))
-        with pytest.raises(ValueError):
-            occupancy_sweep(times, deltas, 10, 5)
+        for _name, context in each_backend():
+            with context:
+                times, deltas = build_event_arrays(array("q"), array("q"))
+                with pytest.raises(ValueError):
+                    occupancy_sweep(times, deltas, 10, 5)
 
     @given(intervals_strategy)
     @settings(max_examples=25)
@@ -128,21 +168,7 @@ class TestVectorEqualsScalar:
         starts, stops = to_columns(intervals)
         mask = [i % 2 for i in range(len(intervals))]
         kept = [iv for iv, keep in zip(intervals, mask) if keep]
-        times, deltas = build_event_arrays(starts, stops, mask=mask)
-        assert list(zip(times, deltas)) == interval_events(kept)
-
-
-class TestBackendSelection:
-    def test_unknown_kernel_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.raises(ValueError):
-            kernel_backend()
-
-    def test_choices_resolve(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert kernel_backend() == "scalar"
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        assert kernel_backend() == "vector"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert kernel_backend() == "vector"   # auto
-        assert kernel_backend("scalar") == "scalar"
+        for name, context in each_backend():
+            with context:
+                times, deltas = build_event_arrays(starts, stops, mask=mask)
+            assert list(zip(times, deltas)) == interval_events(kept), name

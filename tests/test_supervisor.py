@@ -215,6 +215,14 @@ class TestJournal:
         assert header["total"] == 1
         assert 9 not in entries
 
+    def test_corrupt_final_line_with_newline_rejected(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        SupervisedExecutor(journal=path).map([spec(seed=0)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"index": 9, "stat\n')  # the newline made it: no torn write
+        with pytest.raises(ValueError, match="corrupt sweep journal"):
+            SweepJournal.load(path)
+
     def test_corrupt_interior_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -259,6 +267,20 @@ class TestResume:
         # The journal is now complete again.
         _, entries = SweepJournal.load(path)
         assert sorted(entries) == [0, 1, 2, 3]
+
+    def test_torn_journal_resumes_twice(self, tmp_path):
+        """A resume cuts a torn final line off before appending, so the
+        journal it leaves behind resumes again."""
+        path = tmp_path / "sweep.jsonl"
+        specs = [spec(seed=s) for s in range(3)]
+        baseline = SupervisedExecutor(journal=path).map(specs)
+        path.write_bytes(path.read_bytes()[:-10])   # killed mid-record
+        for _ in range(2):
+            resumed = SupervisedExecutor(resume=path).map(specs)
+            assert [fingerprint_run(r) for r in resumed] == \
+                [fingerprint_run(r) for r in baseline]
+        _, entries = SweepJournal.load(path)
+        assert sorted(entries) == [0, 1, 2]
 
     def test_failed_entries_get_a_fresh_chance(self, tmp_path):
         # A one-shot flaky fault quarantines the run on the first

@@ -181,19 +181,21 @@ class TestWpaTables:
 class TestMemoizedExtractions:
     def test_busy_events_sorted_and_cached(self):
         table = CpuUsagePreciseTable.from_trace(make_trace())
-        events = table.busy_events(processes={"app.exe"})
-        assert events == sorted(events)
-        assert sum(delta for _t, delta in events) == 0
-        # Same process set (any set form) returns the same cached array.
-        assert table.busy_events(processes=frozenset({"app.exe"})) is events
-        assert table.busy_events() is table.busy_events()
+        arrays = table.busy_event_arrays(processes={"app.exe"})
+        times, deltas = arrays
+        assert list(times) == sorted(times)
+        assert sum(deltas) == 0
+        # Same process set (any set form) returns the same cached buffers.
+        assert table.busy_event_arrays(
+            processes=frozenset({"app.exe"})) is arrays
+        assert table.busy_event_arrays() is table.busy_event_arrays()
 
     def test_busy_events_match_busy_intervals(self):
         table = CpuUsagePreciseTable.from_trace(make_trace())
         expected = []
         for _cpu, start, stop in table.busy_intervals():
             expected += [(start, 1), (stop, -1)]
-        assert table.busy_events() == sorted(expected)
+        assert list(zip(*table.busy_event_arrays())) == sorted(expected)
 
     def test_intervals_by_cpu_grouped_and_sorted(self):
         table = CpuUsagePreciseTable.from_trace(make_trace())
@@ -202,12 +204,13 @@ class TestMemoizedExtractions:
         assert by_cpu[0] == [(10, 50)]
         assert table.intervals_by_cpu() is by_cpu
 
-    def test_packet_events_and_spans_cached(self):
+    def test_packet_event_arrays_cached(self):
         table = GpuUtilizationTable.from_trace(make_trace())
-        assert table.packet_spans(processes={"app.exe"}) == [(2, 30)]
-        events = table.packet_events()
-        assert events == [(2, 1), (30, -1), (30, 1), (60, -1)]
-        assert table.packet_events() is events
+        assert list(zip(*table.packet_event_arrays(
+            processes={"app.exe"}))) == [(2, 1), (30, -1)]
+        arrays = table.packet_event_arrays()
+        assert list(zip(*arrays)) == [(2, 1), (30, -1), (30, 1), (60, -1)]
+        assert table.packet_event_arrays() is arrays
 
     def test_etl_processes_memoized(self):
         trace = make_trace()

@@ -1,4 +1,4 @@
-"""Columnar trace buffers: equivalence with the record-list path."""
+"""Columnar trace buffers: equivalence with record-list traces."""
 
 import pytest
 
@@ -8,8 +8,11 @@ from repro.trace import (
     CpuUsagePreciseTable,
     CswitchColumns,
     EtlTrace,
+    FramePresentRecord,
     GpuPacketColumns,
+    GpuPacketRecord,
     GpuUtilizationTable,
+    MarkRecord,
     NameTable,
     TraceSession,
 )
@@ -24,14 +27,30 @@ def _emit_sample_events(session):
     session.emit_mark("app.exe", 4, "phase:load")
 
 
-def _run_session(columnar):
+def _run_session():
     env = Environment()
-    session = TraceSession(env, columnar=columnar)
+    session = TraceSession(env)
     session.start()
     env.timeout(100)
     _emit_sample_events(session)
     env.run()
     return session.stop()
+
+
+def _record_trace():
+    """The capture of :func:`_run_session` as a record-list trace,
+    built by hand from dataclass records."""
+    return EtlTrace(
+        0, 100,
+        cswitches=[
+            ContextSwitchRecord("app.exe", 4, 7, "worker", 0, 10, 20, 50),
+            ContextSwitchRecord("app.exe", 4, 8, "render", 1, 15, 25, 60),
+            ContextSwitchRecord("other.exe", 9, 11, "main", 0, 55, 60, 90),
+        ],
+        gpu_packets=[GpuPacketRecord("app.exe", 4, "3D", "dma", 5, 30, 70)],
+        frames=[FramePresentRecord("app.exe", 4, 40, 60, True)],
+        marks=[MarkRecord("app.exe", 4, 0, "phase:load")],
+    )
 
 
 class TestNameTable:
@@ -47,8 +66,10 @@ class TestNameTable:
 
 class TestColumnarEquivalence:
     def test_materialized_records_match_legacy(self):
-        columnar = _run_session(columnar=True)
-        legacy = _run_session(columnar=False)
+        columnar = _run_session()
+        legacy = _record_trace()
+        assert (columnar.start_time, columnar.stop_time) == \
+            (legacy.start_time, legacy.stop_time)
         assert columnar.cswitches == legacy.cswitches
         assert columnar.gpu_packets == legacy.gpu_packets
         assert columnar.frames == legacy.frames
@@ -77,20 +98,20 @@ class TestColumnarEquivalence:
             store.records()
 
     def test_wpa_tables_identical_across_backends(self):
-        columnar = _run_session(columnar=True)
-        legacy = _run_session(columnar=False)
+        columnar = _run_session()
+        legacy = _record_trace()
         for table_cls in (CpuUsagePreciseTable, GpuUtilizationTable):
             assert (table_cls.from_trace(columnar).rows
                     == table_cls.from_trace(legacy).rows)
 
     def test_processes_without_materialization(self):
-        trace = _run_session(columnar=True)
+        trace = _run_session()
         assert trace.processes == ["app.exe", "other.exe"]
         # The name query must not have materialized the record lists.
         assert trace._materialized == {}
 
     def test_save_load_round_trip(self, tmp_path):
-        trace = _run_session(columnar=True)
+        trace = _run_session()
         path = tmp_path / "trace.etl.jsonl"
         trace.save(path)
         loaded = EtlTrace.load(path)
