@@ -38,9 +38,19 @@ clock-factor table (evaluated through the very same
 instead of a nominal ratio: ulp-distinct tables get their own base
 run (a handful of extra simulations per campaign), identical tables
 share one, and the shared-trace claim never rests on float luck.
+
+The signature is plain arithmetic on the machine's fields: the active
+core count follows from the logical CPU count and the SMT ways (the
+topology is enumerated core-major, see
+:func:`~repro.os.scheduler.build_topology`), and the clock-factor
+table is evaluated once per (base clock, turbo clock, core count) —
+a campaign of thousands of configs shares a handful of tables.
 """
 
-from repro.os.scheduler import build_topology, compute_clock_factor
+from collections import namedtuple
+from functools import lru_cache
+
+from repro.os.scheduler import compute_clock_factor
 
 #: Axis classes, in increasing order of cost.
 TRACE_INVARIANT = "trace-invariant"
@@ -58,6 +68,22 @@ AXES = {
 }
 
 
+#: The only CPU fields :func:`compute_clock_factor` reads.
+_Clocks = namedtuple("_Clocks", "base_clock_ghz turbo_clock_ghz")
+
+
+@lru_cache(maxsize=256)
+def _clock_factor_table(base_clock_ghz, turbo_clock_ghz, n_cores):
+    """The scheduler's per-busy-core clock factors, index 0..n_cores.
+
+    Evaluated through :func:`compute_clock_factor` itself, so every
+    entry is the exact float the scheduler's ``_clock_table`` holds.
+    """
+    clocks = _Clocks(base_clock_ghz, turbo_clock_ghz)
+    return tuple(compute_clock_factor(clocks, busy, n_cores)
+                 for busy in range(n_cores + 1))
+
+
 def sim_signature(machine):
     """Hashable tuple of every simulation-visible machine field.
 
@@ -72,14 +98,15 @@ def sim_signature(machine):
     """
     cpu = machine.cpu
     gpu = machine.gpu
-    n_cores = len({lcpu.core for lcpu in build_topology(machine)})
+    # Distinct cores among the core-major topology's active CPUs.
+    n_cores = -(-machine.logical_cpus // machine.smt_ways)
     return (
         cpu.physical_cores,
         cpu.smt_ways,
         machine.smt_enabled,
         machine.active_logical_cpus,
-        tuple(compute_clock_factor(cpu, busy, n_cores)
-              for busy in range(n_cores + 1)),
+        _clock_factor_table(cpu.base_clock_ghz, cpu.turbo_clock_ghz,
+                            n_cores),
         cpu.llc_mb,
         tuple(sorted((cls.value, rate)
                      for cls, rate in cpu.smt_throughput.items())),

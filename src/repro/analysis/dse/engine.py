@@ -14,7 +14,11 @@ must:
    per-run, and a crashed grid point quarantines instead of killing
    the campaign.
 3. **Score** every config of every group analytically from its
-   group's base run (:func:`~repro.analysis.dse.score.batch_score`).
+   group's base run (:func:`~repro.analysis.dse.score.batch_score`):
+   each group's scoring inputs are extracted once as columns and
+   reused for every app, and a score object is built only when read.
+   The frontier is taken over each group's lowest-EDP member
+   (:func:`frontier_from_groups`).
 4. **Verify**: the sampled re-simulations are scored through the slow
    path and compared — exact on TLP (integer-derived), relative
    tolerance on energy/delay floats.  A campaign whose equivalence
@@ -26,11 +30,16 @@ configs-scored/s and the speedup over naive re-simulate-everything.
 """
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.analysis.dse.axes import partition_configs
 from repro.analysis.dse.pareto import pareto_frontier
-from repro.analysis.dse.score import batch_score, score_from_simulation
+from repro.analysis.dse.score import (
+    ConfigColumns,
+    batch_score,
+    score_from_simulation,
+)
 from repro.harness.executor import make_spec
 from repro.harness.supervisor import SupervisedExecutor
 from repro.sim import SECOND
@@ -94,7 +103,7 @@ class CampaignResult:
     """Everything a campaign produced."""
 
     apps: list
-    scores: dict                # app -> [ConfigScore | None] * configs
+    scores: dict                # app -> CampaignScores (None = failed)
     frontiers: dict             # app -> [ConfigScore], best-TLP first
     stats: CampaignStats
     equivalence: object         # EquivalenceReport | None
@@ -119,6 +128,45 @@ class CampaignResult:
                 for app, scores in self.scores.items()
             }
         return payload
+
+
+class CampaignScores(Sequence):
+    """One app's scores in campaign config order, built on read.
+
+    Config ``i`` is member ``position[i]`` of group ``owner[i]``;
+    ``blocks[g]`` is that group's
+    :class:`~repro.analysis.dse.score.GroupScores`, or ``None`` when
+    its base run failed (so are its configs' slots).
+    """
+
+    def __init__(self, blocks, owner, position):
+        self._blocks = blocks
+        self._owner = owner
+        self._position = position
+
+    def __len__(self):
+        return len(self._owner)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        block = self._blocks[self._owner[i]]
+        return None if block is None else block[self._position[i]]
+
+
+def frontier_from_groups(blocks):
+    """Pareto frontier of one app's scored config groups.
+
+    All members of a group share one base run and so one TLP; of them
+    only the lowest-EDP member (lowest config index on ties) can be
+    undominated.  :func:`~repro.analysis.dse.pareto.pareto_frontier`
+    walks configs by (-TLP, EDP, index) and keeps strict EDP
+    improvements, so running it over those candidates alone — at most
+    one per signature — returns exactly the frontier of every score.
+    ``None`` blocks (failed base runs) are skipped.
+    """
+    return pareto_frontier([block.best() for block in blocks
+                            if block is not None])
 
 
 def _sample_equivalence(apps, groups, samples, seed):
@@ -158,11 +206,12 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     groups = partition_configs(machines)
     group_list = list(groups.values())
 
-    plan = [(app, members) for app in apps for members in group_list]
-    specs = [make_spec(app, machine=machines[members[0]],
+    plan = [(app, group) for app in apps
+            for group in range(len(group_list))]
+    specs = [make_spec(app, machine=machines[group_list[group][0]],
                        duration_us=duration_us, seed=seed,
                        streaming=True)
-             for app, members in plan]
+             for app, group in plan]
     checks = []
     if equivalence_samples > 0:
         checks = _sample_equivalence(apps, groups, equivalence_samples,
@@ -181,16 +230,23 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     base_runs = results[:len(plan)]
     check_runs = results[len(plan):]
 
-    scores = {app: [None] * len(machines) for app in apps}
+    columns = [ConfigColumns([machines[i] for i in members], members)
+               for members in group_list]
+    owner = [0] * len(machines)
+    position = [0] * len(machines)
+    for group, members in enumerate(group_list):
+        for k, index in enumerate(members):
+            owner[index] = group
+            position[index] = k
+    blocks = {app: [None] * len(group_list) for app in apps}
     failed = 0
-    for (app, members), run in zip(plan, base_runs):
+    for (app, group), run in zip(plan, base_runs):
         if not _is_run(run):
             failed += 1
             continue
-        for index, score in zip(members, batch_score(
-                app, run, [machines[i] for i in members],
-                indices=members)):
-            scores[app][index] = score
+        blocks[app][group] = batch_score(app, run, columns[group])
+    scores = {app: CampaignScores(blocks[app], owner, position)
+              for app in apps}
 
     equivalence = None
     if equivalence_samples > 0:
@@ -198,11 +254,8 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
                                          scores, rtol)
         failed += sum(1 for run in check_runs if not _is_run(run))
 
-    frontiers = {
-        app: pareto_frontier([s for s in scores[app] if s is not None])
-        for app in apps
-    }
-    simulated = len({(app, members[0]) for app, members in plan}
+    frontiers = {app: frontier_from_groups(blocks[app]) for app in apps}
+    simulated = len({(app, group_list[group][0]) for app, group in plan}
                     | set(checks))
     grid = len(apps) * len(machines)
     stats = CampaignStats(

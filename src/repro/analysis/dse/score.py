@@ -5,7 +5,9 @@ Two paths produce a :class:`ConfigScore`:
 * :func:`batch_score` — the **fast path**: scores N configs from one
   base run's activity histogram in a single vectorized kernel pass
   (:func:`repro.metrics.kernels.batch_active_energy`), never touching
-  the simulator.
+  the simulator.  Per-config work is list arithmetic over the
+  group's :class:`ConfigColumns`, and each :class:`ConfigScore` is
+  built only when read (:class:`GroupScores`).
 * :func:`score_from_simulation` — the **slow path**: scores one
   config from its own full re-simulation's energy report (the
   per-slice accumulation the :class:`~repro.os.energy.EnergyModel`
@@ -29,6 +31,7 @@ switching-power factor times the cubic DVFS term (P ~ V^2 f with
 f ~ V).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.hardware import catalog
@@ -109,11 +112,13 @@ class ConfigScore:
 
 def _assemble(app, config_index, machine, tlp, duration_us,
               cpu_active_ref_j, gpu_busy_us, analytic):
-    """Shared scoring tail of both paths.
+    """Scoring tail of the slow path, one config at a time.
 
     ``cpu_active_ref_j`` is the config's active CPU energy in
     *reference time* under its own coefficients — the paths differ
     only in how they obtained it (kernel batch vs live accumulation).
+    :func:`batch_score` runs the same operations, in the same order,
+    over a group's columns; this is the reference it must equal.
     """
     coeff = coefficients_for(machine)
     scale = time_scale(machine)
@@ -140,31 +145,122 @@ def _assemble(app, config_index, machine, tlp, duration_us,
     )
 
 
+class ConfigColumns:
+    """One config group's scoring inputs, one column per input.
+
+    Everything the scoring tail derives from a machine — the batch
+    kernel's power row and exponent, the idle CPU and GPU watts, the
+    GPU's active span (TDP minus idle), :func:`time_scale` and
+    :func:`node_power_scale` — computed once per config with the same
+    scalar functions :func:`_assemble` calls, so a campaign extracts
+    them once per config rather than once per (app, config).
+    ``indices`` are the configs' campaign indices (default ``0..N-1``).
+    """
+
+    def __init__(self, machines, indices=None):
+        self.machines = list(machines)
+        self.indices = (list(indices) if indices is not None
+                        else list(range(len(self.machines))))
+        coeffs = [coefficients_for(machine) for machine in self.machines]
+        self.power = [[c.active_power_w.get(cls, 0.0)
+                       for cls in WORK_CLASSES] for c in coeffs]
+        self.exponents = [c.clock_exponent for c in coeffs]
+        self.cpu_idle_w = [c.cpu_idle_w for c in coeffs]
+        self.gpu_idle_w = [c.gpu_idle_w for c in coeffs]
+        self.gpu_span_w = [gpu_tdp_for(c, machine.gpu) - c.gpu_idle_w
+                           for c, machine in zip(coeffs, self.machines)]
+        self.time_scale = [time_scale(machine) for machine in self.machines]
+        self.node_scale = [node_power_scale(machine)
+                           for machine in self.machines]
+
+
+class GroupScores(Sequence):
+    """One config group's scores under one app, built on read.
+
+    Holds the score columns; ``scores[k]`` builds the k-th
+    :class:`ConfigScore` on first access and returns that same object
+    on every later read.
+    """
+
+    def __init__(self, app, columns, tlp, wall_s, energy_j, edp_js):
+        self.app = app
+        self.columns = columns
+        self.tlp = tlp
+        self.wall_s = wall_s
+        self.energy_j = energy_j
+        self.edp_js = edp_js
+        self._built = [None] * len(wall_s)
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        score = self._built[k]
+        if score is None:
+            machine = self.columns.machines[k]
+            score = ConfigScore(
+                app=self.app,
+                config_index=self.columns.indices[k],
+                machine_name=machine.cpu.name,
+                logical_cpus=machine.logical_cpus,
+                tech_nm=getattr(machine, "tech_nm", None),
+                dvfs_ratio=getattr(machine, "dvfs_ratio", 1.0),
+                tlp=self.tlp,
+                wall_s=self.wall_s[k],
+                energy_j=self.energy_j[k],
+                edp_js=self.edp_js[k],
+                analytic=True,
+            )
+            self._built[k] = score
+        return score
+
+    def best(self):
+        """The lowest-EDP member, the lowest config index on ties.
+
+        Every member shares the base run's TLP, so no other member of
+        the group can reach a Pareto frontier.
+        """
+        _, _, k = min(zip(self.edp_js, self.columns.indices,
+                          range(len(self))))
+        return self[k]
+
+
 def batch_score(app, base_run, machines, indices=None):
     """Fast path: score ``machines`` from one base run, no simulation.
 
     Every machine must share the base run's trace-changing signature
     (:func:`repro.analysis.dse.axes.sim_signature`) — the caller's
-    partition guarantees it; nothing here re-checks.  ``indices``
-    optionally carries each machine's campaign config index.  Returns
-    one :class:`ConfigScore` per machine, in order.
+    partition guarantees it; nothing here re-checks.  ``machines`` is
+    a machine list (``indices`` optionally carries each machine's
+    campaign config index) or a prebuilt :class:`ConfigColumns`.
+    Returns a :class:`GroupScores`: one score per machine, in order,
+    each float bit-identical to :func:`_assemble`'s (same operations,
+    same order).
     """
+    columns = (machines if isinstance(machines, ConfigColumns)
+               else ConfigColumns(machines, indices))
     entries = sorted((base_run.activity or {}).items())
     t_us = [us for _, us in entries]
     class_idx = [_CLASS_COLUMN[cls] for (cls, _), _ in entries]
     factors = [factor for (_, factor), _ in entries]
-    coeffs = [coefficients_for(machine) for machine in machines]
-    power = [[c.active_power_w.get(cls, 0.0) for cls in WORK_CLASSES]
-             for c in coeffs]
-    exponents = [c.clock_exponent for c in coeffs]
-    active_ref = batch_active_energy(t_us, class_idx, factors, power,
-                                     exponents)
-    return [
-        _assemble(app, indices[k] if indices is not None else k,
-                  machine, base_run.tlp.tlp, base_run.duration_us,
-                  active_ref[k], base_run.gpu_busy_us, analytic=True)
-        for k, machine in enumerate(machines)
+    active_ref = batch_active_energy(t_us, class_idx, factors,
+                                     columns.power, columns.exponents)
+    duration_us = base_run.duration_us
+    busy_fraction = min(1.0, base_run.gpu_busy_us / max(1, duration_us))
+    wall_s = [duration_us * scale / 1e6 for scale in columns.time_scale]
+    energy_j = [
+        active * node * scale + idle * wall + (span * busy_fraction
+                                               + gpu_idle) * wall
+        for active, node, scale, idle, wall, span, gpu_idle in zip(
+            active_ref, columns.node_scale, columns.time_scale,
+            columns.cpu_idle_w, wall_s, columns.gpu_span_w,
+            columns.gpu_idle_w)
     ]
+    edp_js = [energy * wall for energy, wall in zip(energy_j, wall_s)]
+    return GroupScores(app, columns, base_run.tlp.tlp, wall_s, energy_j,
+                       edp_js)
 
 
 def score_from_simulation(app, run, machine, config_index=-1):

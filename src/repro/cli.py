@@ -52,6 +52,7 @@ Commands
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -64,7 +65,27 @@ from repro.sim import SECOND
 
 
 def _check_exec_args(args, out):
-    """Validate ``--jobs``/``--cache`` before any simulation starts."""
+    """Validate run and sweep arguments before any simulation starts.
+
+    Covers every verb's flags by name (a verb without the flag skips
+    its check): a value that cannot run is an ``error:`` line and exit
+    status 2, never a traceback or a quarantined run.
+    """
+    duration = getattr(args, "duration", None)
+    if duration is not None and not (math.isfinite(duration)
+                                     and int(duration * SECOND) >= 1):
+        out("error: --duration must be at least 1 microsecond of "
+            "simulated time")
+        return 2
+    if getattr(args, "iterations", None) is not None \
+            and args.iterations < 1:
+        out("error: --iterations must be >= 1")
+        return 2
+    for flag in ("top", "equivalence"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            out(f"error: --{flag} must be >= 0")
+            return 2
     if getattr(args, "jobs", None) is not None and args.jobs < 0:
         out("error: --jobs must be >= 0 (0 = one process per CPU)")
         return 2
@@ -381,6 +402,8 @@ def cmd_lint(args, out):
     from repro.analysis.static import analyze_apps, app_source_paths
     from repro.reporting import render_lint_findings, render_static_bounds
 
+    if _check_exec_args(args, out):
+        return 2
     names = SUITE if args.all_apps or not args.apps \
         else tuple(args.apps.split(","))
     unknown = [n for n in names if n not in REGISTRY]

@@ -222,7 +222,7 @@ class SweepJournal:
         return header, entries
 
 
-def _worker_main(conn):
+def _worker_main(conn, parent_end):
     """Persistent worker loop: recv a chunk of specs, send back one
     batched outcome message.
 
@@ -235,7 +235,13 @@ def _worker_main(conn):
     traceback)``.  Exceptions never cross the pipe as objects (a
     custom exception class may not unpickle in the parent); the
     formatted worker-side traceback is what survives for reporting.
+
+    ``parent_end`` is the supervisor's end of this worker's pipe, which
+    a forked child inherits.  It is closed first: while the child holds
+    it, a killed supervisor never reads as EOF here and the worker
+    blocks in ``recv`` forever.
     """
+    parent_end.close()
     while True:
         try:
             job = conn.recv()
@@ -282,7 +288,7 @@ class _Worker:
     def _spawn(self):
         self.conn, child = self.ctx.Pipe()
         self.proc = self.ctx.Process(
-            target=_worker_main, args=(child,), daemon=True)
+            target=_worker_main, args=(child, self.conn), daemon=True)
         self.proc.start()
         child.close()
 

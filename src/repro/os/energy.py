@@ -143,7 +143,17 @@ class EnergyModel:
 
     def record_slice(self, process_name, work_class, wall_us, clock_factor):
         """Called per scheduling slice (same stream the memory model
-        sees); ``clock_factor`` is the turbo multiplier at dispatch."""
+        sees).
+
+        ``clock_factor`` is the turbo multiplier at switch-out, not at
+        dispatch: :meth:`~repro.os.scheduler.Scheduler.run_burst`
+        passes ``clock_table[busy cores]`` after the slice has run,
+        while this CPU still counts as busy.  It differs from the
+        factor that set the slice's speed when other cores went busy
+        or idle during the slice.  Every recorded joule, the activity
+        histogram and the DSE golden slice are defined by this
+        switch-out value.
+        """
         power = self._power_cache.get((work_class, clock_factor))
         if power is None:
             power = (self.coefficients.active_power_w[work_class]

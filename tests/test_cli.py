@@ -51,6 +51,24 @@ class TestParser:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("argv", [
+        ["run", "chrome", "--duration", "0"],
+        ["run", "chrome", "--duration", "1e-7"],
+        ["run", "chrome", "--duration", "nan"],
+        ["run", "chrome", "--iterations", "0"],
+        ["suite", "--apps", "chrome", "--duration", "-1"],
+        ["lint", "--apps", "chrome", "--duration", "0"],
+        ["dse", "--duration", "0"],
+        ["dse", "--top", "-2"],
+        ["dse", "--equivalence", "-3"],
+    ], ids=" ".join)
+    def test_values_that_cannot_run_are_rejected(self, argv):
+        flag = argv[-2]
+        code, text = run_cli(argv)
+        assert code == 2
+        assert text.startswith("error:") and "\n" not in text
+        assert flag in text
+
     def test_list_shows_all_thirty(self):
         code, text = run_cli(["list"])
         assert code == 0

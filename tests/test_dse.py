@@ -221,6 +221,31 @@ class TestCampaign:
         assert eq.max_rel_err <= eq.rtol
         assert eq.ok
 
+    def test_failed_base_run_leaves_its_group_unscored(self):
+        class FirstBaseRunFails:
+            failures = []
+
+            def map(self, specs):
+                results = SerialExecutor().map(specs)
+                results[0] = None
+                return results
+
+        machines = generate_machines(12, seed=3)
+        result = run_campaign(["chrome"], machines, duration_us=SHORT,
+                              equivalence_samples=0,
+                              executor=FirstBaseRunFails())
+        lost = set(partition_configs(machines)[
+            sim_signature(machines[0])])
+        scores = result.scores["chrome"]
+        assert result.stats.failed_runs == 1
+        assert len(scores) == 12
+        assert [i for i, s in enumerate(scores) if s is None] == \
+            sorted(lost)
+        assert all(s.config_index == i for i, s in enumerate(scores)
+                   if s is not None)
+        assert not {s.config_index for s in result.frontiers["chrome"]} \
+            & lost
+
     def test_analytic_fraction_accounting(self):
         machines = generate_machines(12, seed=3)
         result = run_campaign(["chrome"], machines, duration_us=SHORT,

@@ -10,22 +10,44 @@ and energy coefficients; base runs are memoized per signature so each
 example costs one simulation, not two.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.metrics.kernels as kernels
 from repro.analysis.dse.axes import sim_signature
+from repro.analysis.dse.engine import frontier_from_groups
 from repro.analysis.dse.pareto import dominates, pareto_frontier
-from repro.analysis.dse.score import ConfigScore, batch_score, \
-    score_from_simulation
+from repro.analysis.dse.score import (
+    WORK_CLASSES,
+    ConfigScore,
+    _assemble,
+    batch_score,
+    coefficients_for,
+    score_from_simulation,
+)
 from repro.harness.executor import execute_spec, make_spec
-from repro.hardware.catalog import TECH_NODES, dvfs_bounds, \
-    parametric_machine
+from repro.hardware.catalog import (
+    GENERATOR_CORES,
+    GENERATOR_SMT_WAYS,
+    GPUS,
+    TECH_NODES,
+    dvfs_bounds,
+    generate_machines,
+    machine_2000,
+    machine_2010,
+    paper_machine,
+    parametric_machine,
+)
 from repro.metrics.kernels import batch_active_energy
 from repro.os.energy import EnergyCoefficients, default_coefficients
+from repro.os.scheduler import build_topology, compute_clock_factor
 from repro.os.work import WorkClass
 from repro.sim import SECOND
+from repro.validate import GOLDEN_CONFIGS, golden_machine
 
 SHORT = SECOND // 10
 
@@ -173,3 +195,216 @@ class TestParetoProperties:
     def test_frontier_is_idempotent(self, scores):
         frontier = pareto_frontier(scores)
         assert pareto_frontier(frontier) == frontier
+
+
+# -- the columnar scoring path against its scalar reference -------------------
+
+def drawn_machine(cores, smt_ways, tech, dvfs_pos, coefficients,
+                  gpu_tdp_w, gpu):
+    lo, hi = dvfs_bounds(tech)
+    return parametric_machine(
+        cores, smt_ways=smt_ways, tech_nm=tech,
+        dvfs_ratio=lo + (hi - lo) * dvfs_pos, gpu=gpu,
+        coefficients=replace(coefficients, gpu_tdp_w=gpu_tdp_w))
+
+
+def machine_strategy():
+    """Parametric machines over every axis (tech node, DVFS point,
+    coefficients with or without a GPU TDP override, GPU), mixed with
+    the catalog machines that carry no parametric fields at all."""
+    parametric = st.builds(
+        drawn_machine,
+        st.sampled_from(GENERATOR_CORES),
+        st.sampled_from(GENERATOR_SMT_WAYS),
+        st.sampled_from(TECH_NODES),
+        st.floats(0.0, 1.0, allow_nan=False),
+        coefficients_strategy(),
+        st.one_of(st.none(), st.floats(60.0, 400.0)),
+        st.sampled_from(sorted(GPUS.values(), key=lambda g: g.name)))
+    catalog = st.sampled_from([paper_machine(), machine_2010(),
+                               machine_2000(),
+                               paper_machine().with_smt(False)])
+    return st.one_of(parametric, catalog)
+
+
+def fake_run(histogram, duration_us, gpu_busy_us, tlp):
+    """The base-run fields the scoring path reads."""
+    activity = {}
+    for wall_us, column, factor in histogram:
+        key = (WORK_CLASSES[column], factor)
+        activity[key] = activity.get(key, 0) + wall_us
+    return SimpleNamespace(activity=activity, duration_us=duration_us,
+                           gpu_busy_us=gpu_busy_us,
+                           tlp=SimpleNamespace(tlp=tlp))
+
+
+run_strategy = st.builds(fake_run, histogram_strategy,
+                         st.integers(0, 10_000_000),
+                         st.integers(0, 20_000_000),
+                         st.floats(0.0, 32.0, allow_nan=False))
+
+
+def assembled(app, run, machines, indices):
+    """The scalar path: the kernel over the whole list, then one
+    ``_assemble`` per config."""
+    coeffs = [coefficients_for(machine) for machine in machines]
+    entries = sorted(run.activity.items())
+    active = batch_active_energy(
+        [us for _, us in entries],
+        [WORK_CLASSES.index(cls) for (cls, _), _ in entries],
+        [factor for (_, factor), _ in entries],
+        [[c.active_power_w.get(cls, 0.0) for cls in WORK_CLASSES]
+         for c in coeffs],
+        [c.clock_exponent for c in coeffs])
+    return [_assemble(app, index, machine, run.tlp.tlp, run.duration_us,
+                      active[k], run.gpu_busy_us, analytic=True)
+            for k, (index, machine) in enumerate(zip(indices, machines))]
+
+
+class TestColumnarScoring:
+    @settings(max_examples=60, deadline=None)
+    @given(run_strategy, st.lists(machine_strategy(), min_size=1,
+                                  max_size=10))
+    def test_batch_score_equals_assemble_exactly(self, run, machines):
+        machines.append(paper_machine())
+        indices = [3 * k + 1 for k in range(len(machines))]
+        scores = batch_score("excel", run, machines, indices=indices)
+        expected = assembled("excel", run, machines, indices)
+        assert len(scores) == len(expected)
+        for k, want in enumerate(expected):
+            got = scores[k]
+            assert got == want      # every field, floats under ==
+            assert got is scores[k]     # built once, then reused
+        assert list(scores) == expected
+
+    def test_real_base_run_scores_exactly(self):
+        run = base_run("handbrake", 4, 2)
+        machines = generate_machines(40, seed=3) + [paper_machine()]
+        assert list(batch_score("handbrake", run, machines)) == \
+            assembled("handbrake", run, machines, range(len(machines)))
+
+
+# -- the group-minimum frontier ------------------------------------------------
+
+_POOL = [parametric_machine(4, tech_nm=45, dvfs_ratio=1.0),
+         parametric_machine(4, tech_nm=8, dvfs_ratio=0.9),
+         parametric_machine(4, tech_nm=22, dvfs_ratio=1.2,
+                            coefficients=replace(default_coefficients(),
+                                                 cpu_idle_w=2.0))]
+
+#: Per config: (group label, machine from a three-machine pool).
+#: Repeated pool picks inside a group tie on EDP; labels sharing a TLP
+#: from the three-value set tie across groups.
+campaign_strategy = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, len(_POOL) - 1)),
+    min_size=1, max_size=30)
+
+
+class TestGroupMinimumFrontier:
+    @settings(max_examples=80, deadline=None)
+    @given(campaign_strategy,
+           st.lists(st.sampled_from([1.5, 2.0, 3.25]), min_size=5,
+                    max_size=5),
+           st.sets(st.integers(0, 4), max_size=2),
+           histogram_strategy)
+    @example([(0, 0), (0, 0), (1, 1), (0, 2), (1, 0), (1, 0), (2, 1)],
+             [2.0, 2.0, 1.5, 2.0, 2.0], set(),
+             [(500_000, 0, 1.0), (20_000, 2, 1.27)])
+    def test_equals_pareto_over_every_score(self, campaign, tlps,
+                                            failed, histogram):
+        groups = {}
+        for index, (label, _) in enumerate(campaign):
+            groups.setdefault(label, []).append(index)
+        blocks = [
+            None if label in failed else batch_score(
+                "excel",
+                fake_run(histogram, 1_000_000, 250_000, tlps[label]),
+                [_POOL[campaign[i][1]] for i in members], indices=members)
+            for label, members in groups.items()
+        ]
+        frontier = frontier_from_groups(blocks)
+        everything = pareto_frontier(
+            [score for block in blocks if block is not None
+             for score in block])
+        assert frontier == everything
+        assert [id(s) for s in frontier] == [id(s) for s in everything]
+
+
+# -- the arithmetic signature against a real topology --------------------------
+
+def topology_signature(machine):
+    """The signature computed from a built topology and a fresh
+    clock-factor table: the reference the arithmetic one must equal."""
+    cpu = machine.cpu
+    gpu = machine.gpu
+    n_cores = len({lcpu.core for lcpu in build_topology(machine)})
+    return (
+        cpu.physical_cores,
+        cpu.smt_ways,
+        machine.smt_enabled,
+        machine.active_logical_cpus,
+        tuple(compute_clock_factor(cpu, busy, n_cores)
+              for busy in range(n_cores + 1)),
+        cpu.llc_mb,
+        tuple(sorted((cls.value, rate)
+                     for cls, rate in cpu.smt_throughput.items())),
+        machine.ram_gb,
+        (gpu.name, gpu.cuda_cores, gpu.clock_mhz, gpu.architecture,
+         gpu.vram_gb, gpu.has_nvenc, gpu.mining_optimized,
+         gpu.vr_capable, gpu.video_engine_slowdown),
+    )
+
+
+def assert_same_signature(machine):
+    got, want = sim_signature(machine), topology_signature(machine)
+    assert got == want
+    assert [f.hex() for f in got[4]] == [f.hex() for f in want[4]]
+
+
+def restricted(machine):
+    """``machine`` at every logical CPU count, with SMT and without."""
+    variants = []
+    for base in (machine, machine.with_smt(False)):
+        limit = base.logical_cpus
+        variants += [base.with_logical_cpus(k) for k in range(1, limit + 1)]
+    return variants
+
+
+CATALOG = [paper_machine(), machine_2010(), machine_2000()]
+
+
+class TestArithmeticSignature:
+    @pytest.mark.parametrize("cores", GENERATOR_CORES)
+    @pytest.mark.parametrize("smt_ways", GENERATOR_SMT_WAYS)
+    def test_every_generator_pair(self, cores, smt_ways):
+        for tech in TECH_NODES:
+            lo, hi = dvfs_bounds(tech)
+            for dvfs in (lo, 1.0, hi):
+                assert_same_signature(parametric_machine(
+                    cores, smt_ways=smt_ways, tech_nm=tech,
+                    dvfs_ratio=dvfs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(GENERATOR_CORES),
+           st.sampled_from(GENERATOR_SMT_WAYS),
+           st.sampled_from(TECH_NODES),
+           st.floats(0.0, 1.0, allow_nan=False))
+    def test_drawn_dvfs_points(self, cores, smt_ways, tech, pos):
+        lo, hi = dvfs_bounds(tech)
+        assert_same_signature(parametric_machine(
+            cores, smt_ways=smt_ways, tech_nm=tech,
+            dvfs_ratio=lo + (hi - lo) * pos))
+
+    @pytest.mark.parametrize("machine", CATALOG,
+                             ids=lambda m: m.cpu.name)
+    def test_catalog_machines_at_every_cpu_count(self, machine):
+        for variant in [machine] + restricted(machine):
+            assert_same_signature(variant)
+
+    @pytest.mark.parametrize("cores, smt", GOLDEN_CONFIGS)
+    def test_golden_grid_machines(self, cores, smt):
+        assert_same_signature(golden_machine(cores, smt))
+
+    def test_generated_campaign(self):
+        for machine in generate_machines(2000, seed=7):
+            assert_same_signature(machine)

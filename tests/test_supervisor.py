@@ -7,6 +7,13 @@ and a resumed sweep is bit-identical to an uninterrupted one.
 """
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +323,86 @@ class TestParallelExecutorHardening:
                           spec(seed=1)])
         assert "InjectedCrash" in getattr(
             excinfo.value, "remote_traceback", "")
+
+
+#: A pooled sweep that prints each worker's pid as the worker starts.
+_ANNOUNCED_SWEEP = """
+from repro.harness import supervisor
+from repro.harness.executor import make_spec
+from repro.sim import SECOND
+
+spawn = supervisor._Worker._spawn
+
+
+def announce(worker):
+    spawn(worker)
+    print(worker.proc.pid, flush=True)
+
+
+supervisor._Worker._spawn = announce
+specs = [make_spec("arizona-sunshine", duration_us=5 * SECOND, seed=seed)
+         for seed in range(60)]
+supervisor.SupervisedExecutor(jobs=2).map(specs)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` exists and has not exited (zombies count as
+    exited: nobody may be left to reap an orphan)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+def _read_lines(pipe, count, timeout_s):
+    """Up to ``count`` complete lines from ``pipe`` within ``timeout_s``
+    (raw reads: a buffered reader could hold a line that ``select``
+    no longer sees)."""
+    data = b""
+    deadline = time.monotonic() + timeout_s
+    while data.count(b"\n") < count:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([pipe], [], [], left)[0]:
+            break
+        chunk = os.read(pipe.fileno(), 4096)
+        if not chunk:
+            break
+        data += chunk
+    return data.split(b"\n")[:-1][:count]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc to see process states")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_supervisor_is_killed(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen([sys.executable, "-c", _ANNOUNCED_SWEEP],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        pids = []
+        try:
+            pids = [int(line) for line in
+                    _read_lines(proc.stdout, 2, timeout_s=60)]
+            assert len(pids) == 2, "the sweep never started its workers"
+            time.sleep(0.5)     # both workers are mid-chunk
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 20
+            while (any(_running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
