@@ -45,11 +45,21 @@ topology is enumerated core-major, see
 :func:`~repro.os.scheduler.build_topology`), and the clock-factor
 table is evaluated once per (base clock, turbo clock, core count) —
 a campaign of thousands of configs shares a handful of tables.
+
+A generated :class:`~repro.hardware.catalog.MachineGrid` is
+partitioned without building its machines: within the parametric
+family the (cores, SMT ways) columns fix every other signature field
+(:func:`~repro.hardware.catalog.parametric_cpu` pins the clocks the
+simulator sees, the LLC, the SMT throughput table and the RAM, and the
+grid has one GPU), so the grid is bucketed on those two columns and
+:func:`sim_signature` runs once per bucket, on its first member.
 """
 
 from collections import namedtuple
 from functools import lru_cache
+from heapq import merge
 
+from repro.hardware.catalog import MachineGrid
 from repro.os.scheduler import compute_clock_factor
 
 #: Axis classes, in increasing order of cost.
@@ -123,9 +133,33 @@ def partition_configs(machines):
     Returns ``{signature: [config index, ...]}`` with groups in
     first-occurrence order and indices ascending — the deterministic
     work plan of a campaign: one base simulation per key, analytic
-    scoring for every member.
+    scoring for every member.  A :class:`~repro.hardware.catalog.
+    MachineGrid` is bucketed on its (cores, SMT ways) columns and
+    signed once per bucket (see the module notes); any other sequence
+    is signed machine by machine.
     """
+    if isinstance(machines, MachineGrid):
+        return _partition_grid(machines)
     groups = {}
     for index, machine in enumerate(machines):
         groups.setdefault(sim_signature(machine), []).append(index)
+    return groups
+
+
+def _partition_grid(grid):
+    """:func:`partition_configs` of a grid, from its columns.
+
+    Buckets come in first-occurrence order; buckets whose
+    representatives share a signature merge into the earlier one, so
+    the groups and their order equal the machine-by-machine result.
+    """
+    buckets = {}
+    for index, key in enumerate(zip(grid.cores, grid.smt_ways)):
+        buckets.setdefault(key, []).append(index)
+    groups = {}
+    for members in buckets.values():
+        signature = sim_signature(grid[members[0]])
+        earlier = groups.get(signature)
+        groups[signature] = (members if earlier is None
+                             else list(merge(earlier, members)))
     return groups

@@ -15,8 +15,11 @@ must:
    the campaign.
 3. **Score** every config of every group analytically from its
    group's base run (:func:`~repro.analysis.dse.score.batch_score`):
-   each group's scoring inputs are extracted once as columns and
-   reused for every app, and a score object is built only when read.
+   each group's scoring inputs are extracted once as columns (read
+   straight from a :class:`~repro.hardware.catalog.MachineGrid`'s
+   draw columns, so a generated config's machine is built only if it
+   is simulated or reported) and reused for every app, and a score
+   object is built only when read.
    The frontier is taken over each group's lowest-EDP member
    (:func:`frontier_from_groups`).
 4. **Verify**: the sampled re-simulations are scored through the slow
@@ -29,6 +32,7 @@ was simulated vs scored*; ``benchmarks/bench_dse.py`` turns that into
 configs-scored/s and the speedup over naive re-simulate-everything.
 """
 
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -40,6 +44,7 @@ from repro.analysis.dse.score import (
     batch_score,
     score_from_simulation,
 )
+from repro.hardware.catalog import MachineGrid
 from repro.harness.executor import make_spec
 from repro.harness.supervisor import SupervisedExecutor
 from repro.sim import SECOND
@@ -192,17 +197,27 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
                  executor=None):
     """Score every (app, config) grid point; simulate only per signature.
 
-    ``apps`` are registry names; ``machines`` the config list (e.g.
-    from :func:`repro.hardware.catalog.generate_machines`).  ``jobs``,
-    ``chunk``, ``cache``, ``retries`` and ``deadline_s`` configure the
-    supervised sweep (``executor`` overrides them with a prebuilt
-    one).  ``equivalence_samples`` configs are additionally
-    re-simulated in full and checked against their analytic scores
-    (0 disables the check).  Runs use streaming metrics — a campaign
-    keeps aggregates, not traces.
+    ``apps`` are distinct registry names (a repeat raises
+    ``ValueError``: scores and frontiers are keyed by app);
+    ``machines`` the configs — a
+    :class:`~repro.hardware.catalog.MachineGrid` from
+    :func:`repro.hardware.catalog.generate_machines`, read through its
+    columns so only the machines the campaign simulates or reports
+    are built, or any iterable of machines.  ``jobs``, ``chunk``,
+    ``cache``, ``retries`` and ``deadline_s`` configure the supervised
+    sweep (``executor`` overrides them with a prebuilt one).
+    ``equivalence_samples`` configs are additionally re-simulated in
+    full and checked against their analytic scores (0 disables the
+    check).  Runs use streaming metrics — a campaign keeps aggregates,
+    not traces.
     """
     apps = list(apps)
-    machines = list(machines)
+    repeated = duplicate_apps(apps)
+    if repeated:
+        raise ValueError(f"duplicate applications: {', '.join(repeated)}")
+    grid = isinstance(machines, MachineGrid)
+    if not grid:
+        machines = list(machines)
     groups = partition_configs(machines)
     group_list = list(groups.values())
 
@@ -230,7 +245,8 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     base_runs = results[:len(plan)]
     check_runs = results[len(plan):]
 
-    columns = [ConfigColumns([machines[i] for i in members], members)
+    columns = [ConfigColumns(machines if grid
+                             else [machines[i] for i in members], members)
                for members in group_list]
     owner = [0] * len(machines)
     position = [0] * len(machines)
@@ -279,13 +295,23 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     )
 
 
+def duplicate_apps(apps):
+    """Names listed more than once in ``apps``, in first-seen order."""
+    return [app for app in dict.fromkeys(apps) if apps.count(app) > 1]
+
+
 def _is_run(result):
     """True for a real run (vs a quarantined RunFailure slot)."""
     return result is not None and hasattr(result, "tlp")
 
 
 def _check_equivalence(checks, check_runs, machines, scores, rtol):
-    """Compare sampled full re-simulations against analytic scores."""
+    """Compare sampled full re-simulations against analytic scores.
+
+    A sample with a NaN or infinite TLP, wall time, energy or EDP on
+    either path has no bounded deviation: it sets ``max_rel_err`` to
+    infinity, which fails the check.
+    """
     samples = 0
     tlp_exact = True
     max_rel = 0.0
@@ -298,6 +324,11 @@ def _check_equivalence(checks, check_runs, machines, scores, rtol):
         samples += 1
         if slow.tlp != fast.tlp:
             tlp_exact = False
+        if not all(math.isfinite(getattr(score, attr))
+                   for score in (fast, slow)
+                   for attr in ("tlp", "wall_s", "energy_j", "edp_js")):
+            max_rel = math.inf
+            continue
         for attr in ("wall_s", "energy_j", "edp_js"):
             a, b = getattr(fast, attr), getattr(slow, attr)
             denom = max(abs(a), abs(b), 1e-300)

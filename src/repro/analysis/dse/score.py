@@ -55,27 +55,42 @@ def time_scale(machine):
 
     Simulated time is wall time on the reference clock; a machine
     clocked ``k`` times faster replays the same schedule in ``1/k``
-    the wall time.  The effective clock comes from the machine's
-    tech/DVFS point (:func:`repro.hardware.catalog.
-    effective_clock_ghz`) — the sim-visible spec clocks are the
-    reference pair for the whole parametric family.
-    """
-    return catalog.REF_BASE_CLOCK_GHZ / catalog.effective_clock_ghz(machine)
-
-
-def node_power_scale(machine):
-    """CPU active-power factor of the machine's tech/DVFS point.
-
-    The tech node contributes its ITRS switching-power factor; the
-    DVFS ratio contributes cubically (P ~ V^2 f, and the parametric
-    family scales f linearly with V).  Machines without the parametric
-    axes score 1.0.
+    the wall time.  A parametric machine's clock comes from its
+    tech/DVFS point (:func:`time_scale_at`) — the sim-visible spec
+    clocks are the reference pair for the whole parametric family;
+    a catalog machine runs at its spec'd base clock.
     """
     tech = getattr(machine, "tech_nm", None)
     if tech is None:
+        return catalog.REF_BASE_CLOCK_GHZ / machine.cpu.base_clock_ghz
+    return time_scale_at(tech, machine.dvfs_ratio)
+
+
+def time_scale_at(tech_nm, dvfs_ratio):
+    """:func:`time_scale` of the parametric point (tech node, DVFS)."""
+    return catalog.REF_BASE_CLOCK_GHZ / catalog.clock_ghz(tech_nm,
+                                                          dvfs_ratio)
+
+
+def node_power_scale(machine):
+    """CPU active-power factor of the machine's tech/DVFS point
+    (:func:`node_power_scale_at`); machines without the parametric
+    axes score 1.0."""
+    tech = getattr(machine, "tech_nm", None)
+    if tech is None:
         return 1.0
-    return (catalog.POWER_SCALE[tech]
-            * getattr(machine, "dvfs_ratio", 1.0) ** 3)
+    return node_power_scale_at(tech, machine.dvfs_ratio)
+
+
+def node_power_scale_at(tech_nm, dvfs_ratio):
+    """CPU active-power factor of the parametric point (tech node,
+    DVFS).
+
+    The tech node contributes its ITRS switching-power factor; the
+    DVFS ratio contributes cubically (P ~ V^2 f, and the parametric
+    family scales f linearly with V).
+    """
+    return catalog.POWER_SCALE[tech_nm] * dvfs_ratio ** 3
 
 
 @dataclass(frozen=True)
@@ -154,24 +169,65 @@ class ConfigColumns:
     :func:`node_power_scale` — computed once per config with the same
     scalar functions :func:`_assemble` calls, so a campaign extracts
     them once per config rather than once per (app, config).
-    ``indices`` are the configs' campaign indices (default ``0..N-1``).
+
+    ``machines`` is a machine list, with ``indices`` the configs'
+    campaign indices (default ``0..N-1``), or a
+    :class:`~repro.hardware.catalog.MachineGrid`, with ``indices`` the
+    grid rows of the group (default every row): a config's campaign
+    index is its grid row.  A grid's columns are read directly, so no
+    machine is built until :meth:`machine` asks for one.
     """
 
     def __init__(self, machines, indices=None):
-        self.machines = list(machines)
-        self.indices = (list(indices) if indices is not None
-                        else list(range(len(self.machines))))
-        coeffs = [coefficients_for(machine) for machine in self.machines]
+        grid = isinstance(machines, catalog.MachineGrid)
+        self._machines = machines if grid else list(machines)
+        self.indices = list(indices if indices is not None
+                            else range(len(self._machines)))
+        self._rows = self.indices if grid else range(len(self._machines))
+        if grid:
+            self._read_grid(machines)
+        else:
+            self._read_machines(self._machines)
+
+    def _read_machines(self, machines):
+        """The columns of a machine list, one machine at a time."""
+        coeffs = [coefficients_for(machine) for machine in machines]
         self.power = [[c.active_power_w.get(cls, 0.0)
                        for cls in WORK_CLASSES] for c in coeffs]
         self.exponents = [c.clock_exponent for c in coeffs]
         self.cpu_idle_w = [c.cpu_idle_w for c in coeffs]
         self.gpu_idle_w = [c.gpu_idle_w for c in coeffs]
         self.gpu_span_w = [gpu_tdp_for(c, machine.gpu) - c.gpu_idle_w
-                           for c, machine in zip(coeffs, self.machines)]
-        self.time_scale = [time_scale(machine) for machine in self.machines]
+                           for c, machine in zip(coeffs, machines)]
+        self.time_scale = [time_scale(machine) for machine in machines]
         self.node_scale = [node_power_scale(machine)
-                           for machine in self.machines]
+                           for machine in machines]
+
+    def _read_grid(self, grid):
+        """The columns of the grid rows ``self.indices``.
+
+        A grid machine's coefficients carry the module-default GPU
+        fields, so the GPU columns are one value for the whole grid.
+        """
+        rows = self.indices
+        position = {cls: j for j, cls in enumerate(grid.power_classes)}
+        order = [position[cls] for cls in WORK_CLASSES]
+        power_w = grid.power_w
+        self.power = [[power_w[i][j] for j in order] for i in rows]
+        self.exponents = [grid.clock_exponent[i] for i in rows]
+        self.cpu_idle_w = [grid.cpu_idle_w[i] for i in rows]
+        base = default_coefficients()
+        span = gpu_tdp_for(base, grid.gpu) - base.gpu_idle_w
+        self.gpu_idle_w = [base.gpu_idle_w] * len(rows)
+        self.gpu_span_w = [span] * len(rows)
+        tech, dvfs = grid.tech_nm, grid.dvfs_ratio
+        self.time_scale = [time_scale_at(tech[i], dvfs[i]) for i in rows]
+        self.node_scale = [node_power_scale_at(tech[i], dvfs[i])
+                           for i in rows]
+
+    def machine(self, k):
+        """The machine of the group's ``k``-th config."""
+        return self._machines[self._rows[k]]
 
 
 class GroupScores(Sequence):
@@ -199,7 +255,7 @@ class GroupScores(Sequence):
             return [self[i] for i in range(*k.indices(len(self)))]
         score = self._built[k]
         if score is None:
-            machine = self.columns.machines[k]
+            machine = self.columns.machine(k)
             score = ConfigScore(
                 app=self.app,
                 config_index=self.columns.indices[k],

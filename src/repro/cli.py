@@ -444,6 +444,7 @@ def cmd_dse(args, out):
         out("error: --chunk must be >= 1")
         return 2
     from repro.analysis.dse import run_campaign
+    from repro.analysis.dse.engine import duplicate_apps
     from repro.hardware.catalog import generate_machines
 
     names = (tuple(args.apps.split(",")) if args.apps
@@ -451,6 +452,10 @@ def cmd_dse(args, out):
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         out(f"error: unknown applications: {', '.join(unknown)}")
+        return 2
+    repeated = duplicate_apps(names)
+    if repeated:
+        out(f"error: duplicate applications: {', '.join(repeated)}")
         return 2
     machines = generate_machines(args.configs, seed=args.seed)
     deadline_us = getattr(args, "deadline_us", None)

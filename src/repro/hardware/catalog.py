@@ -9,8 +9,15 @@ convention (ITRS projections normalized to a 45 nm reference point).
 """
 
 import random
+from collections.abc import Sequence
 
-from repro.hardware.specs import CpuSpec, GpuSpec, MachineSpec, ParametricMachine
+from repro.hardware.specs import (
+    CpuSpec,
+    GpuSpec,
+    MachineSpec,
+    ParametricMachine,
+    check_core_counts,
+)
 from repro.os.energy import EnergyCoefficients, default_coefficients
 from repro.os.work import WorkClass
 
@@ -170,8 +177,12 @@ def dvfs_bounds(tech_nm):
     """``(lo, hi)`` admissible DVFS voltage ratios at a tech node.
 
     The lower bound keeps Vdd above the node's threshold voltage; the
-    upper bound is the fixed overclock headroom.
+    upper bound is the fixed overclock headroom.  An unknown node
+    raises ``ValueError``.
     """
+    if tech_nm not in VDD_SCALE:
+        raise ValueError(f"unknown tech node {tech_nm} nm; "
+                         f"choose from {TECH_NODES}")
     lo = VTH_V[tech_nm] / (VDD_SCALE[tech_nm] * VDD_BASE_V)
     return lo, DVFS_MAX
 
@@ -180,18 +191,6 @@ def clock_ghz(tech_nm, dvfs_ratio):
     """Effective base clock of a parametric machine (GHz): reference x
     node frequency scaling x DVFS ratio."""
     return REF_BASE_CLOCK_GHZ * FREQ_SCALE[tech_nm] * dvfs_ratio
-
-
-def effective_clock_ghz(machine):
-    """The clock a machine *actually* runs at, for scoring purposes.
-
-    Parametric machines derive it from their tech/DVFS point; catalog
-    machines run at their spec'd base clock.
-    """
-    tech = getattr(machine, "tech_nm", None)
-    if tech is None:
-        return machine.cpu.base_clock_ghz
-    return clock_ghz(tech, machine.dvfs_ratio)
 
 
 def parametric_cpu(cores, smt_ways=2, tech_nm=45, dvfs_ratio=1.0,
@@ -207,9 +206,8 @@ def parametric_cpu(cores, smt_ways=2, tech_nm=45, dvfs_ratio=1.0,
     construction* (no float-rounding luck involved), which is what
     lets the DSE engine treat frequency as a trace-rescaling axis.
     The machine's actual frequency is a scoring-layer quantity:
-    :func:`effective_clock_ghz` derives it from the tech node and
-    DVFS ratio the :class:`~repro.hardware.specs.ParametricMachine`
-    carries.
+    :func:`clock_ghz` derives it from the tech node and DVFS ratio the
+    :class:`~repro.hardware.specs.ParametricMachine` carries.
     """
     return CpuSpec(
         name=(f"param-{cores}c{smt_ways}t-{tech_nm}nm"
@@ -223,22 +221,28 @@ def parametric_cpu(cores, smt_ways=2, tech_nm=45, dvfs_ratio=1.0,
     )
 
 
-def parametric_machine(cores, smt_ways=2, tech_nm=45, dvfs_ratio=1.0,
-                       gpu=GTX_1080_TI, coefficients=None, ram_gb=64):
-    """One :class:`~repro.hardware.specs.ParametricMachine` grid point.
-
-    Validates the DVFS point against :func:`dvfs_bounds`; the machine
-    exposes ``cores * smt_ways`` logical CPUs (SMT is "off" simply by
-    ``smt_ways=1``, so the whole family uses one code path).
-    """
-    if tech_nm not in VDD_SCALE:
-        raise ValueError(f"unknown tech node {tech_nm} nm; "
-                         f"choose from {TECH_NODES}")
+def check_grid_point(cores, smt_ways, tech_nm, dvfs_ratio):
+    """Raise ``ValueError`` unless the arguments make a parametric
+    machine: a known tech node, a DVFS point inside its
+    :func:`dvfs_bounds` band, and at least one core and one hardware
+    thread per core."""
     lo, hi = dvfs_bounds(tech_nm)
     if not lo <= dvfs_ratio <= hi:
         raise ValueError(
             f"dvfs_ratio={dvfs_ratio:.4f} outside [{lo:.4f}, {hi:.4f}] "
             f"at {tech_nm} nm")
+    check_core_counts(cores, smt_ways)
+
+
+def parametric_machine(cores, smt_ways=2, tech_nm=45, dvfs_ratio=1.0,
+                       gpu=GTX_1080_TI, coefficients=None, ram_gb=64):
+    """One :class:`~repro.hardware.specs.ParametricMachine` grid point.
+
+    Validates the point with :func:`check_grid_point`; the machine
+    exposes ``cores * smt_ways`` logical CPUs (SMT is "off" simply by
+    ``smt_ways=1``, so the whole family uses one code path).
+    """
+    check_grid_point(cores, smt_ways, tech_nm, dvfs_ratio)
     return ParametricMachine(
         cpu=parametric_cpu(cores, smt_ways, tech_nm, dvfs_ratio),
         gpu=gpu,
@@ -255,39 +259,107 @@ GENERATOR_CORES = (2, 4, 6, 8, 12, 16)
 GENERATOR_SMT_WAYS = (1, 2)
 
 
+class MachineGrid(Sequence):
+    """The configs of :func:`generate_machines`, one column per draw.
+
+    Row ``i`` is machine ``i``: its tech node, DVFS ratio, core count,
+    SMT ways, per-class active watts (a row in ``power_classes``
+    order), CPU idle watts and clock exponent; ``gpu`` is shared by
+    every row.  The grid reads like the machine list it stands for —
+    ``len``, indexes, slices, iteration, ``==`` and ``+`` against a
+    list — and ``grid[i]`` builds the
+    :class:`~repro.hardware.specs.ParametricMachine` on first read,
+    returning that same object on every later one.  Code that only
+    needs the draws reads the columns instead, so a campaign builds
+    just the machines it simulates or prints.
+    """
+
+    def __init__(self, tech_nm, dvfs_ratio, cores, smt_ways, power_w,
+                 cpu_idle_w, clock_exponent, power_classes, gpu):
+        self.tech_nm = tech_nm
+        self.dvfs_ratio = dvfs_ratio
+        self.cores = cores
+        self.smt_ways = smt_ways
+        self.power_w = power_w
+        self.cpu_idle_w = cpu_idle_w
+        self.clock_exponent = clock_exponent
+        self.power_classes = power_classes
+        self.gpu = gpu
+        self._built = [None] * len(cores)
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        machine = self._built[i]
+        if machine is None:
+            machine = parametric_machine(
+                cores=self.cores[i],
+                smt_ways=self.smt_ways[i],
+                tech_nm=self.tech_nm[i],
+                dvfs_ratio=self.dvfs_ratio[i],
+                gpu=self.gpu,
+                coefficients=EnergyCoefficients(
+                    active_power_w=dict(zip(self.power_classes,
+                                            self.power_w[i])),
+                    cpu_idle_w=self.cpu_idle_w[i],
+                    clock_exponent=self.clock_exponent[i]),
+            )
+            self._built[i] = machine
+        return machine
+
+    def __eq__(self, other):
+        if isinstance(other, (MachineGrid, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, (MachineGrid, list)):
+            return list(self) + list(other)
+        return NotImplemented
+
+
 def generate_machines(count, seed=0, cores=GENERATOR_CORES,
                       smt_ways=GENERATOR_SMT_WAYS, tech_nodes=TECH_NODES,
                       coefficient_jitter=0.25, gpu=GTX_1080_TI):
-    """``count`` seed-determined parametric machines.
+    """``count`` seed-determined parametric machines, as a
+    :class:`MachineGrid`.
 
-    Axes drawn per machine: core count and SMT ways (trace-changing),
-    tech node and a DVFS point uniform inside the node's admissible
-    band (trace-rescaling), and jittered energy coefficients —
-    per-class active watts, idle watts and the clock exponent scaled
-    by up to ``±coefficient_jitter`` (trace-invariant).  The same
-    ``(count, seed, axes)`` always yields the same list, so a DSE
-    campaign is reproducible end to end.
+    Axes drawn per machine, in this order: the tech node; the per-class
+    active watts (in :func:`~repro.os.energy.default_coefficients`
+    order), idle watts and clock exponent, jittered by up to
+    ``±coefficient_jitter`` (the exponent by ``±0.2``) —
+    trace-invariant; the core count and SMT ways — trace-changing; and
+    a DVFS point uniform inside the node's admissible band —
+    trace-rescaling.  Every point is checked with
+    :func:`check_grid_point` as it is drawn.  The same ``(count, seed,
+    axes)`` always yields the same grid, so a DSE campaign is
+    reproducible end to end.
     """
     rng = random.Random(f"dse-machines:{seed}")
-    machines = []
+    uniform = rng.uniform
+    choice = rng.choice
+    base = default_coefficients()
+    classes = tuple(base.active_power_w)
+    watts = tuple(base.active_power_w.values())
+    low, high = -coefficient_jitter, coefficient_jitter
+    techs, dvfs, core_counts, ways, power, idle, exponents = (
+        [], [], [], [], [], [], [])
     for _ in range(count):
-        tech = rng.choice(tech_nodes)
+        tech = choice(tech_nodes)
         lo, hi = dvfs_bounds(tech)
-        jitter = (lambda: 1.0 + rng.uniform(-coefficient_jitter,
-                                            coefficient_jitter))
-        base = default_coefficients()
-        coefficients = EnergyCoefficients(
-            active_power_w={cls: watts * jitter()
-                            for cls, watts in base.active_power_w.items()},
-            cpu_idle_w=base.cpu_idle_w * jitter(),
-            clock_exponent=base.clock_exponent + rng.uniform(-0.2, 0.2),
-        )
-        machines.append(parametric_machine(
-            cores=rng.choice(cores),
-            smt_ways=rng.choice(smt_ways),
-            tech_nm=tech,
-            dvfs_ratio=rng.uniform(lo, hi),
-            gpu=gpu,
-            coefficients=coefficients,
-        ))
-    return machines
+        power.append([w * (1.0 + uniform(low, high)) for w in watts])
+        idle.append(base.cpu_idle_w * (1.0 + uniform(low, high)))
+        exponents.append(base.clock_exponent + uniform(-0.2, 0.2))
+        n_cores = choice(cores)
+        n_ways = choice(smt_ways)
+        ratio = uniform(lo, hi)
+        check_grid_point(n_cores, n_ways, tech, ratio)
+        techs.append(tech)
+        dvfs.append(ratio)
+        core_counts.append(n_cores)
+        ways.append(n_ways)
+    return MachineGrid(techs, dvfs, core_counts, ways, power, idle,
+                       exponents, power_classes=classes, gpu=gpu)

@@ -8,6 +8,15 @@ behavioural models live in :mod:`repro.os` (CPU scheduling) and
 from dataclasses import dataclass, field, replace
 
 
+def check_core_counts(physical_cores, smt_ways):
+    """Raise ``ValueError`` unless a CPU has at least one core and at
+    least one hardware thread per core."""
+    if physical_cores < 1:
+        raise ValueError("physical_cores must be >= 1")
+    if smt_ways < 1:
+        raise ValueError("smt_ways must be >= 1")
+
+
 @dataclass(frozen=True)
 class CpuSpec:
     """A CPU package.
@@ -30,10 +39,7 @@ class CpuSpec:
     smt_throughput: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.physical_cores < 1:
-            raise ValueError("physical_cores must be >= 1")
-        if self.smt_ways < 1:
-            raise ValueError("smt_ways must be >= 1")
+        check_core_counts(self.physical_cores, self.smt_ways)
 
     @property
     def logical_cpus(self):

@@ -61,6 +61,8 @@ class TestCommands:
         ["dse", "--duration", "0"],
         ["dse", "--top", "-2"],
         ["dse", "--equivalence", "-3"],
+        # argparse keeps the last --apps; the repeat is inside it.
+        ["dse", "--apps", "excel", "--apps=excel,excel"],
     ], ids=" ".join)
     def test_values_that_cannot_run_are_rejected(self, argv):
         flag = argv[-2]

@@ -9,6 +9,9 @@ and the satellite fixes (auto-mode serial clamp, machine-digest cache
 keys).
 """
 
+import math
+from dataclasses import replace
+
 import pytest
 
 import repro.metrics.kernels as kernels
@@ -20,6 +23,7 @@ from repro.analysis.dse import (
     score_from_simulation,
     sim_signature,
 )
+from repro.analysis.dse.engine import _check_equivalence
 from repro.analysis.dse.pareto import dominates, pareto_frontier
 from repro.analysis.dse.score import ConfigScore, node_power_scale, time_scale
 from repro.harness.cache import machine_digest, spec_key
@@ -256,6 +260,19 @@ class TestCampaign:
         assert stats.analytic_fraction == pytest.approx(
             1 - stats.signatures / 12)
 
+    def test_repeated_app_is_rejected_before_simulating(self):
+        class NoSimulation:
+            failures = []
+
+            def map(self, specs):
+                raise AssertionError("a campaign with a repeated app ran")
+
+        with pytest.raises(ValueError,
+                           match="^duplicate applications: excel$"):
+            run_campaign(["excel", "chrome", "excel"],
+                         generate_machines(6, seed=1), duration_us=SHORT,
+                         executor=NoSimulation())
+
     def test_payload_roundtrips_to_json(self):
         import json
 
@@ -267,6 +284,39 @@ class TestCampaign:
         assert payload["stats"]["configs"] == 6
         assert len(payload["scores"]["excel"]) == 6
         assert payload["equivalence"]["ok"] is True
+
+
+class TestEquivalenceCheck:
+    """``_check_equivalence`` against a re-simulation whose energy
+    report was tampered with after the run."""
+
+    def check(self, cpu_active_j=None):
+        machine = generate_machines(1, seed=4)[0]
+        run = execute_spec(short_spec("excel", machine=machine))
+        scores = {"excel": batch_score("excel", run, [machine])}
+        if cpu_active_j is not None:
+            run = replace(run, energy=replace(run.energy,
+                                              cpu_active_j=cpu_active_j))
+        return _check_equivalence([("excel", 0)], [run], [machine],
+                                  scores, rtol=1e-6)
+
+    def test_untouched_run_passes(self):
+        report = self.check()
+        assert report.ok and report.samples == 1
+        assert report.max_rel_err <= 1e-6
+
+    def test_finite_mismatch_fails(self):
+        report = self.check(cpu_active_j=1e3)
+        assert not report.ok
+        assert 1e-6 < report.max_rel_err < math.inf
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=repr)
+    def test_non_finite_deviation_fails(self, value):
+        report = self.check(cpu_active_j=value)
+        assert report.samples == 1
+        assert report.max_rel_err == math.inf
+        assert not report.ok
 
 
 class TestChunkedDispatch:

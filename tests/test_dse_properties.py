@@ -10,6 +10,7 @@ and energy coefficients; base runs are memoized per signature so each
 example costs one simulation, not two.
 """
 
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,23 +19,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.metrics.kernels as kernels
-from repro.analysis.dse.axes import sim_signature
+from repro.analysis.dse.axes import partition_configs, sim_signature
 from repro.analysis.dse.engine import frontier_from_groups
 from repro.analysis.dse.pareto import dominates, pareto_frontier
 from repro.analysis.dse.score import (
     WORK_CLASSES,
+    ConfigColumns,
     ConfigScore,
     _assemble,
     batch_score,
     coefficients_for,
     score_from_simulation,
 )
+from repro.harness.cache import machine_digest
 from repro.harness.executor import execute_spec, make_spec
 from repro.hardware.catalog import (
     GENERATOR_CORES,
     GENERATOR_SMT_WAYS,
     GPUS,
+    GTX_1080_TI,
     TECH_NODES,
+    VTH_V,
     dvfs_bounds,
     generate_machines,
     machine_2000,
@@ -408,3 +413,145 @@ class TestArithmeticSignature:
     def test_generated_campaign(self):
         for machine in generate_machines(2000, seed=7):
             assert_same_signature(machine)
+
+
+# -- the columnar machine grid against the per-machine generator ---------------
+
+def reference_machines(count, seed=0, cores=GENERATOR_CORES,
+                       smt_ways=GENERATOR_SMT_WAYS, tech_nodes=TECH_NODES,
+                       coefficient_jitter=0.25, gpu=GTX_1080_TI):
+    """The per-machine generator loop the grid must reproduce: the same
+    draws in the same order, each machine built as it is drawn."""
+    rng = random.Random(f"dse-machines:{seed}")
+    machines = []
+    for _ in range(count):
+        tech = rng.choice(tech_nodes)
+        lo, hi = dvfs_bounds(tech)
+
+        def jitter():
+            return 1.0 + rng.uniform(-coefficient_jitter,
+                                     coefficient_jitter)
+
+        base = default_coefficients()
+        coefficients = EnergyCoefficients(
+            active_power_w={cls: watts * jitter()
+                            for cls, watts in base.active_power_w.items()},
+            cpu_idle_w=base.cpu_idle_w * jitter(),
+            clock_exponent=base.clock_exponent + rng.uniform(-0.2, 0.2),
+        )
+        machines.append(parametric_machine(
+            cores=rng.choice(cores),
+            smt_ways=rng.choice(smt_ways),
+            tech_nm=tech,
+            dvfs_ratio=rng.uniform(lo, hi),
+            gpu=gpu,
+            coefficients=coefficients,
+        ))
+    return machines
+
+
+#: Generator axes: the defaults, and narrower or unusual ones.
+axes_strategy = st.fixed_dictionaries({}, optional={
+    "cores": st.sampled_from([(4,), (1, 3, 64)]),
+    "smt_ways": st.sampled_from([(1,), (2, 4)]),
+    "tech_nodes": st.sampled_from([(22,), (8, 45)]),
+    "coefficient_jitter": st.sampled_from([0.0, 0.5]),
+    "gpu": st.sampled_from(sorted(GPUS.values(), key=lambda g: g.name)),
+})
+
+grid_strategy = st.tuples(st.integers(0, 300), st.integers(0, 2**32 - 1),
+                          axes_strategy)
+
+
+def float_hexes(column):
+    """A score column as hex strings; power rows are flattened."""
+    return [value.hex() for entry in column
+            for value in (entry if isinstance(entry, (list, tuple))
+                          else [entry])]
+
+
+_COLUMNS = ("power", "exponents", "cpu_idle_w", "gpu_idle_w",
+            "gpu_span_w", "time_scale", "node_scale")
+
+
+class TestMachineGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(grid_strategy)
+    @example((300, 1, {}))
+    @example((120, 7, {"smt_ways": (1,), "tech_nodes": (22,),
+                       "coefficient_jitter": 0.0}))
+    def test_grid_equals_the_per_machine_generator(self, drawn):
+        count, seed, axes = drawn
+        grid = generate_machines(count, seed=seed, **axes)
+        want = reference_machines(count, seed=seed, **axes)
+        assert len(grid) == count
+        assert list(grid) == want
+        assert [machine_digest(m) for m in grid] == \
+            [machine_digest(m) for m in want]
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid_strategy)
+    def test_grid_partition_equals_machine_by_machine(self, drawn):
+        count, seed, axes = drawn
+        grid = generate_machines(count, seed=seed, **axes)
+        got = partition_configs(grid)
+        assert list(got.items()) == \
+            list(partition_configs(list(grid)).items())
+        for machines in (grid, grid + CATALOG):
+            for signature, members in partition_configs(machines).items():
+                assert all(sim_signature(machines[index]) == signature
+                           for index in members)
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid_strategy)
+    def test_grid_columns_equal_machine_columns(self, drawn):
+        count, seed, axes = drawn
+        grid = generate_machines(count, seed=seed, **axes)
+        groups = list(partition_configs(grid).values())
+        for members in groups + [list(range(count))[::3]]:
+            got = ConfigColumns(grid, members)
+            want = ConfigColumns([grid[i] for i in members], members)
+            assert got.indices == want.indices == members
+            for name in _COLUMNS:
+                assert float_hexes(getattr(got, name)) == \
+                    float_hexes(getattr(want, name)), name
+            assert all(got.machine(k) is grid[index]
+                       for k, index in enumerate(members))
+
+    def test_grid_reads_like_the_machine_list(self):
+        grid = generate_machines(30, seed=4)
+        machines = reference_machines(30, seed=4)
+        assert len(grid) == 30
+        assert grid[7] is grid[7]
+        assert grid[-1] is grid[29]
+        assert grid[-30] == machines[0]
+        for index in (30, -31):
+            with pytest.raises(IndexError):
+                grid[index]
+        assert grid[3:11:2] == machines[3:11:2]
+        assert grid[::-1] == machines[::-1]
+        assert grid[40:] == []
+        assert list(iter(grid)) == machines
+        assert grid == machines and machines == grid
+        assert grid == generate_machines(30, seed=4)
+        assert grid != machines[:-1]
+        assert grid != generate_machines(30, seed=5)
+        assert grid + [paper_machine()] == machines + [paper_machine()]
+        assert grid + generate_machines(2, seed=1) == \
+            machines + reference_machines(2, seed=1)
+
+    @pytest.mark.parametrize("axes, message", [
+        ({"cores": (4, 0)}, "^physical_cores must be >= 1$"),
+        ({"smt_ways": (0,)}, "^smt_ways must be >= 1$"),
+        ({"tech_nodes": (22, 7)}, "^unknown tech node 7 nm"),
+    ], ids=["cores", "smt_ways", "tech_nodes"])
+    def test_bad_axis_raises_at_generation(self, axes, message):
+        with pytest.raises(ValueError, match=message):
+            generate_machines(50, seed=0, **axes)
+
+    def test_empty_dvfs_band_raises_at_generation(self, monkeypatch):
+        # A threshold above the overclock ceiling leaves no DVFS point.
+        monkeypatch.setitem(VTH_V, 45, 2.0)
+        with pytest.raises(ValueError, match=r"^dvfs_ratio=.* outside "
+                                             r"\[2\.0000, 1\.3000\] at 45 nm$"):
+            generate_machines(3, seed=0, tech_nodes=(45,))
