@@ -36,7 +36,11 @@ by pipes, multiplexed with :func:`multiprocessing.connection.wait`,
 each individually terminable and respawnable.  Workers stay alive
 across runs, so supervision adds pipe traffic and a poll tick — not a
 process spawn — per grid point (the ``BENCH_supervisor`` benchmark
-holds the overhead under 3% on the 150-run grid).
+holds the overhead under 3% on the 150-run grid).  They also stay
+alive across ``map`` calls when the caller lends the executor a
+:class:`WorkerPool`: the sweep daemon calls ``map`` once per app span
+and keeps one pool for its lifetime, so a span borrows a warm worker
+instead of forking and reaping one.
 """
 
 import hashlib
@@ -44,10 +48,12 @@ import json
 import multiprocessing
 import os
 import random
+import stat
+import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 
 from repro.harness.cache import ResultCache
@@ -239,9 +245,11 @@ def _worker_main(conn, parent_end):
     ``parent_end`` is the supervisor's end of this worker's pipe, which
     a forked child inherits.  It is closed first: while the child holds
     it, a killed supervisor never reads as EOF here and the worker
-    blocks in ``recv`` forever.
+    blocks in ``recv`` forever.  The other sockets a fork inherits are
+    released too (:func:`_release_inherited_sockets`).
     """
     parent_end.close()
+    _release_inherited_sockets(keep=conn.fileno())
     while True:
         try:
             job = conn.recv()
@@ -275,6 +283,37 @@ def _worker_main(conn, parent_end):
                     for _ in specs]))
             except Exception:
                 return
+
+
+def _release_inherited_sockets(keep):
+    """Point every socket descriptor a forked worker inherited, except
+    ``keep`` and the standard streams, at ``/dev/null``.
+
+    A pooled worker can outlive every socket its parent had open when
+    it forked — a daemon's listening socket and client connections,
+    the pipe ends of earlier workers.  While the worker holds a copy, a
+    socket the parent closes never really closes: the peer gets no EOF
+    and a killed parent's earlier workers never see theirs.  ``dup2``
+    rather than ``close`` keeps each descriptor number taken, so a stale
+    socket object closing it later cannot hit an unrelated file.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    try:
+        fds = [int(name) for name in os.listdir(fd_dir)]
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2 or fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass            # the listing's own descriptor, now gone
+    finally:
+        os.close(devnull)
 
 
 class _Worker:
@@ -337,6 +376,61 @@ class _Worker:
         self.discard()
 
 
+class WorkerPool:
+    """Idle supervised workers, lent to executors across ``map`` calls.
+
+    A worker between chunks holds nothing of the last one: every run
+    builds its own environment, kernel, trace session and GPU from a
+    pickled spec, so a worker one sweep leaves idle can serve the
+    next.  The pool never forks ahead of demand — :meth:`take` forks
+    only what its idle set cannot cover — so it grows to the most
+    workers lent at once.  Thread-safe: every dispatcher thread of the
+    daemon borrows from the same pool.
+    """
+
+    def __init__(self):
+        self._ctx = multiprocessing.get_context()
+        self._idle = []
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def take(self, n):
+        """``n`` workers: idle ones first (respawned if their process
+        died while idle), then freshly forked ones."""
+        with self._lock:
+            workers = [self._idle.pop()
+                       for _ in range(min(n, len(self._idle)))]
+        for worker in workers:
+            if not worker.proc.is_alive():
+                worker.respawn()
+        workers += [_Worker(self._ctx) for _ in range(n - len(workers))]
+        return workers
+
+    def give_back(self, workers):
+        """Keep a worker idle only when it holds no chunk and its
+        process is alive; shut every other one down.  After
+        :meth:`close` every worker is shut down — a dispatcher abandoned
+        during a drain can return its workers late."""
+        doomed = []
+        with self._lock:
+            for worker in workers:
+                if (not self._closed and worker.job is None
+                        and worker.proc.is_alive()):
+                    self._idle.append(worker)
+                else:
+                    doomed.append(worker)
+        for worker in doomed:
+            worker.shutdown()
+
+    def close(self):
+        """Shut down every idle worker; later returns are shut down."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.shutdown()
+
+
 class SupervisedExecutor:
     """Deadline/retry/quarantine/checkpoint wrapper over both backends.
 
@@ -361,11 +455,16 @@ class SupervisedExecutor:
     ``<journal>.cache`` if the caller passed none) — a journal without
     a cache could say *that* a run completed but not restore *what* it
     produced.
+
+    ``pool`` lends the executor a :class:`WorkerPool` to borrow its
+    workers from and return them to, so they outlive this ``map``
+    call; without one, every ``map`` forks its workers and reaps them
+    before it returns.
     """
 
     def __init__(self, jobs=None, cache=None, retries=0, deadline_s=None,
                  backoff_s=0.0, seed=0, journal=None, resume=None,
-                 chunk=1):
+                 chunk=1, pool=None):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if deadline_s is not None and deadline_s <= 0:
@@ -383,6 +482,7 @@ class SupervisedExecutor:
         self.deadline_s = deadline_s
         self.backoff_s = backoff_s
         self.seed = seed
+        self.pool = pool
         self.journal_path = str(journal) if journal is not None else None
         self.resume_path = str(resume) if resume is not None else None
         checkpoint = self.journal_path or self.resume_path
@@ -555,10 +655,10 @@ class SupervisedExecutor:
                 break
 
     def _run_pool(self, specs, keys, items, results, journal, n_workers):
-        ctx = multiprocessing.get_context()
+        pool = self.pool if self.pool is not None else WorkerPool()
         queue = deque((index, 1, 0.0) for index in items)
         outstanding = len(items)
-        workers = [_Worker(ctx) for _ in range(n_workers)]
+        workers = pool.take(n_workers)
         try:
             while outstanding:
                 now = time.monotonic()
@@ -578,8 +678,9 @@ class SupervisedExecutor:
                         outstanding -= self._expire(
                             specs, keys, worker, results, journal, queue)
         finally:
-            for worker in workers:
-                worker.shutdown()
+            pool.give_back(workers)
+            if pool is not self.pool:
+                pool.close()
 
     def _dispatch(self, specs, workers, queue, now):
         for worker in workers:

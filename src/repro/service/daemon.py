@@ -30,7 +30,13 @@ complete, re-simulating only grid points that never finished.
 Overload: the dispatcher queue is bounded (429 + ``Retry-After`` at
 capacity, ``/readyz`` flips to 503) and a circuit breaker watches for
 repeated pool-worker crash quarantines, degrading new submissions to
-the serial in-process backend until the pool proves healthy again.
+the serial in-process backend (one killable worker, from the daemon's
+pool, when a deadline is set) until the pool proves healthy again.
+
+Workers: the daemon keeps one supervisor ``WorkerPool`` for its
+lifetime and lends it to every job's executor, so a simulation worker
+is forked on first demand and then reused by every later app span and
+sweep, instead of being forked and reaped once per span.
 
 Cache discipline: a sweep result's identity *is* its digest (the grid
 is seed-determined), so ``/sweeps/{id}/result`` is immutable and
@@ -45,7 +51,11 @@ import threading
 import time
 
 from repro.harness.cache import ResultCache, spec_key
-from repro.harness.supervisor import SupervisedExecutor, sweep_digest
+from repro.harness.supervisor import (
+    SupervisedExecutor,
+    WorkerPool,
+    sweep_digest,
+)
 from repro.service.http import (
     BadRequest,
     HttpResponse,
@@ -97,9 +107,13 @@ class CircuitBreaker:
     the breaker: for ``cooldown_s`` every new submission builds a
     serial in-process executor (a crashing worker *pool* — OOM killer,
     a bad libc, cgroup limits — usually keeps crashing; in-process
-    execution trades parallelism for progress).  After the cooldown
-    the breaker goes half-open: the next submission tries the pool
-    again, and its outcome closes or re-trips the breaker.
+    execution trades parallelism for progress) — one killable worker,
+    from the daemon's pool, when a deadline is set, because an
+    in-process run cannot be killed.  Where the healthy backend is a
+    single worker already (one usable CPU under a deadline), an open
+    breaker changes nothing.  After the cooldown the breaker goes
+    half-open: the next submission tries the pool again, and its
+    outcome closes or re-trips the breaker.
     """
 
     def __init__(self, threshold=3, cooldown_s=60.0):
@@ -154,7 +168,9 @@ class SweepService:
     ``deadline_s``/``chunk``) is stored, not resolved: every submission
     builds a *fresh* :class:`SupervisedExecutor` and asks it for its
     backend then, so the auto-mode CPU clamp tracks the machine the
-    daemon runs on now — not the one it started on.
+    daemon runs on now — not the one it started on.  The executors
+    borrow their worker processes from one :class:`WorkerPool` that
+    lives as long as the service and is shut down by :meth:`close`.
 
     ``ledger`` makes the job index durable (see the module docstring);
     it implies a result cache (``<ledger>.cache`` when none is given),
@@ -184,6 +200,7 @@ class SweepService:
                                      observer=self._observe_job)
         self.tables = TableStore(golden_path=golden_path,
                                  dse_path=dse_path)
+        self.worker_pool = WorkerPool()     # lent to every job's executor
         self.state = "running"
         self.on_stopped = None
         self.recovered = {"finished": 0, "interrupted": 0}
@@ -200,22 +217,30 @@ class SweepService:
                  if self.cache_dir is not None else None)
         jobs = self.jobs
         if self.breaker.degraded():
-            jobs = None         # serial in-process backend
+            jobs = None         # serial: in-process, or one pooled worker
         return SupervisedExecutor(jobs=jobs, cache=cache,
                                   retries=self.retries,
                                   deadline_s=self.deadline_s,
-                                  chunk=self.chunk)
+                                  chunk=self.chunk, pool=self.worker_pool)
 
     def close(self):
         self.runner.close()
+        self.worker_pool.close()
         if self._ledger is not None:
             self._ledger.close()
 
     # -- durability ----------------------------------------------------
 
     def _observe_job(self, event, job):
-        """Dispatcher transition hook: write-ahead ledger + breaker."""
-        if self._ledger is not None:
+        """Dispatcher transition hook: write-ahead ledger + breaker.
+
+        A job replayed from a ledger that already records it as
+        finished appends nothing on its way back to ``done``: its
+        ``started``/``finished`` pair is on disk from the daemon that
+        ran it.  A ``failed`` outcome is always recorded.
+        """
+        if self._ledger is not None and (
+                event == "failed" or job.recovered != "finished"):
             if event == "started":
                 self._ledger.record_started(job.id)
             elif event == "finished":
@@ -244,23 +269,29 @@ class SweepService:
         for entry in replayed:
             if entry.state == "failed":
                 continue
+            kind = "finished" if entry.state == "finished" else "interrupted"
             try:
                 sweep = SweepRequest.from_payload(entry.request)
-                job = self._admit(sweep, force=True)
+                self._admit(sweep, recovered=kind)
             except (BadRequest, QueueFull) as exc:
                 log.warning("ledger job %s not recoverable: %s",
                             entry.id[:12], exc)
                 continue
-            kind = "finished" if entry.state == "finished" else "interrupted"
-            job.recovered = kind
             self.recovered[kind] += 1
         if any(self.recovered.values()):
             log.info("ledger replay: %d finished, %d interrupted job(s) "
                      "re-admitted", self.recovered["finished"],
                      self.recovered["interrupted"])
 
-    def _admit(self, sweep, force=False):
-        """Build, record and enqueue one sweep job (dedup-aware)."""
+    def _admit(self, sweep, recovered=None):
+        """Build, record and enqueue one sweep job (dedup-aware).
+
+        ``recovered`` (``"finished"`` or ``"interrupted"``) marks a job
+        replayed from the ledger: its ``submitted`` record is already on
+        disk, and it re-enqueues past the queue bound.  The mark is set
+        before the job is enqueued, so a dispatcher that starts it at
+        once already sees it.
+        """
         spans, specs = sweep.build()
         digest = sweep_digest([spec_key(spec) for spec in specs])
         with self._lock:
@@ -270,11 +301,12 @@ class SweepService:
             executor = self._make_executor()
             job = SweepJob(sweep, digest, spans, specs, executor,
                            backend=executor.planned_backend(len(specs)))
-            if self._ledger is not None:
+            job.recovered = recovered
+            if self._ledger is not None and recovered is None:
                 self._ledger.record_submitted(digest, sweep.to_payload())
             self.store.add(job)
             try:
-                self.runner.submit(job, force=force)
+                self.runner.submit(job, force=recovered is not None)
             except QueueFull:
                 # Roll the admission back: the 429'd job must neither
                 # dedup future submissions nor resurrect from the

@@ -8,10 +8,14 @@ real server process on a real port, a real SIGKILL, recovery driven
 entirely by the write-ahead ledger + content-addressed cache, and
 byte-equality of the result payload (every metric float serializes, so
 this is bit-identity).
+
+The daemon keeps its simulation workers between sweeps, so a SIGKILL
+can leave idle workers behind: they must notice and exit on their own.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -20,6 +24,8 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+
+from tests.test_supervisor import _running as running
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 APPS = ["chrome", "word", "excel", "vlc"]
@@ -36,12 +42,12 @@ def run_env():
     return env
 
 
-def start_server(ledger, cache):
+def start_server(ledger, cache, *options):
     """Launch ``repro serve`` on an ephemeral port; returns
     ``(process, port)`` once the banner announces the bound port."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--ledger", str(ledger), "--cache", str(cache)],
+         "--ledger", str(ledger), "--cache", str(cache), *options],
         env=run_env(), cwd=REPO_ROOT, stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, text=True)
     deadline = time.monotonic() + 60
@@ -65,6 +71,19 @@ def http(port, method, path, body=None, timeout=120):
             return response.status, response.read()
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read()
+
+
+def children_of(pid):
+    """Pids whose parent is ``pid``, read from ``/proc/*/stat``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue            # exited while we looked
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
 
 
 def cached_entries(cache):
@@ -166,3 +185,46 @@ class TestServeKillRecover:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc to find the daemon's workers")
+class TestIdleWorkersOrphaned:
+    def test_idle_pooled_workers_exit_when_the_daemon_is_killed(
+            self, tmp_path):
+        proc, port = start_server(tmp_path / "ledger.jsonl",
+                                  tmp_path / "cache", "--jobs", "2",
+                                  "--deadline-us", "60000000")
+        workers = []
+        try:
+            status, body = http(port, "POST", "/sweeps", {
+                "apps": ["excel", "vlc"], "duration_s": 0.4,
+                "iterations": 2})
+            assert status == 202, body
+            job_id = json.loads(body)["id"]
+            deadline = time.monotonic() + 120
+            state = None
+            while state != "done" and time.monotonic() < deadline:
+                state = json.loads(
+                    http(port, "GET", f"/sweeps/{job_id}")[1])["state"]
+                time.sleep(0.05)
+            assert state == "done"
+            # The sweep is over; its two workers wait idle in the pool.
+            workers = children_of(proc.pid)
+            assert len(workers) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 20
+            while (any(running(pid) for pid in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in workers if running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in filter(running, workers):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

@@ -9,6 +9,10 @@ drain, and the per-submission executor re-resolution regression.
 PR 10 additions: admission control (bounded queue -> 429 +
 ``Retry-After``, ``/readyz``), TTL job eviction, the bounded shutdown
 drain, the crash circuit breaker, and write-ahead ledger recovery.
+
+The daemon's worker pool: one set of simulation workers serves every
+sweep, survives deadline kills and crashed runs, and a ledger replay
+appends only what the ledger does not already hold.
 """
 
 import asyncio
@@ -21,7 +25,9 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.reporting.payloads import canonical_json_bytes
+from repro.harness import run_suite, supervisor
+from repro.harness.cache import spec_key
+from repro.reporting.payloads import canonical_json_bytes, suite_payload
 from repro.service import ServiceServer, SweepRequest, SweepService
 from repro.service.http import (
     BadRequest,
@@ -31,6 +37,7 @@ from repro.service.http import (
     read_request,
     render_head,
 )
+from repro.sim import SECOND
 from repro.validate.golden import default_golden_path
 
 DSE_PATH = default_golden_path().parent / "golden_dse.json"
@@ -66,6 +73,36 @@ def wait_job(service, job_id, timeout=120.0):
     job = service.store.find(job_id)
     assert job is not None and job.wait_done(timeout)
     return job
+
+
+def submit_and_wait(service, body, timeout=120.0):
+    response = service.dispatch(make_request("POST", "/sweeps", body))
+    return wait_job(service, json.loads(response.body)["id"], timeout)
+
+
+def suite_bytes(body):
+    """What ``repro suite --json`` saves for the sweep ``body`` asks for,
+    computed straight through the harness."""
+    sweep = SweepRequest.from_payload(body)
+    suite = run_suite(sweep.apps, machine=sweep.machine(),
+                      duration_us=int(sweep.duration_s * SECOND),
+                      iterations=sweep.iterations)
+    return canonical_json_bytes(
+        suite_payload(suite, metadata=sweep.metadata()))
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Pids of the supervised worker processes forked during a test."""
+    pids = []
+    spawn = supervisor._Worker._spawn
+
+    def counted(worker):
+        spawn(worker)
+        pids.append(worker.proc.pid)
+
+    monkeypatch.setattr(supervisor._Worker, "_spawn", counted)
+    return pids
 
 
 @contextlib.contextmanager
@@ -681,6 +718,65 @@ class TestCircuitBreaker:
         finally:
             service.close()
 
+    def test_open_breaker_under_a_deadline_keeps_one_worker(self):
+        # An in-process run cannot be killed, so with a deadline the
+        # degraded backend is one worker from the daemon's pool.
+        service = SweepService(jobs=2, deadline_s=60.0,
+                               breaker_threshold=1)
+        try:
+            response = service.dispatch(
+                make_request("POST", "/sweeps", SWEEP))
+            assert json.loads(response.body)["backend"] == "pool-2"
+            # Drained, the first job's clean finish is already recorded
+            # and cannot close the breaker opened next.
+            assert service.runner.drain(timeout=120)
+            service.breaker.record_crash()
+            assert service.breaker.state() == "open"
+            response = service.dispatch(make_request(
+                "POST", "/sweeps", dict(SWEEP, duration_s=0.45)))
+            payload = json.loads(response.body)
+            assert payload["backend"] == "pool-1"
+            job = wait_job(service, payload["id"])
+            assert job.state == "done" and job.failures == []
+        finally:
+            service.close()
+
+
+class TestWorkerReuse:
+    def test_daemon_forks_its_workers_once(self, spawned):
+        service = SweepService(jobs=2, deadline_s=60.0)
+        try:
+            for duration_s in (0.3, 0.35, 0.4):
+                job = submit_and_wait(service, {
+                    "apps": ["excel", "vlc"], "duration_s": duration_s,
+                    "iterations": 2})
+                assert job.state == "done" and job.failures == []
+                assert job.backend == "pool-2" and job.executed == 4
+        finally:
+            service.close()
+        # Two workers serve all six app spans; forking a pool per span
+        # would have spawned twelve.
+        assert len(spawned) == 2
+
+    @pytest.mark.parametrize("fault, kind, forks", [
+        ("worker-hang", "deadline", 2),     # killed and respawned once
+        ("worker-crash", "crash", 1),       # the raising run's worker
+    ])
+    def test_clean_sweep_after_a_fault_reuses_the_worker(
+            self, spawned, fault, kind, forks):
+        service = SweepService(jobs=1, deadline_s=1.0)
+        try:
+            job = submit_and_wait(service, {
+                "apps": ["chrome"], "duration_s": 0.5, "iterations": 1,
+                "fault": fault})
+            assert [f.kind for f in job.failures] == [kind]
+            job = submit_and_wait(service, SWEEP)
+            assert job.state == "done" and job.failures == []
+            assert job.result_bytes == suite_bytes(SWEEP)
+        finally:
+            service.close()
+        assert len(spawned) == forks
+
 
 class TestLedgerRecovery:
     def test_finished_job_restored_without_resimulation(self, tmp_path):
@@ -738,6 +834,50 @@ class TestLedgerRecovery:
                 "finished": 0, "interrupted": 1}
         finally:
             service.close()
+
+    def test_restarts_leave_a_finished_ledger_unchanged(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        first = SweepService(ledger=ledger, cache=tmp_path / "cache")
+        try:
+            assert submit_and_wait(first, SWEEP).state == "done"
+        finally:
+            first.close()
+        recorded = ledger.read_bytes()
+        for _ in range(2):
+            restarted = SweepService(ledger=ledger,
+                                     cache=tmp_path / "cache")
+            try:
+                [job] = restarted.store.all()
+                assert job.wait_done(120) and job.state == "done"
+                assert job.executed == 0
+            finally:
+                restarted.close()
+            assert ledger.read_bytes() == recorded
+
+    def test_interrupted_job_appends_started_and_finished(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        sweep = SweepRequest.from_payload(SWEEP)
+        digest = supervisor.sweep_digest(
+            [spec_key(spec) for spec in sweep.build()[1]])
+        ledger.write_text("".join(json.dumps(line) + "\n" for line in [
+            {"format": "repro-job-ledger-v1"},
+            {"event": "submitted", "id": digest,
+             "request": sweep.to_payload()},
+            {"event": "started", "id": digest},
+        ]))
+        before = ledger.read_text().splitlines()
+        service = SweepService(ledger=ledger, cache=tmp_path / "cache")
+        try:
+            job = service.store.find(digest)
+            assert job.recovered == "interrupted"
+            assert job.wait_done(120) and job.state == "done"
+        finally:
+            service.close()
+        lines = ledger.read_text().splitlines()
+        assert lines[:len(before)] == before
+        appended = [json.loads(line) for line in lines[len(before):]]
+        assert [(r["event"], r["id"]) for r in appended] == \
+            [("started", digest), ("finished", digest)]
 
     def test_failed_jobs_stay_failed_across_restart(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"

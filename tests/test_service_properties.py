@@ -13,6 +13,7 @@ cancel out.
 import json
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,16 @@ def service():
     if _SERVICE is None:
         _SERVICE = SweepService(cache=_SERVICE_CACHE)
     return _SERVICE
+
+
+@pytest.fixture(scope="module", autouse=True)
+def close_shared_service():
+    """Shut the shared service's idle workers down with the module."""
+    global _SERVICE
+    yield
+    if _SERVICE is not None:
+        _SERVICE.close()
+        _SERVICE = None
 
 
 def request(method, path, body=None):

@@ -7,11 +7,13 @@ and a resumed sweep is bit-identical to an uninterrupted one.
 """
 
 import json
+import multiprocessing
 import os
 import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from repro.harness.supervisor import (
     RunFailure,
     SupervisedExecutor,
     SweepJournal,
+    WorkerPool,
     sweep_digest,
 )
 from repro.sim import SECOND
@@ -323,6 +326,99 @@ class TestParallelExecutorHardening:
                           spec(seed=1)])
         assert "InjectedCrash" in getattr(
             excinfo.value, "remote_traceback", "")
+
+
+class TestWorkerPool:
+    """Idle workers lent across ``map`` calls, as the daemon keeps them."""
+
+    def test_concurrent_takes_get_distinct_workers(self):
+        pool = WorkerPool()
+        try:
+            pool.give_back(pool.take(3))
+            batches = []
+            threads = [threading.Thread(
+                target=lambda: batches.append(pool.take(2)))
+                for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            workers = [w for batch in batches for w in batch]
+            assert len({id(w) for w in workers}) == 4
+            assert len({w.proc.pid for w in workers}) == 4
+            pool.give_back(workers)
+        finally:
+            pool.close()
+
+    def test_returned_workers_are_lent_again(self):
+        pool = WorkerPool()
+        try:
+            workers = pool.take(4)
+            pool.give_back(workers)
+            again = pool.take(4)
+            assert {w.proc.pid for w in again} == \
+                {w.proc.pid for w in workers}
+            pool.give_back(again)
+        finally:
+            pool.close()
+
+    def test_worker_killed_while_idle_is_respawned(self):
+        pool = WorkerPool()
+        try:
+            [worker] = pool.take(1)
+            pool.give_back([worker])
+            dead = worker.proc.pid
+            os.kill(dead, signal.SIGKILL)
+            worker.proc.join(timeout=10)
+            [again] = pool.take(1)
+            assert again.proc.is_alive() and again.proc.pid != dead
+            pool.give_back([again])
+            # A deadline forces the one run into a worker: the pool's.
+            executor = SupervisedExecutor(deadline_s=60.0, pool=pool)
+            [result] = executor.map([spec(seed=0)])
+            assert isinstance(result, SingleRun)
+            [last] = pool.take(1)
+            assert last.proc.pid == again.proc.pid
+            pool.give_back([last])
+        finally:
+            pool.close()
+
+    def test_busy_worker_given_back_is_shut_down(self):
+        pool = WorkerPool()
+        try:
+            [worker] = pool.take(1)
+            worker.assign([(0, 1)], [spec(seed=0, fault="worker-hang")],
+                          None)
+            pool.give_back([worker])
+            assert worker.job is None and not worker.proc.is_alive()
+            [fresh] = pool.take(1)
+            assert fresh is not worker
+            pool.give_back([fresh])
+        finally:
+            pool.close()
+
+    def test_give_back_after_close_shuts_workers_down(self):
+        pool = WorkerPool()
+        workers = pool.take(2)
+        pool.close()
+        pool.give_back(workers)
+        assert not any(w.proc.is_alive() for w in workers)
+
+    def test_close_leaves_no_live_child(self):
+        pool = WorkerPool()
+        workers = pool.take(3)
+        pool.give_back(workers)
+        pool.close()
+        live = {p.pid for p in multiprocessing.active_children()}
+        assert not live & {w.proc.pid for w in workers}
+        assert not any(w.proc.is_alive() for w in workers)
+
+    def test_executor_without_a_pool_reaps_its_workers(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        results = SupervisedExecutor(jobs=2).map(
+            [spec(seed=s) for s in range(2)])
+        assert all(isinstance(r, SingleRun) for r in results)
+        assert {p.pid for p in multiprocessing.active_children()} <= before
 
 
 #: A pooled sweep that prints each worker's pid as the worker starts.
