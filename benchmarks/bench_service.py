@@ -31,6 +31,7 @@ import tempfile
 import threading
 import time
 
+from repro.harness.supervisor import SupervisedExecutor
 from repro.service import ServiceServer, SweepService
 from repro.service.http import HttpRequest
 
@@ -188,15 +189,17 @@ def run_saturation_measurement():
     assert server.wait_ready(15)
     release = threading.Event()
     blocked = threading.Event()
+    run_span = SupervisedExecutor.map
+
+    def parked(executor, specs):
+        blocked.set()
+        release.wait(300)
+        return run_span(executor, specs)
+
     try:
         # A completed job first, so the read path has warm bytes.
         done_job = submit_and_wait(service)
-
-        def chaos(job, worker):
-            blocked.set()
-            release.wait(300)
-
-        service.runner.chaos = chaos
+        SupervisedExecutor.map = parked
         assert post(service, dict(SWEEP, duration_s=0.41)).status == 202
         assert blocked.wait(30)         # worker occupied
         assert post(service, dict(SWEEP, duration_s=0.42)).status == 202
@@ -208,6 +211,7 @@ def run_saturation_measurement():
                                            done_job.etag()}, expect=304)
         return rejected, warm
     finally:
+        SupervisedExecutor.map = run_span
         release.set()
         server.request_stop()
         thread.join(timeout=30)

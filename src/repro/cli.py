@@ -503,9 +503,6 @@ def cmd_serve(args, out):
     if args.job_ttl is not None and args.job_ttl <= 0:
         out("error: --job-ttl must be positive")
         return 2
-    if args.hang_s is not None and args.hang_s <= 0:
-        out("error: --hang-s must be positive")
-        return 2
     from repro.service import ENDPOINTS, ServiceServer, SweepService
 
     deadline_us = args.deadline_us
@@ -521,8 +518,7 @@ def cmd_serve(args, out):
         job_workers=args.job_workers,
         max_queue=args.max_queue or None,
         job_ttl_s=args.job_ttl,
-        drain_s=args.drain_s,
-        hang_s=args.hang_s)
+        drain_s=args.drain_s)
 
     def ready(server):
         out(f"serving on http://{server.host}:{server.port}")
@@ -805,11 +801,6 @@ def build_parser():
         help="POST /shutdown drain bound: in-flight jobs still "
              "running after S seconds are failed as `deadline` and "
              "the server stops anyway (default: 60)")
-    serve_parser.add_argument(
-        "--hang-s", type=float, default=None, metavar="S",
-        help="dispatcher heartbeat deadline: a worker silent for S "
-             "seconds mid-job is declared hung, its job failed as "
-             "`deadline`, and a replacement spawned (default: off)")
     serve_parser.add_argument(
         "--golden", default=None, metavar="PATH",
         help="golden fingerprint file served under /tables/goldens "

@@ -22,9 +22,11 @@ the sweep alive through every failure mode the harness can encounter:
   ``crash | deadline | invalid-trace | cache-corrupt``) while every
   other grid point completes normally.
 * **Checkpoint journal** — every resolved run is appended to a
-  flushed-and-fsynced JSONL journal; ``resume=`` restarts a killed
-  sweep, restoring completed runs through the content-addressed
-  result cache and re-running only what is missing.  Because every
+  flushed-and-fsynced JSONL journal (:mod:`repro.harness.wal`, the
+  log the service's job ledger is written with too); ``resume=``
+  restarts a killed sweep, restoring completed runs through the
+  content-addressed result cache and re-running only what is
+  missing.  Because every
   grid point is seed-determined, the resumed sweep is bit-identical
   to an uninterrupted one.
 
@@ -63,6 +65,7 @@ from repro.harness.executor import (
     default_jobs,
     execute_spec,
 )
+from repro.harness.wal import JsonlLog, read_jsonl
 
 #: The complete failure taxonomy, in the order the docs present it.
 FAILURE_KINDS = ("crash", "deadline", "invalid-trace", "cache-corrupt")
@@ -126,91 +129,36 @@ def sweep_digest(keys):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def read_jsonl(path, what):
-    """Entries of an append-only JSONL log whose every line was written
-    whole, flushed and fsynced (the sweep journal, the service's job
-    ledger).
-
-    A crash can cut short only the append in flight, which leaves a
-    final line without its newline: that line is dropped when it does
-    not parse.  Any other line that does not parse — a final one
-    included, once its newline made it to disk — is corruption no
-    crash explains, and raises ``ValueError`` naming the ``what``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    torn = not text.endswith("\n")
-    entries = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            entries.append(json.loads(line))
-        except json.JSONDecodeError:
-            if torn and lineno == len(lines):
-                break
-            raise ValueError(
-                f"corrupt {what} {path!r} at line {lineno}") from None
-    return entries
-
-
-def heal_torn_tail(path):
-    """Truncate a torn final line (one without its newline) before
-    appending to a JSONL log, so the next record starts on a line of
-    its own.  Returns the healed size; 0 for a missing file."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        return 0
-    if not blob or blob.endswith(b"\n"):
-        return len(blob)
-    keep = blob.rfind(b"\n") + 1
-    with open(path, "r+b") as fh:
-        fh.truncate(keep)
-    return keep
-
-
 class SweepJournal:
     """Append-only JSONL checkpoint file of one sweep.
 
     Line 1 is a header (``format``, sweep ``digest``, ``total`` run
     count); every later line resolves one run index (``status`` of
     ``ok`` or ``failed``, the spec's cache ``key``, and the failure
-    payload when quarantined).  Each line is flushed and fsynced
-    before the sweep moves on, so a SIGKILL loses at most the line
-    being written — :meth:`load` tolerates exactly that one torn final
-    line, and a resume cuts it off before appending.
+    payload when quarantined).  Lines go through the shared
+    :class:`~repro.harness.wal.JsonlLog` writer, so a SIGKILL loses at
+    most the line being written: :meth:`load` drops that torn line, and
+    a resume cuts it off before appending.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._fh = None
+        self._log = None
 
     def start(self, digest, total, fresh=True):
         """Open for writing; ``fresh=False`` appends (resume)."""
-        if not fresh:
-            heal_torn_tail(self.path)
-        self._fh = open(self.path, "w" if fresh else "a",
-                        encoding="utf-8")
-        if fresh:
-            self._write({"format": JOURNAL_FORMAT, "digest": digest,
-                         "total": total})
+        self._log = JsonlLog(self.path, {"format": JOURNAL_FORMAT,
+                                         "digest": digest, "total": total},
+                             fresh=fresh)
 
     def record(self, index, key, status, partial=False, failure=None):
-        self._write({"index": index, "key": key, "status": status,
-                     "partial": partial, "failure": failure})
-
-    def _write(self, entry):
-        self._fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._log.append({"index": index, "key": key, "status": status,
+                          "partial": partial, "failure": failure})
 
     def close(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     @staticmethod
     def load(path):

@@ -204,21 +204,6 @@ class Scheduler:
         """Current turbo multiplier (precomputed per busy-core count)."""
         return self._clock_table[self._busy_cores]
 
-    def speed_of(self, lcpu, work_class):
-        """Execution speed (nominal work per wall µs) on ``lcpu`` now."""
-        speed = self._clock_table[self._busy_cores]
-        busy_siblings = 0
-        for s in self._siblings[lcpu.index]:
-            if s.thread is not None:
-                busy_siblings += 1
-        if busy_siblings:
-            pair = self._pair_cache.get(work_class)
-            if pair is None:
-                pair = smt_pair_throughput(self.machine.cpu, work_class)
-                self._pair_cache[work_class] = pair
-            speed *= pair / (1 + busy_siblings)
-        return speed
-
     # -- dispatch -------------------------------------------------------
 
     def _pick_idle_lcpu(self, thread=None):

@@ -5,17 +5,17 @@ submissions dedup on the sweep digest, results are content-addressed
 (``ETag`` = digest) and byte-identical to ``repro suite --json``
 output, and progress streams as NDJSON while the supervised executor
 works through the grid.  A write-ahead job ledger makes the job index
-durable across daemon crashes, a bounded multi-worker dispatcher pool
-sheds overload with 429s, and a watchdog respawns crashed or hung
-dispatchers.  See ``docs/architecture.md`` ("Sweep service" and
-"Durable service") for the full design.
+durable across daemon crashes, and a bounded multi-worker dispatcher
+pool sheds overload with 429s; crashed and hung runs are the
+supervised executor's to kill, respawn and quarantine.  See
+``docs/architecture.md`` ("Sweep service" and "Durable service") for
+the full design.
 """
 
-from repro.service.daemon import CircuitBreaker, ENDPOINTS, SweepService
+from repro.service.daemon import ENDPOINTS, SweepService
 from repro.service.http import BadRequest, HttpRequest, HttpResponse
 from repro.service.jobs import (
     DispatcherPool,
-    JobRunner,
     JobStore,
     QueueFull,
     SweepJob,
@@ -27,13 +27,11 @@ from repro.service.tables import TableStore
 
 __all__ = [
     "BadRequest",
-    "CircuitBreaker",
     "DispatcherPool",
     "ENDPOINTS",
     "HttpRequest",
     "HttpResponse",
     "JobLedger",
-    "JobRunner",
     "JobStore",
     "LedgerJob",
     "QueueFull",

@@ -8,7 +8,7 @@ without binding a port.
 Endpoints::
 
     GET  /                      service index
-    GET  /healthz               liveness + job/queue/dispatcher counters
+    GET  /healthz               liveness + job/queue counters
     GET  /readyz                admission: accepting new sweeps?
     POST /sweeps                submit a sweep (dedup by digest; 429
                                 + Retry-After when the queue is full)
@@ -28,10 +28,13 @@ simulation, byte-identical payloads), interrupted ones re-enqueue and
 complete, re-simulating only grid points that never finished.
 
 Overload: the dispatcher queue is bounded (429 + ``Retry-After`` at
-capacity, ``/readyz`` flips to 503) and a circuit breaker watches for
-repeated pool-worker crash quarantines, degrading new submissions to
-the serial in-process backend (one killable worker, from the daemon's
-pool, when a deadline is set) until the pool proves healthy again.
+capacity, ``/readyz`` flips to 503).
+
+Supervision has one layer: the supervised executor under every job
+kills a run that blows its deadline, respawns a worker that died, and
+quarantines either in the ``crash | deadline | invalid-trace |
+cache-corrupt`` taxonomy.  The dispatcher threads above it only queue
+jobs; a job whose own body raises fails alone.
 
 Workers: the daemon keeps one supervisor ``WorkerPool`` for its
 lifetime and lends it to every job's executor, so a simulation worker
@@ -48,7 +51,6 @@ import json
 import logging
 import re
 import threading
-import time
 
 from repro.harness.cache import ResultCache, spec_key
 from repro.harness.supervisor import (
@@ -91,74 +93,13 @@ ENDPOINTS = {
     "GET /sweeps/{id}": "job status and progress",
     "GET /sweeps/{id}/result": "final suite payload (ETag, immutable)",
     "GET /sweeps/{id}/stream": "NDJSON progress events",
-    "GET /healthz": "liveness, job/queue/dispatcher counters",
+    "GET /healthz": "liveness, job/queue counters",
     "GET /readyz": "admission: 200 accepting, 503 saturated/draining",
     "GET /tables/goldens[/{app}]": "committed golden fingerprints",
     "GET /frontiers[/{app}]": "committed DSE Pareto frontiers",
     "POST /goldens": "re-record golden fingerprints",
     "POST /shutdown": "drain in-flight jobs (bounded), then stop",
 }
-
-
-class CircuitBreaker:
-    """Degrade to the serial backend after repeated crash quarantines.
-
-    ``threshold`` consecutive jobs carrying ``crash`` quarantines trip
-    the breaker: for ``cooldown_s`` every new submission builds a
-    serial in-process executor (a crashing worker *pool* — OOM killer,
-    a bad libc, cgroup limits — usually keeps crashing; in-process
-    execution trades parallelism for progress) — one killable worker,
-    from the daemon's pool, when a deadline is set, because an
-    in-process run cannot be killed.  Where the healthy backend is a
-    single worker already (one usable CPU under a deadline), an open
-    breaker changes nothing.  After the cooldown the breaker goes
-    half-open: the next submission tries the pool again, and its
-    outcome closes or re-trips the breaker.
-    """
-
-    def __init__(self, threshold=3, cooldown_s=60.0):
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
-        self.cooldown_s = cooldown_s
-        self.tripped = 0        # times the breaker opened (monotonic)
-        self._crashes = 0
-        self._opened_at = None
-        self._lock = threading.Lock()
-
-    def record_crash(self):
-        with self._lock:
-            self._crashes += 1
-            if self._crashes >= self.threshold:
-                if self._opened_at is None:
-                    self.tripped += 1
-                self._opened_at = time.monotonic()
-
-    def record_ok(self):
-        with self._lock:
-            self._crashes = 0
-            self._opened_at = None
-
-    def degraded(self):
-        """True while new submissions should avoid the worker pool."""
-        with self._lock:
-            if self._opened_at is None:
-                return False
-            return time.monotonic() - self._opened_at < self.cooldown_s
-
-    def state(self):
-        with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            if time.monotonic() - self._opened_at < self.cooldown_s:
-                return "open"
-            return "half-open"
-
-    def to_payload(self):
-        return {"state": self.state(),
-                "consecutive_crashes": self._crashes,
-                "threshold": self.threshold,
-                "tripped": self.tripped}
 
 
 class SweepService:
@@ -181,8 +122,7 @@ class SweepService:
     def __init__(self, jobs=0, cache=None, retries=0, deadline_s=None,
                  chunk=1, golden_path=None, dse_path=None,
                  ledger=None, job_workers=1, max_queue=None,
-                 job_ttl_s=None, drain_s=60.0, hang_s=None,
-                 breaker_threshold=3, breaker_cooldown_s=60.0):
+                 job_ttl_s=None, drain_s=60.0):
         self.jobs = jobs
         if cache is None and ledger is not None:
             cache = str(ledger) + ".cache"
@@ -192,11 +132,8 @@ class SweepService:
         self.chunk = chunk
         self.drain_s = drain_s
         self.store = JobStore(ttl_s=job_ttl_s)
-        self.breaker = CircuitBreaker(threshold=breaker_threshold,
-                                      cooldown_s=breaker_cooldown_s)
         self.runner = DispatcherPool(workers=job_workers,
                                      max_queue=max_queue,
-                                     hang_s=hang_s,
                                      observer=self._observe_job)
         self.tables = TableStore(golden_path=golden_path,
                                  dse_path=dse_path)
@@ -215,10 +152,7 @@ class SweepService:
     def _make_executor(self):
         cache = (ResultCache(self.cache_dir)
                  if self.cache_dir is not None else None)
-        jobs = self.jobs
-        if self.breaker.degraded():
-            jobs = None         # serial: in-process, or one pooled worker
-        return SupervisedExecutor(jobs=jobs, cache=cache,
+        return SupervisedExecutor(jobs=self.jobs, cache=cache,
                                   retries=self.retries,
                                   deadline_s=self.deadline_s,
                                   chunk=self.chunk, pool=self.worker_pool)
@@ -232,29 +166,24 @@ class SweepService:
     # -- durability ----------------------------------------------------
 
     def _observe_job(self, event, job):
-        """Dispatcher transition hook: write-ahead ledger + breaker.
+        """Dispatcher transition hook: the write-ahead ledger.
 
         A job replayed from a ledger that already records it as
         finished appends nothing on its way back to ``done``: its
         ``started``/``finished`` pair is on disk from the daemon that
         ran it.  A ``failed`` outcome is always recorded.
         """
-        if self._ledger is not None and (
-                event == "failed" or job.recovered != "finished"):
-            if event == "started":
-                self._ledger.record_started(job.id)
-            elif event == "finished":
-                self._ledger.record_finished(
-                    job.id, executed=job.executed,
-                    failures=[f.to_payload() for f in job.failures])
-            elif event == "failed":
-                self._ledger.record_failed(job.id,
-                                           job.error or "unknown error")
-        if event in ("finished", "failed"):
-            if any(f.kind == "crash" for f in job.failures):
-                self.breaker.record_crash()
-            elif event == "finished":
-                self.breaker.record_ok()
+        if self._ledger is None or (
+                event != "failed" and job.recovered == "finished"):
+            return
+        if event == "started":
+            self._ledger.record_started(job.id)
+        elif event == "finished":
+            self._ledger.record_finished(
+                job.id, executed=job.executed,
+                failures=[f.to_payload() for f in job.failures])
+        elif event == "failed":
+            self._ledger.record_failed(job.id, job.error or "unknown error")
 
     def _recover(self, replayed):
         """Re-admit every unresolved ledger job on daemon boot.
@@ -399,17 +328,11 @@ class SweepService:
             "queue": {
                 "depth": runner.queue_depth(),
                 "max": runner.max_queue,
-                "workers": len(runner._workers),
+                "workers": runner.workers,
                 "rejected": self.rejected,
-            },
-            "dispatchers": {
-                "crashed": runner.crashed,
-                "hung": runner.hung,
-                "respawned": runner.respawned,
             },
             "evicted_jobs": self.store.evicted,
             "recovered": dict(self.recovered),
-            "circuit": self.breaker.to_payload(),
         })
 
     def _ready(self):
@@ -571,11 +494,10 @@ class SweepService:
                              status=202)
 
     def _drain_and_stop(self, drain_s):
-        drained = self.runner.drain(timeout=drain_s)
-        if not drained:
-            # The drain deadline expired on a wedged or long job: fail
-            # everything still in flight as `deadline` quarantines so
-            # clients' streams terminate, then stop anyway.
+        if not self.runner.drain(timeout=drain_s):
+            # The drain deadline expired on a long job: fail everything
+            # still in flight as `deadline` quarantines so clients'
+            # streams terminate, then stop anyway.
             for job in self.store.all():
                 if job.state in ("queued", "running"):
                     if job.fail_quarantined(
@@ -583,7 +505,6 @@ class SweepService:
                             f"shutdown drain deadline ({drain_s:g}s) "
                             f"expired before this sweep finished"):
                         self._observe_job("failed", job)
-            self.runner.abandon_active()
             log.warning("drain deadline (%gs) expired; in-flight jobs "
                         "failed as deadline quarantines", drain_s)
         self.state = "stopped"

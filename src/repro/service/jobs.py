@@ -8,11 +8,12 @@ requests asking for the same physics get the same digest, the same
 job, and (results being seed-determined) byte-identical payloads;
 that digest doubles as the job id and the result's ``ETag``.
 
-Dispatch is a :class:`DispatcherPool`: N worker threads draining one
-bounded FIFO, under a watchdog that heartbeats every worker — a
-crashed or wedged dispatcher fails only its own job (with the
-supervisor's quarantine taxonomy) and is replaced, so a dispatcher
-bug degrades one sweep, never the daemon.
+Dispatch is a :class:`DispatcherPool`: N threads draining one bounded
+FIFO.  A job whose body raises fails alone (anything that would end
+the thread fails as a ``crash`` quarantine) and the thread takes the
+next job, so a dispatcher bug degrades one sweep, never the daemon.
+Crashed and hung simulations are the supervised executor's to kill,
+respawn and quarantine.
 """
 
 import logging
@@ -181,10 +182,10 @@ class SweepJob:
     readers wait on it with bounded timeouts, so a missed notify can
     delay a stream chunk but never deadlock a connection.
 
-    Terminal transitions are idempotent and first-writer-wins: the
-    watchdog can fail a job a wedged dispatcher still holds, and the
-    dispatcher's eventual ``finish``/``fail`` becomes a no-op instead
-    of resurrecting it.  Every mutator returns True only when it
+    Terminal transitions are idempotent and first-writer-wins: an
+    expired shutdown drain can fail a job a dispatcher still holds, and
+    the dispatcher's eventual ``finish``/``fail`` becomes a no-op
+    instead of resurrecting it.  Every mutator returns True only when it
     actually performed the transition.
     """
 
@@ -215,7 +216,7 @@ class SweepJob:
         with self._cond:
             return self.state in ("done", "failed")
 
-    # -- writer side (dispatcher workers + watchdog) -------------------
+    # -- writer side (dispatchers + the shutdown drain) ---------------
 
     def mark_running(self):
         with self._cond:
@@ -260,8 +261,8 @@ class SweepJob:
 
     def fail_quarantined(self, kind, detail):
         """Terminal failure attributed to the service itself (a crashed
-        or hung dispatcher, an expired drain), spelled in the exact
-        quarantine taxonomy so API consumers see one failure language.
+        dispatcher, an expired drain), spelled in the exact quarantine
+        taxonomy so API consumers see one failure language.
         """
         failure = RunFailure(index=-1, app="*", seed=0, kind=kind,
                              attempts=1, detail=detail)
@@ -413,19 +414,6 @@ class JobStore:
             return list(self._jobs.values())
 
 
-class _Dispatcher:
-    """One dispatcher worker: its thread, active job and heartbeat."""
-
-    __slots__ = ("name", "thread", "job", "heartbeat", "abandoned")
-
-    def __init__(self, name):
-        self.name = name
-        self.thread = None
-        self.job = None
-        self.heartbeat = time.monotonic()
-        self.abandoned = False
-
-
 class DispatcherPool:
     """N dispatcher threads draining one bounded FIFO of sweep jobs.
 
@@ -434,49 +422,36 @@ class DispatcherPool:
     :meth:`submit` raises :class:`QueueFull` at capacity so the API
     edge can answer 429 instead of queueing unboundedly.
 
-    A watchdog thread heartbeats every worker.  A dispatcher whose
-    thread died mid-job (it can happen: an executor bug, a chaos
-    injection) has its job failed as a ``crash`` quarantine and is
-    respawned; with ``hang_s`` set, a dispatcher whose heartbeat goes
-    stale mid-job is declared hung, its job failed as ``deadline``,
-    the wedged thread abandoned (a Python thread cannot be killed) and
-    a replacement spawned.  Either way the job's stream terminates and
-    the pool keeps serving.
+    A dispatcher thread never dies or wedges mid-job on its own
+    account: a job whose body raises fails alone and the thread takes
+    the next one.  Crash and hang detection belong to the
+    :class:`~repro.harness.supervisor.SupervisedExecutor` underneath,
+    which kills, respawns and quarantines its worker processes.
 
     ``observer(event, job)`` is called on ``started``/``finished``/
     ``failed`` transitions the pool performs — the daemon wires the
-    write-ahead ledger and the circuit breaker through it.  ``chaos``
-    is a test-only injection point invoked as ``chaos(job, worker)``
-    right before a job runs; it may raise (simulating a dispatcher
-    crash) or block (simulating a hang).
+    write-ahead ledger through it.
     """
 
-    #: Watchdog poll tick (seconds).
-    TICK_S = 0.05
-
-    def __init__(self, workers=1, max_queue=None, hang_s=None,
-                 observer=None):
+    def __init__(self, workers=1, max_queue=None, observer=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (None = unbounded)")
-        if hang_s is not None and hang_s <= 0:
-            raise ValueError("hang_s must be positive (None = disabled)")
+        self.workers = workers
         self.max_queue = max_queue
-        self.hang_s = hang_s
         self.observer = observer
-        self.chaos = None
-        self.crashed = 0        # dispatcher threads found dead mid-job
-        self.hung = 0           # dispatchers that missed their heartbeat
-        self.respawned = 0      # replacement workers brought up
         self._queue = deque()
+        self._busy = set()      # dispatcher threads holding a job
+        self._given_up = set()  # threads an expired drain left running
         self._cond = threading.Condition()
         self._closed = False
-        self._serial = 0
-        self._workers = [self._spawn() for _ in range(workers)]
-        self._watchdog = threading.Thread(
-            target=self._watch, daemon=True, name="sweep-watchdog")
-        self._watchdog.start()
+        self._threads = [
+            threading.Thread(target=self._loop, daemon=True,
+                             name=f"dispatch-{n}")
+            for n in range(workers)]
+        for thread in self._threads:
+            thread.start()
 
     # -- submission ----------------------------------------------------
 
@@ -506,132 +481,97 @@ class DispatcherPool:
             return (self.max_queue is not None
                     and len(self._queue) >= self.max_queue)
 
-    def active_jobs(self):
-        with self._cond:
-            return [w.job for w in self._workers
-                    if w.job is not None and not w.abandoned]
-
     # -- lifecycle -----------------------------------------------------
 
     def drain(self, timeout=None):
         """Block until every queued/running job is resolved.
 
-        Abandoned (wedged) workers do not count — their jobs are
-        already failed.  Returns False on timeout.
+        Returns False on timeout, giving up on the dispatchers that
+        still hold a job: :meth:`close` does not wait for them.
         """
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         with self._cond:
-            while self._queue or any(
-                    w.job is not None and not w.abandoned
-                    for w in self._workers):
+            while self._queue or self._busy:
                 remaining = 1.0
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
+                        self._given_up.update(self._busy)
                         return False
                 self._cond.wait(min(remaining, 1.0))
             return True
 
-    def abandon_active(self):
-        """Give up on every in-flight job (the drain-deadline path has
-        already failed them); wedged threads can no longer notify."""
-        with self._cond:
-            for worker in self._workers:
-                if worker.job is not None:
-                    worker.abandoned = True
-            self._cond.notify_all()
-
     def close(self):
+        """Drop the backlog and join every dispatcher but those an
+        expired drain gave up on."""
         with self._cond:
             self._closed = True
             self._queue.clear()
             self._cond.notify_all()
-        for worker in self._workers:
-            if worker.thread is not None and not worker.abandoned:
-                worker.thread.join(timeout=10)
-        self._watchdog.join(timeout=10)
+        for thread in self._threads:
+            if thread not in self._given_up:
+                thread.join(timeout=10)
 
-    # -- worker loop ---------------------------------------------------
+    # -- dispatcher loop -----------------------------------------------
 
-    def _spawn(self):
-        worker = _Dispatcher(f"dispatch-{self._serial}")
-        self._serial += 1
-        worker.thread = threading.Thread(
-            target=self._loop, args=(worker,), daemon=True,
-            name=worker.name)
-        worker.thread.start()
-        return worker
-
-    def _loop(self, worker):
+    def _loop(self):
+        me = threading.current_thread()
         while True:
             with self._cond:
-                while (not self._queue and not self._closed
-                        and not worker.abandoned):
-                    self._cond.wait(1.0)
-                if worker.abandoned or (self._closed and not self._queue):
+                while not self._queue and not self._closed:
+                    self._cond.wait()
+                if self._closed:
                     return
                 job = self._queue.popleft()
-                if job.terminal():
-                    # Failed while queued (drain deadline): skip.
-                    self._cond.notify_all()
-                    continue
-                worker.job = job
-                worker.heartbeat = time.monotonic()
-            hook = self.chaos
-            if hook is not None:
-                # Deliberately outside the try: an exception here kills
-                # this dispatcher thread, which is the point.
-                hook(job, worker)
+                self._busy.add(me)
             try:
-                if not worker.abandoned:
-                    self._run(job, worker)
-            except Exception as exc:    # pragma: no cover - backstop
+                self._run(job)
+            except Exception as exc:
                 if job.fail(exc):
+                    self._observe("failed", job)
+            except BaseException:
+                # Interrupts go to the main thread, so what lands here
+                # (SystemExit) would end only this thread: it ends only
+                # its job instead, in the quarantine taxonomy.
+                detail = f"dispatcher {me.name} crashed mid-job"
+                log.exception("%s (job %s)", detail, job.id)
+                if job.fail_quarantined("crash", detail):
                     self._observe("failed", job)
             finally:
                 with self._cond:
-                    worker.job = None
+                    self._busy.remove(me)
                     self._cond.notify_all()
-            if worker.abandoned:
-                return
 
-    def _run(self, job, worker):
+    def _run(self, job):
         """Execute one sweep, one ``executor.map`` per app span — which
         is what turns a monolithic sweep into streamable progress."""
         if not job.mark_running():
-            return
+            return              # failed while queued (expired drain)
         self._observe("started", job)
-        try:
-            runs = [None] * len(job.specs)
-            failures = []
-            for app, lo, hi in job.spans:
-                if worker.abandoned:
-                    return      # watchdog already failed this job
-                worker.heartbeat = time.monotonic()
-                span_runs = job.executor.map(job.specs[lo:hi])
-                runs[lo:hi] = span_runs
-                # Span-local failure indices rebase onto the grid so
-                # the API reports the same indices a one-shot
-                # ``run_suite`` of the full grid would.
-                failures.extend(
-                    replace(f, index=lo + f.index) for f in span_runs
-                    if isinstance(f, RunFailure))
-                job.add_event({
-                    "event": "app",
-                    "app": app.name,
-                    "completed": hi,
-                    "total": len(job.specs),
-                    "failures": len(failures),
-                })
-        except Exception as exc:
-            if job.fail(exc):
-                self._observe("failed", job)
-            return
-        done = job.finish(SuiteResult(
-            results=aggregate_results(job.spans, runs),
-            failures=failures))
-        if done:
+        runs = [None] * len(job.specs)
+        failures = []
+        for app, lo, hi in job.spans:
+            if job.terminal():
+                return          # an expired drain already failed it
+            span_runs = job.executor.map(job.specs[lo:hi])
+            runs[lo:hi] = span_runs
+            # Span-local failure indices rebase onto the grid so the
+            # API reports the same indices a one-shot ``run_suite`` of
+            # the full grid would.
+            failures.extend(
+                replace(f, index=lo + f.index) for f in span_runs
+                if isinstance(f, RunFailure))
+            job.add_event({
+                "event": "app",
+                "app": app.name,
+                "completed": hi,
+                "total": len(job.specs),
+                "failures": len(failures),
+            })
+        if job.finish(SuiteResult(
+                results=aggregate_results(job.spans, runs),
+                failures=failures)):
             self._observe("finished", job)
 
     def _observe(self, event, job):
@@ -643,48 +583,3 @@ class DispatcherPool:
         except Exception:       # pragma: no cover - observer backstop
             log.exception("job observer failed for %s on %s",
                           event, job.id)
-
-    # -- watchdog ------------------------------------------------------
-
-    def _watch(self):
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
-            now = time.monotonic()
-            for slot, worker in enumerate(list(self._workers)):
-                if worker.job is None or worker.abandoned:
-                    continue
-                if not worker.thread.is_alive():
-                    self._declare_dead(slot, worker, "crash")
-                elif (self.hang_s is not None
-                        and now - worker.heartbeat > self.hang_s):
-                    self._declare_dead(slot, worker, "deadline")
-            time.sleep(self.TICK_S)
-
-    def _declare_dead(self, slot, worker, kind):
-        """Fail a dead/hung dispatcher's job; bring up a replacement."""
-        job = worker.job
-        if kind == "crash":
-            self.crashed += 1
-            detail = (f"dispatcher worker {worker.name} crashed "
-                      f"mid-job; worker respawned")
-        else:
-            self.hung += 1
-            detail = (f"dispatcher worker {worker.name} missed its "
-                      f"heartbeat for {self.hang_s:g}s; job failed, "
-                      f"worker replaced")
-        log.error("%s (job %s)", detail, job.id)
-        with self._cond:
-            worker.abandoned = True
-            worker.job = None
-            self._workers[slot] = self._spawn()
-            self.respawned += 1
-            self._cond.notify_all()
-        if job.fail_quarantined(kind, detail):
-            self._observe("failed", job)
-
-
-#: Backwards-compatible name: PR 8's single-thread runner grew into
-#: the pool; a ``DispatcherPool(workers=1)`` is its exact successor.
-JobRunner = DispatcherPool

@@ -18,21 +18,17 @@ to rebuild the job byte-identically: the request re-validates into the
 same spec grid, finished grid points restore from the cache, and only
 work that never completed re-simulates.
 
-Crash discipline is shared with :class:`~repro.harness.supervisor.
-SweepJournal`: a SIGKILL can lose at most the line being written, so
-:func:`replay` tolerates exactly one torn final line
-(:func:`~repro.harness.supervisor.read_jsonl`), and
-:meth:`JobLedger.open` truncates that torn tail before appending
-(:func:`~repro.harness.supervisor.heal_torn_tail`) so the file never
-holds an interior corrupt record.
+The file is a :mod:`repro.harness.wal` log, the same kind as the
+supervisor's checkpoint journal, with one torn-tail rule: a line
+becomes a record only once its newline is on disk.  A SIGKILL can cut
+short at most the append in flight; :func:`replay` drops that torn
+final line and :meth:`JobLedger.open` cuts it off before appending, so
+the file never holds an interior corrupt record.
 """
 
-import json
-import os
-import threading
 from dataclasses import dataclass, field
 
-from repro.harness.supervisor import heal_torn_tail, read_jsonl
+from repro.harness.wal import JsonlLog, read_jsonl
 
 #: First line of every ledger file.
 LEDGER_FORMAT = "repro-job-ledger-v1"
@@ -62,27 +58,19 @@ class JobLedger:
     """Append-only fsynced JSONL ledger of job transitions.
 
     Thread-safe: dispatcher workers and the submission path append
-    concurrently.  Every record is flushed and fsynced before the call
-    returns, so an acknowledged transition is on disk before anything
-    acts on it.
+    concurrently through one :class:`~repro.harness.wal.JsonlLog`.
+    Every record is flushed and fsynced before the call returns, so an
+    acknowledged transition is on disk before anything acts on it.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._fh = None
-        self._lock = threading.Lock()
+        self._log = None
 
     def open(self):
-        """Open for appending, healing a torn tail from a prior crash.
-
-        A brand-new (or empty) ledger gets the header line; an existing
-        one is truncated back to its last complete line so a record
-        interrupted by SIGKILL never corrupts the next append.
-        """
-        tail = heal_torn_tail(self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if tail == 0:
-            self._write({"format": LEDGER_FORMAT})
+        """Open for appending, healing a torn tail from a prior crash;
+        a brand-new (or empty) ledger gets the header line."""
+        self._log = JsonlLog(self.path, {"format": LEDGER_FORMAT})
         return self
 
     def record_submitted(self, job_id, request_payload):
@@ -100,20 +88,13 @@ class JobLedger:
         self._write({"event": "failed", "id": job_id, "error": error})
 
     def _write(self, entry):
-        line = json.dumps(entry, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        with self._lock:
-            if self._fh is None:
-                raise RuntimeError("ledger is not open")
-            self._fh.write(line)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+        if self._log is None:
+            raise RuntimeError("ledger is not open")
+        self._log.append(entry)
 
     def close(self):
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        if self._log is not None:
+            self._log.close()
 
 
 def replay(path):
@@ -121,9 +102,9 @@ def replay(path):
 
     Never raises for damage a crash can cause: a missing file replays
     empty, a torn final line (no trailing newline — the kill caught an
-    append mid-write) is ignored, and records referencing an id with no
-    surviving ``submitted`` line (its request is what we need to
-    rebuild the job) are dropped.  A file that is not a ledger at all
+    append mid-write) is dropped even when it parses, and records
+    referencing an id with no surviving ``submitted`` line (its request
+    is what we need to rebuild the job) are dropped.  A file that is not a ledger at all
     raises ``ValueError`` — replaying the wrong file must be loud.
     """
     try:

@@ -248,36 +248,30 @@ class TestServiceChaos:
 
 class TestDispatcherChaos:
     """Faults in the *dispatcher* layer, one level above the executor:
-    a crashed or hung dispatcher thread must fail only its own job with
-    the standard quarantine taxonomy (streams terminate, never hang)
-    while the watchdog respawns the worker so later jobs complete."""
+    whatever would end a dispatcher thread fails only its own job with
+    the standard quarantine taxonomy (streams terminate, never hang),
+    and the same thread goes on to serve later jobs.  There is no
+    watchdog: a dispatcher never dies or wedges on its own account."""
 
     SWEEP = {"apps": ["chrome"], "duration_s": 0.4, "iterations": 1}
 
-    @staticmethod
-    def _dispatch(service, method, path, body=None):
-        from repro.service.http import HttpRequest
+    def test_crashed_dispatcher_fails_only_its_job_and_serves_on(
+            self, tmp_path, monkeypatch):
+        import threading
 
-        payload = json.dumps(body).encode() if body is not None else b""
-        return service.dispatch(HttpRequest(
-            method=method, target=path, path=path, query={}, headers={},
-            body=payload))
-
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
-    def test_crashed_dispatcher_fails_only_its_job_and_respawns(
-            self, tmp_path):
         from repro.service import SweepService
 
+        served_by = []
+        run_span = SupervisedExecutor.map
+
+        def crash_once(executor, specs):
+            served_by.append(threading.current_thread())
+            if len(served_by) == 1:
+                raise SystemExit    # would end the dispatcher thread
+            return run_span(executor, specs)
+
+        monkeypatch.setattr(SupervisedExecutor, "map", crash_once)
         service = SweepService(cache=tmp_path / "cache", job_workers=1)
-        crashed = []
-
-        def chaos(job, worker):
-            if not crashed:
-                crashed.append(job.id)
-                raise SystemExit    # kills the dispatcher thread quietly
-
-        service.runner.chaos = chaos
         server, thread = TestServiceChaos._serve(service)
         try:
             status, body = TestServiceChaos._http(
@@ -286,7 +280,7 @@ class TestDispatcherChaos:
             job_id = json.loads(body)["id"]
 
             # The stream terminates with a failed event — it must not
-            # hang on the dead dispatcher.
+            # hang on the crashed dispatcher.
             import http.client
 
             conn = http.client.HTTPConnection(
@@ -308,8 +302,8 @@ class TestDispatcherChaos:
             assert all(k in FAILURE_KINDS for k in kinds)
             assert "dispatcher" in payload["failures"][0]["detail"]
 
-            # Only its own job died; the respawned worker completes a
-            # subsequent sweep normally.
+            # Only its own job died; the same dispatcher thread
+            # completes a subsequent sweep normally.
             status, body = TestServiceChaos._http(
                 server.port, "POST", "/sweeps",
                 dict(self.SWEEP, duration_s=0.45))
@@ -317,52 +311,27 @@ class TestDispatcherChaos:
             job = service.store.find(next_id)
             assert job.wait_done(60) and job.state == "done"
             assert job.failures == []
-
-            status, body = TestServiceChaos._http(
-                server.port, "GET", "/healthz")
-            health = json.loads(body)
-            assert health["dispatchers"]["crashed"] == 1
-            assert health["dispatchers"]["respawned"] == 1
+            assert len(served_by) == 2
+            assert served_by[1] is served_by[0]
+            assert served_by[0].is_alive()
         finally:
             server.request_stop()
             thread.join(timeout=30)
             service.close()
 
-    def test_hung_dispatcher_flagged_deadline_and_replaced(self):
+    def test_job_workers_threads_and_no_watchdog(self):
         import threading
 
         from repro.service import SweepService
 
-        service = SweepService(job_workers=1, hang_s=0.3)
-        release = threading.Event()
-        hung = []
-
-        def chaos(job, worker):
-            if not hung:
-                hung.append(job.id)
-                release.wait(60)    # wedge the first dispatcher
-
-        service.runner.chaos = chaos
+        before = set(threading.enumerate())
+        service = SweepService(job_workers=3)
         try:
-            response = self._dispatch(service, "POST", "/sweeps",
-                                      self.SWEEP)
-            assert response.status == 202
-            job_id = json.loads(response.body)["id"]
-            job = service.store.find(job_id)
-            assert job.wait_done(30)
-            assert job.state == "failed"
-            assert [f.kind for f in job.failures] == ["deadline"]
-            assert "heartbeat" in job.failures[0].detail
-
-            response = self._dispatch(service, "POST", "/sweeps",
-                                      dict(self.SWEEP, duration_s=0.45))
-            job = service.store.find(json.loads(response.body)["id"])
-            assert job.wait_done(60) and job.state == "done"
-
-            response = self._dispatch(service, "GET", "/healthz")
-            health = json.loads(response.body)
-            assert health["dispatchers"]["hung"] == 1
-            assert health["dispatchers"]["respawned"] == 1
+            started = set(threading.enumerate()) - before
+            names = sorted(t.name for t in started)
+            assert names == ["dispatch-0", "dispatch-1", "dispatch-2"]
+            assert "sweep-watchdog" not in {
+                t.name for t in threading.enumerate()}
         finally:
-            release.set()
             service.close()
+        assert not any(t.is_alive() for t in started)

@@ -175,13 +175,21 @@ class TestLedgerUnit:
             raise AssertionError("replay accepted interior corruption")
 
     def test_open_heals_torn_tail(self, tmp_path):
-        path = tmp_path / "jobs.jsonl"
-        ledger = JobLedger(path).open()
-        ledger.record_submitted("a" * 64, {})
-        ledger.close()
-        blob = path.read_bytes()
-        path.write_bytes(blob + b'{"event": "submi')     # torn append
-        healed = JobLedger(path).open()
-        healed.record_submitted("b" * 64, {})
-        healed.close()
-        assert [job.id for job in replay(path)] == ["a" * 64, "b" * 64]
+        # A torn append, and one that lost only its newline: replay
+        # drops either line, and open cuts off exactly that line.
+        for torn in (b'{"event": "submi',
+                     b'{"event":"submitted","id":"' + b"c" * 64
+                     + b'","request":{}}'):
+            path = tmp_path / "jobs.jsonl"
+            path.unlink(missing_ok=True)
+            ledger = JobLedger(path).open()
+            ledger.record_submitted("a" * 64, {})
+            ledger.close()
+            blob = path.read_bytes()
+            path.write_bytes(blob + torn)
+            assert [job.id for job in replay(path)] == ["a" * 64]
+            healed = JobLedger(path).open()
+            assert path.read_bytes() == blob
+            healed.record_submitted("b" * 64, {})
+            healed.close()
+            assert [job.id for job in replay(path)] == ["a" * 64, "b" * 64]

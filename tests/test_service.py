@@ -6,9 +6,9 @@ validation, content-addressed dedup and conditional reuse, the
 CLI-byte-identity acceptance check, mutation conflicts, graceful
 drain, and the per-submission executor re-resolution regression.
 
-PR 10 additions: admission control (bounded queue -> 429 +
-``Retry-After``, ``/readyz``), TTL job eviction, the bounded shutdown
-drain, the crash circuit breaker, and write-ahead ledger recovery.
+Admission control (bounded queue -> 429 + ``Retry-After``,
+``/readyz``), TTL job eviction, the bounded shutdown drain, and
+write-ahead ledger recovery, a record that lost its newline included.
 
 The daemon's worker pool: one set of simulation workers serves every
 sweep, survives deadline kills and crashed runs, and a ledger replay
@@ -37,6 +37,7 @@ from repro.service.http import (
     read_request,
     render_head,
 )
+from repro.service.ledger import replay
 from repro.sim import SECOND
 from repro.validate.golden import default_golden_path
 
@@ -506,23 +507,28 @@ class TestExecutorReResolution:
 
 
 class _Gate:
-    """Chaos hook that parks every dispatched job until released."""
+    """Parks every dispatched job at its first app span until released,
+    by standing in for ``SupervisedExecutor.map``."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.release = threading.Event()
         self.blocked = threading.Event()
+        run_span = supervisor.SupervisedExecutor.map
 
-    def __call__(self, job, worker):
-        self.blocked.set()
-        self.release.wait(60)
+        def parked(executor, specs):
+            self.blocked.set()
+            self.release.wait(60)
+            return run_span(executor, specs)
+
+        monkeypatch.setattr(supervisor.SupervisedExecutor, "map", parked)
 
 
 class TestAdmissionControl:
-    def test_queue_cap_answers_429_with_retry_after(self, tmp_path):
+    def test_queue_cap_answers_429_with_retry_after(self, tmp_path,
+                                                    monkeypatch):
         service = SweepService(cache=tmp_path / "cache", job_workers=1,
                                max_queue=1)
-        gate = _Gate()
-        service.runner.chaos = gate
+        gate = _Gate(monkeypatch)
         try:
             response = service.dispatch(make_request(
                 "POST", "/sweeps", dict(SWEEP, duration_s=0.31)))
@@ -619,10 +625,10 @@ class TestJobEviction:
 
 
 class TestDrainDeadline:
-    def test_expired_drain_fails_inflight_as_deadline(self, tmp_path):
+    def test_expired_drain_fails_inflight_as_deadline(self, tmp_path,
+                                                      monkeypatch):
         service = SweepService(cache=tmp_path / "cache", job_workers=1)
-        gate = _Gate()
-        service.runner.chaos = gate
+        gate = _Gate(monkeypatch)
         try:
             response = service.dispatch(make_request(
                 "POST", "/sweeps", dict(SWEEP, duration_s=0.35)))
@@ -658,86 +664,6 @@ class TestDrainDeadline:
                 "POST", "/shutdown", {"drain_s": -1}))
             assert response.status == 400
             assert service.state == "running"
-        finally:
-            service.close()
-
-
-class TestCircuitBreaker:
-    def test_breaker_unit_lifecycle(self):
-        from repro.service import CircuitBreaker
-
-        breaker = CircuitBreaker(threshold=2, cooldown_s=60.0)
-        assert breaker.state() == "closed" and not breaker.degraded()
-        breaker.record_crash()
-        assert breaker.state() == "closed"
-        breaker.record_crash()
-        assert breaker.state() == "open" and breaker.degraded()
-        breaker.record_ok()
-        assert breaker.state() == "closed" and not breaker.degraded()
-
-        fast = CircuitBreaker(threshold=1, cooldown_s=0.05)
-        fast.record_crash()
-        assert fast.degraded()
-        time.sleep(0.1)
-        assert fast.state() == "half-open" and not fast.degraded()
-        fast.record_crash()     # half-open probe failed: re-open
-        assert fast.degraded()
-
-    def test_repeated_crash_quarantines_degrade_to_serial(self, tmp_path):
-        service = SweepService(jobs=2, cache=tmp_path / "cache",
-                               breaker_threshold=1,
-                               breaker_cooldown_s=60.0)
-        try:
-            crashing = {"apps": ["chrome"], "duration_s": 0.5,
-                        "iterations": 1, "fault": "worker-crash"}
-            response = service.dispatch(
-                make_request("POST", "/sweeps", crashing))
-            payload = json.loads(response.body)
-            assert payload["backend"].startswith("pool")
-            job = wait_job(service, payload["id"])
-            assert [f.kind for f in job.failures] == ["crash"]
-
-            deadline = time.monotonic() + 10
-            while service.breaker.state() != "open" \
-                    and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert service.breaker.state() == "open"
-
-            response = service.dispatch(
-                make_request("POST", "/sweeps", SWEEP))
-            assert json.loads(response.body)["backend"] == "serial"
-            response = service.dispatch(make_request("GET", "/healthz"))
-            assert json.loads(response.body)["circuit"]["state"] == "open"
-
-            # A healthy outcome closes the breaker; the pool returns.
-            service.breaker.record_ok()
-            response = service.dispatch(make_request(
-                "POST", "/sweeps", dict(SWEEP, duration_s=0.45)))
-            assert json.loads(
-                response.body)["backend"].startswith("pool")
-        finally:
-            service.close()
-
-    def test_open_breaker_under_a_deadline_keeps_one_worker(self):
-        # An in-process run cannot be killed, so with a deadline the
-        # degraded backend is one worker from the daemon's pool.
-        service = SweepService(jobs=2, deadline_s=60.0,
-                               breaker_threshold=1)
-        try:
-            response = service.dispatch(
-                make_request("POST", "/sweeps", SWEEP))
-            assert json.loads(response.body)["backend"] == "pool-2"
-            # Drained, the first job's clean finish is already recorded
-            # and cannot close the breaker opened next.
-            assert service.runner.drain(timeout=120)
-            service.breaker.record_crash()
-            assert service.breaker.state() == "open"
-            response = service.dispatch(make_request(
-                "POST", "/sweeps", dict(SWEEP, duration_s=0.45)))
-            payload = json.loads(response.body)
-            assert payload["backend"] == "pool-1"
-            job = wait_job(service, payload["id"])
-            assert job.state == "done" and job.failures == []
         finally:
             service.close()
 
@@ -853,6 +779,38 @@ class TestLedgerRecovery:
             finally:
                 restarted.close()
             assert ledger.read_bytes() == recorded
+
+    def test_finished_record_that_lost_its_newline_reruns_once(
+            self, tmp_path):
+        # A kill between a record's last byte and its newline leaves a
+        # line that parses but was never acknowledged: the job replays
+        # as interrupted, completes from the cache, and the ledger then
+        # holds its `finished` record for good.
+        ledger = tmp_path / "ledger.jsonl"
+        first = SweepService(ledger=ledger, cache=tmp_path / "cache")
+        try:
+            assert submit_and_wait(first, SWEEP).state == "done"
+        finally:
+            first.close()
+        ledger.write_bytes(ledger.read_bytes()[:-1])
+        restarted = SweepService(ledger=ledger, cache=tmp_path / "cache")
+        try:
+            [job] = restarted.store.all()
+            assert job.recovered == "interrupted"
+            assert job.wait_done(120) and job.state == "done"
+            assert job.executed == 0
+        finally:
+            restarted.close()
+        assert [entry.state for entry in replay(ledger)] == ["finished"]
+        recorded = ledger.read_bytes()
+        again = SweepService(ledger=ledger, cache=tmp_path / "cache")
+        try:
+            [job] = again.store.all()
+            assert job.recovered == "finished"
+            assert job.wait_done(120) and job.state == "done"
+        finally:
+            again.close()
+        assert ledger.read_bytes() == recorded
 
     def test_interrupted_job_appends_started_and_finished(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.harness.cache import ResultCache
 from repro.harness.executor import (
     ParallelExecutor,
@@ -217,13 +218,34 @@ class TestJournal:
         assert entry["failure"]["kind"] == "crash"
 
     def test_torn_final_line_tolerated(self, tmp_path):
+        # Killed mid-write, or between a record's last byte and its
+        # newline: either way the line was never acknowledged.
+        for torn in ('{"index": 9, "stat',
+                     '{"index": 9, "key": null, "status": "ok"}'):
+            path = tmp_path / "sweep.jsonl"
+            SupervisedExecutor(journal=path).map([spec(seed=0)])
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(torn)
+            header, entries = SweepJournal.load(path)
+            assert header["total"] == 1
+            assert sorted(entries) == [0]
+
+    def test_header_that_lost_its_newline_is_refused(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        SupervisedExecutor(journal=path).map([spec(seed=0)])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"index": 9, "stat')  # killed mid-write
-        header, entries = SweepJournal.load(path)
-        assert header["total"] == 1
-        assert 9 not in entries
+        specs = [spec(seed=0)]
+        SupervisedExecutor(journal=path).map(specs)
+        header = path.read_bytes().split(b"\n")[0]
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="is empty"):
+            SweepJournal.load(path)
+        with pytest.raises(ValueError, match="is empty"):
+            SupervisedExecutor(resume=path).map(specs)
+        with pytest.raises(ValueError, match="is empty"):
+            main(["suite", "--apps", "chrome", "--duration", "0.5",
+                  "--iterations", "1", "--resume", str(path)],
+                 out=lambda line: None)
+        # Refused, never rewritten without its header.
+        assert path.read_bytes() == header
 
     def test_corrupt_final_line_with_newline_rejected(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
