@@ -1,9 +1,14 @@
 """The sweep service: routing, dedup, durability, lifecycle.
 
 :class:`SweepService` is the whole daemon minus the sockets — a
-synchronous ``dispatch(HttpRequest) -> HttpResponse`` the asyncio
-server calls from worker threads, and that tests can call directly
-without binding a port.
+synchronous ``dispatch(HttpRequest) -> HttpResponse`` that tests can
+call directly without binding a port.  The asyncio server calls it on
+its event loop for ``GET``/``HEAD``, which answer from memory under
+short-held locks and never take the admission lock, and on a thread
+for every other method (a ``POST`` may fsync the ledger, build a spec
+grid or recompute goldens).  One read touches the disk: the first
+``GET`` of a committed table parses the file once, and its body is
+cached until a goldens update.
 
 Endpoints::
 
@@ -100,6 +105,31 @@ ENDPOINTS = {
     "POST /goldens": "re-record golden fingerprints",
     "POST /shutdown": "drain in-flight jobs (bounded), then stop",
 }
+
+
+class EventFeed:
+    """A job's progress events as the ``stream`` of an
+    :class:`~repro.service.http.HttpResponse`.
+
+    :meth:`pull` returns every event not pulled before, one compact
+    ``sort_keys`` NDJSON line each (the canonical encoder is indented;
+    streams want line-framing), joined into one chunk.
+    """
+
+    def __init__(self, job):
+        self._job = job
+        self._seen = 0
+
+    def watch(self, wake):
+        return self._job.watch(wake)
+
+    def pull(self):
+        events, exhausted = self._job.events_since(self._seen)
+        self._seen += len(events)
+        return b"".join(
+            (json.dumps(event, sort_keys=True, separators=(",", ":"))
+             + "\n").encode("utf-8")
+            for event in events), exhausted
 
 
 class SweepService:
@@ -418,25 +448,11 @@ class SweepService:
         return HttpResponse(status=200, body=job.result_bytes,
                             headers=headers)
 
-    def _stream_response(self, job):
-        return HttpResponse(
-            status=200, stream=self._stream(job),
-            headers={"Content-Type": "application/x-ndjson"})
-
     @staticmethod
-    def _stream(job):
-        seen = 0
-        while True:
-            events, exhausted = job.wait_events(seen, timeout=1.0)
-            for event in events:
-                # One compact NDJSON line per event (the canonical
-                # encoder is indented; streams want line-framing).
-                yield (json.dumps(event, sort_keys=True,
-                                  separators=(",", ":")) + "\n"
-                       ).encode("utf-8")
-            seen += len(events)
-            if exhausted:
-                return
+    def _stream_response(job):
+        return HttpResponse(
+            status=200, stream=EventFeed(job),
+            headers={"Content-Type": "application/x-ndjson"})
 
     def _table(self, request, body_fn, app):
         entry = body_fn(app)

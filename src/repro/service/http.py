@@ -1,12 +1,14 @@
 """Minimal HTTP/1.1 framing over asyncio streams.
 
 The daemon deliberately speaks *just enough* HTTP/1.1 with the stdlib
-only — request-line + headers + ``Content-Length`` bodies in,
-fixed-length or chunked responses out, keep-alive connections — so the
-service layer stays importable anywhere the simulator is (the same
-no-heavy-deps rule as the rest of the repo).  Everything here is plain
-data and pure functions; the asyncio plumbing that drives it lives in
-:mod:`repro.service.server`, and the handlers it feeds are synchronous
+only — request-line + headers + ``Content-Length`` bodies in (a request
+that declares ``Transfer-Encoding`` is refused, since its body could
+not be framed), fixed-length or chunked responses out, keep-alive
+connections — so the service layer stays importable anywhere the
+simulator is (the same no-heavy-deps rule as the rest of the repo).
+Everything here is plain data and pure functions; the asyncio plumbing
+that drives it lives in :mod:`repro.service.server`, and the handlers
+it feeds are synchronous
 (:meth:`repro.service.daemon.SweepService.dispatch`), which keeps the
 whole routing surface unit-testable without a socket.
 """
@@ -73,9 +75,16 @@ class HttpRequest:
 class HttpResponse:
     """One response: a fixed body, or a ``stream`` of chunks.
 
-    ``stream`` is an iterator of ``bytes`` — when set, the server ships
-    it with chunked transfer encoding as chunks become available (the
-    progress-streaming read path), and ``body`` is ignored.
+    ``stream``, when set, is shipped with chunked transfer encoding
+    (the progress-streaming read path) and ``body`` is ignored.  The
+    server drives it from its event loop, so neither method may block:
+
+    * ``pull() -> (bytes, exhausted)`` returns everything not pulled
+      before as one chunk (``b""`` when nothing is new); once
+      ``exhausted`` is True the stream has ended.
+    * ``watch(wake) -> unwatch`` arranges for ``wake()`` to be called,
+      from any thread, whenever a pull may return more; ``unwatch()``
+      stops it.
     """
 
     status: int
@@ -140,6 +149,11 @@ async def read_request(reader):
     except asyncio.LimitOverrunError:
         raise BadRequest(f"request head over {MAX_HEAD_BYTES} bytes")
     method, target, headers = parse_head(head[:-4])
+    if "transfer-encoding" in headers:
+        # Only Content-Length frames a body here; reading past an
+        # unframed one would parse its bytes as the next request.
+        raise BadRequest("Transfer-Encoding request bodies are not "
+                         "supported; send Content-Length")
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:

@@ -178,9 +178,10 @@ class SweepJob:
     States: ``queued -> running -> done | failed`` (``failed`` means
     the *service* hit an internal error; quarantined runs still finish
     ``done`` with their :class:`RunFailure` records listed).  Progress
-    is an append-only event list guarded by one condition variable;
-    readers wait on it with bounded timeouts, so a missed notify can
-    delay a stream chunk but never deadlock a connection.
+    is an append-only event list guarded by one condition variable.
+    Readers never wait on it: :meth:`events_since` returns what is
+    there, and a reader that wants more registers a :meth:`watch`
+    callback, which every append and terminal transition calls.
 
     Terminal transitions are idempotent and first-writer-wins: an
     expired shutdown drain can fail a job a dispatcher still holds, and
@@ -207,6 +208,7 @@ class SweepJob:
         self.recovered = None   # "finished" | "interrupted" when replayed
         self.finished_at = None
         self._events = []
+        self._watchers = []
         self._cond = threading.Condition()
 
     def etag(self):
@@ -223,13 +225,18 @@ class SweepJob:
             if self.state != "queued":
                 return False
             self.state = "running"
-            self._cond.notify_all()
             return True
 
     def add_event(self, event):
         with self._cond:
             self._events.append(event)
-            self._cond.notify_all()
+            self._wake_locked()
+
+    def _wake_locked(self):
+        """After an append: wake :meth:`wait_done` and every watcher."""
+        self._cond.notify_all()
+        for wake in self._watchers:
+            wake()
 
     def finish(self, suite_result):
         """Seal a completed sweep: payload bytes, counters, done event."""
@@ -253,7 +260,7 @@ class SweepJob:
             })
             self.state = "done"
             self.finished_at = time.monotonic()
-            self._cond.notify_all()
+            self._wake_locked()
             return True
 
     def fail(self, exc):
@@ -281,25 +288,38 @@ class SweepJob:
             })
             self.state = "failed"
             self.finished_at = time.monotonic()
-            self._cond.notify_all()
+            self._wake_locked()
             return True
 
     # -- reader side ---------------------------------------------------
 
-    def wait_events(self, seen, timeout=1.0):
-        """``(events after seen, exhausted)``; blocks at most ``timeout``.
+    def events_since(self, seen):
+        """``(events after the first seen, exhausted)``; never blocks.
 
-        ``exhausted`` is True once the job is terminal *and* the caller
-        has now seen every event — the stream's termination condition.
+        ``exhausted`` is True once the job is terminal: its last event
+        is then among those returned (or was seen before), which is a
+        stream's termination condition.
         """
         with self._cond:
-            if len(self._events) <= seen and self.state not in ("done",
-                                                                "failed"):
-                self._cond.wait(timeout)
-            new = list(self._events[seen:])
-            exhausted = (self.state in ("done", "failed")
-                         and seen + len(new) == len(self._events))
-            return new, exhausted
+            return (self._events[seen:],
+                    self.state in ("done", "failed"))
+
+    def watch(self, wake):
+        """Call ``wake()`` after every event appended from now on;
+        returns the callable that stops it (idempotent).
+
+        ``wake`` runs on the appending thread with the job's lock held,
+        so it must return at once and never raise: an exception from
+        it would fail the job.
+        """
+        with self._cond:
+            self._watchers.append(wake)
+
+        def unwatch():
+            with self._cond:
+                if wake in self._watchers:
+                    self._watchers.remove(wake)
+        return unwatch
 
     def wait_done(self, timeout=60.0):
         """Block until terminal (tests and the drain path); True if so."""

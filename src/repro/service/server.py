@@ -1,13 +1,19 @@
 """Asyncio front end of the sweep service.
 
-One event loop accepts connections and frames requests
-(:mod:`repro.service.http`); each parsed request is handed to the
-synchronous :meth:`~repro.service.daemon.SweepService.dispatch` on a
-thread-pool worker, so a long-running handler (a goldens recompute, a
-blocking stream read) never stalls the accept loop.  Streaming
-responses ship as chunked transfer encoding, one chunk per NDJSON
-event, pulled from the handler's generator the same way — blocking
-generator steps run on the pool, the loop only writes.
+One event loop accepts connections, frames requests
+(:mod:`repro.service.http`) and writes every response.  A ``GET`` or
+``HEAD`` is answered by the synchronous
+:meth:`~repro.service.daemon.SweepService.dispatch` right on the loop:
+reads come from memory, so a hop to a thread would cost two context
+switches and overlap no work.  Every other method is dispatched on the
+loop's default executor, because a ``POST`` may fsync the ledger,
+build a spec grid or recompute goldens.
+
+Streaming responses ship as chunked transfer encoding.  The loop pulls
+the response's feed, which never blocks, and sleeps on an
+:class:`asyncio.Event` that the feed's watcher sets from whichever
+thread appends an event, so a follower holds no thread while it
+waits.  A ``HEAD`` response carries the head only.
 """
 
 import asyncio
@@ -17,7 +23,8 @@ from repro.service import http
 
 
 class ServiceServer:
-    """Serve one :class:`~repro.service.daemon.SweepService` over TCP.
+    """Serve one :class:`~repro.service.daemon.SweepService` over TCP:
+    reads on the event loop, everything else on a thread.
 
     :meth:`run` blocks the calling thread until the service drains and
     stops (``POST /shutdown``) or :meth:`request_stop` is called from
@@ -90,15 +97,19 @@ class ServiceServer:
                     request = await http.read_request(reader)
                 except http.BadRequest as exc:
                     await self._send(writer, http.error_response(
-                        400, str(exc)), keep_alive=False)
+                        400, str(exc)), None, keep_alive=False)
                     break
                 if request is None:
                     break
-                response = await self._loop.run_in_executor(
-                    None, self.service.dispatch, request)
+                if request.method in ("GET", "HEAD"):
+                    response = self.service.dispatch(request)
+                else:
+                    response = await self._loop.run_in_executor(
+                        None, self.service.dispatch, request)
                 keep_alive = request.headers.get(
                     "connection", "keep-alive").lower() != "close"
-                await self._send(writer, response, keep_alive=keep_alive)
+                await self._send(writer, response, request.method,
+                                 keep_alive=keep_alive)
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError,
@@ -116,26 +127,54 @@ class ServiceServer:
                 # is gone either way.
                 pass
 
-    async def _send(self, writer, response, keep_alive):
-        if response.stream is None:
-            writer.write(http.render_head(response,
-                                          keep_alive=keep_alive))
-            writer.write(response.body)
-            await writer.drain()
-            return
-        writer.write(http.render_head(response, chunked=True,
-                                      keep_alive=keep_alive))
+    async def _send(self, writer, response, method, keep_alive):
+        """Write ``response`` in as few sends as it allows: on one CPU
+        each send can wake the client, so a head never leaves apart
+        from the content that is ready with it."""
+        stream = response.stream
+        head = http.render_head(response, chunked=stream is not None,
+                                keep_alive=keep_alive)
+        if method == "HEAD":        # RFC 9110 §9.3.2: HEAD has no content
+            writer.write(head)
+        elif stream is None:
+            writer.write(head + response.body)
+        else:
+            await self._follow(writer, head, stream)
         await writer.drain()
-        iterator = iter(response.stream)
-        while True:
-            chunk = await self._loop.run_in_executor(
-                None, next, iterator, None)
-            if chunk is None:
-                break
-            writer.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+
+    async def _follow(self, writer, head, stream):
+        """Ship ``stream`` as chunks until it is exhausted, sleeping on
+        the loop (not on a thread) while it has nothing new."""
+        woken = asyncio.Event()
+        loop = self._loop
+
+        def wake():
+            # Runs on the appending thread under the job's lock: only
+            # schedule the flag, and never raise into the job.
+            try:
+                loop.call_soon_threadsafe(woken.set)
+            except RuntimeError:    # loop already closed
+                pass
+
+        out = head
+        unwatch = stream.watch(wake)
+        try:
+            while True:
+                woken.clear()
+                chunk, exhausted = stream.pull()
+                if chunk:
+                    out += b"%x\r\n%s\r\n" % (len(chunk), chunk)
+                if exhausted:
+                    writer.write(out + b"0\r\n\r\n")
+                    return
+                if out:
+                    writer.write(out)
+                    out = b""
+                    await writer.drain()
+                if not chunk:
+                    await woken.wait()
+        finally:
+            unwatch()
 
 
 def serve(service, host="127.0.0.1", port=0, on_ready=None):

@@ -13,12 +13,19 @@ write-ahead ledger recovery, a record that lost its newline included.
 The daemon's worker pool: one set of simulation workers serves every
 sweep, survives deadline kills and crashed runs, and a ledger replay
 appends only what the ledger does not already hold.
+
+The event loop: reads are dispatched on it and POSTs on a thread,
+stream followers hold no thread (so they cannot starve the daemon) and
+leave no watcher behind, HEAD responses carry no content, and a
+chunked request body is refused instead of desyncing the connection.
 """
 
 import asyncio
 import contextlib
 import http.client
 import json
+import os
+import socket
 import threading
 import time
 
@@ -29,6 +36,7 @@ from repro.harness import run_suite, supervisor
 from repro.harness.cache import spec_key
 from repro.reporting.payloads import canonical_json_bytes, suite_payload
 from repro.service import ServiceServer, SweepRequest, SweepService
+from repro.service.daemon import EventFeed
 from repro.service.http import (
     BadRequest,
     HttpRequest,
@@ -37,6 +45,7 @@ from repro.service.http import (
     read_request,
     render_head,
 )
+from repro.service.jobs import SweepJob
 from repro.service.ledger import replay
 from repro.sim import SECOND
 from repro.validate.golden import default_golden_path
@@ -56,10 +65,10 @@ def make_request(method, path, body=None, headers=None):
                        headers=headers or {}, body=payload)
 
 
-def http_call(port, method, path, body=None, headers=None):
+def http_call(port, method, path, body=None, headers=None, timeout=120):
     """One request over a real TCP connection; returns
     ``(status, headers, body)``."""
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
         payload = (json.dumps(body).encode("utf-8")
                    if body is not None else None)
@@ -193,6 +202,12 @@ class TestHttpFraming:
         request.body = b"[1, 2]"
         with pytest.raises(BadRequest):
             request.json()
+
+    def test_transfer_encoding_rejected(self):
+        with pytest.raises(BadRequest, match="Transfer-Encoding"):
+            _read(b"POST /sweeps HTTP/1.1\r\n"
+                  b"Transfer-Encoding: chunked\r\n\r\n"
+                  b"2\r\n{}\r\n0\r\n\r\n")
 
 
 # -- request validation --------------------------------------------------
@@ -650,7 +665,7 @@ class TestDrainDeadline:
             assert job.state == "failed"
             assert [f.kind for f in job.failures] == ["deadline"]
             # The stream terminates instead of hanging on the wedge.
-            events, exhausted = job.wait_events(0, timeout=1.0)
+            events, exhausted = job.events_since(0)
             assert events[-1]["event"] == "failed"
             assert exhausted
         finally:
@@ -666,6 +681,222 @@ class TestDrainDeadline:
             assert service.state == "running"
         finally:
             service.close()
+
+
+def _on_a_loop():
+    """True when called on a thread that runs an asyncio event loop."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+def _raw(port):
+    return socket.create_connection(("127.0.0.1", port), timeout=10)
+
+
+def _read_head(stream):
+    """One response's status line and header lines, through the blank
+    line that ends them."""
+    lines = []
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            return lines
+        lines.append(line.rstrip(b"\r\n"))
+
+
+def _read_to_eof(sock):
+    received = []
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            break
+        if not chunk:
+            break
+        received.append(chunk)
+    return b"".join(received)
+
+
+#: A one-run sweep the tests below park behind a :class:`_Gate`.
+TINY = {"apps": ["excel"], "duration_s": 0.1, "iterations": 1}
+
+
+class TestEventLoop:
+    def test_reads_run_on_the_loop_and_posts_on_a_thread(
+            self, tmp_path, monkeypatch):
+        seen = []
+        dispatch = SweepService.dispatch
+
+        def recorded(service, request):
+            seen.append((request.method, request.path, _on_a_loop()))
+            return dispatch(service, request)
+
+        monkeypatch.setattr(SweepService, "dispatch", recorded)
+        with running_server(SweepService(cache=tmp_path / "cache")) as srv:
+            port = srv.port
+            status, _, body = http_call(port, "POST", "/sweeps", TINY)
+            assert status == 202
+            job_id = json.loads(body)["id"]
+            for path in (f"/sweeps/{job_id}/stream",
+                         f"/sweeps/{job_id}/result", f"/sweeps/{job_id}",
+                         "/sweeps", "/healthz", "/frontiers"):
+                assert http_call(port, "GET", path)[0] == 200
+            assert http_call(port, "HEAD", "/readyz")[0] == 200
+            assert http_call(port, "POST", "/goldens", {})[0] == 400
+        assert {method for method, _, _ in seen} == {"GET", "HEAD", "POST"}
+        assert [(method, path) for method, path, on_loop in seen
+                if on_loop != (method in ("GET", "HEAD"))] == []
+
+    def test_stream_followers_cannot_wedge_the_daemon(self, tmp_path,
+                                                      monkeypatch):
+        gate = _Gate(monkeypatch)
+        conns, followers = [], []
+        service = SweepService(cache=tmp_path / "cache", job_workers=1)
+        with running_server(service) as srv:
+            try:
+                status, _, body = http_call(srv.port, "POST", "/sweeps",
+                                            TINY)
+                assert status == 202
+                job_id = json.loads(body)["id"]
+                assert gate.blocked.wait(15)
+                # More followers than the loop's default executor has
+                # threads: not one of them may hold a thread.
+                for _ in range(min(32, (os.cpu_count() or 1) + 4) + 2):
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", srv.port, timeout=5)
+                    conns.append(conn)
+                    conn.request("GET", f"/sweeps/{job_id}/stream")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    followers.append((conn, response))
+
+                status, _, _ = http_call(srv.port, "GET", "/healthz",
+                                         timeout=2)
+                assert status == 200
+                status, _, _ = http_call(
+                    srv.port, "POST", "/sweeps",
+                    dict(TINY, duration_s=0.11), timeout=2)
+                assert status == 202
+
+                gate.release.set()
+                for conn, response in followers:
+                    conn.sock.settimeout(60)
+                    events = [json.loads(line) for line in response]
+                    assert [e["event"] for e in events] == ["app", "done"]
+            finally:
+                gate.release.set()
+                for conn in conns:
+                    conn.close()
+
+    def test_disconnected_follower_leaves_no_watcher(self, tmp_path,
+                                                     monkeypatch):
+        gate = _Gate(monkeypatch)
+        service = SweepService(cache=tmp_path / "cache", job_workers=1)
+        with running_server(service) as srv:
+            try:
+                status, _, body = http_call(srv.port, "POST", "/sweeps",
+                                            TINY)
+                assert status == 202
+                job = service.store.find(json.loads(body)["id"])
+                assert gate.blocked.wait(15)
+                conn = http.client.HTTPConnection("127.0.0.1", srv.port,
+                                                  timeout=10)
+                conn.request("GET", f"/sweeps/{job.id}/stream")
+                assert conn.getresponse().status == 200
+                deadline = time.monotonic() + 5
+                while not job._watchers and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(job._watchers) == 1
+                conn.close()            # the follower hangs up mid-job
+            finally:
+                gate.release.set()
+            assert job.wait_done(60) and job.state == "done"
+            deadline = time.monotonic() + 5
+            while job._watchers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert job._watchers == []
+
+    def test_watchers_wake_on_appends_and_terminal_transitions(self):
+        job = SweepJob(SweepRequest(["excel"]), "ab" * 32, spans=[],
+                       specs=[], executor=None, backend="serial")
+        feed = EventFeed(job)
+        wakes = []
+        unwatch = feed.watch(lambda: wakes.append(len(job._events)))
+        assert feed.pull() == (b"", False)
+        job.mark_running()
+        assert wakes == []              # no event, no wake
+        job.add_event({"event": "app", "app": "excel"})
+        job.add_event({"event": "app", "app": "vlc"})
+        assert wakes == [1, 2]
+        chunk, exhausted = feed.pull()
+        assert not exhausted
+        assert chunk == (b'{"app":"excel","event":"app"}\n'
+                         b'{"app":"vlc","event":"app"}\n')
+        assert feed.pull() == (b"", False)
+        assert job.fail(RuntimeError("boom"))
+        assert wakes == [1, 2, 3]
+        chunk, exhausted = feed.pull()
+        assert exhausted and json.loads(chunk)["event"] == "failed"
+        unwatch()
+        unwatch()                       # idempotent
+        assert job._watchers == []
+
+
+class TestRawFraming:
+    """Raw keep-alive sockets, which read exactly what the server
+    sends — unlike ``http.client``, which knows HEAD has no body."""
+
+    @staticmethod
+    def _head_then_get(port, path):
+        """``HEAD path`` then ``GET /readyz`` on one connection; returns
+        the HEAD's head lines and the first line read after them."""
+        with contextlib.closing(_raw(port)) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(b"HEAD %s HTTP/1.1\r\nHost: t\r\n\r\n"
+                         % path.encode())
+            head = _read_head(stream)
+            sock.sendall(b"GET /readyz HTTP/1.1\r\nHost: t\r\n\r\n")
+            return head, stream.readline()
+
+    def test_head_carries_no_body(self, server):
+        head, after = self._head_then_get(server.port, "/healthz")
+        assert head[0] == b"HTTP/1.1 200 OK"
+        assert any(line.startswith(b"Content-Length: ") for line in head)
+        assert after.startswith(b"HTTP/1.1 200")
+
+    def test_head_of_a_stream_carries_no_chunks(self, server):
+        _, _, body = http_call(server.port, "POST", "/sweeps", SWEEP)
+        job = wait_job(server.service, json.loads(body)["id"])
+        head, after = self._head_then_get(server.port,
+                                          f"/sweeps/{job.id}/stream")
+        assert head[0] == b"HTTP/1.1 200 OK"
+        assert b"Transfer-Encoding: chunked" in head
+        assert after.startswith(b"HTTP/1.1 200")
+
+    def test_chunked_request_body_is_refused_and_closes(self, tmp_path):
+        body = json.dumps(SWEEP).encode()
+        request = (b"POST /sweeps HTTP/1.1\r\nHost: t\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n"
+                   b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body))
+        with running_server(SweepService(cache=tmp_path / "cache")) as srv:
+            with contextlib.closing(_raw(srv.port)) as sock:
+                sock.sendall(request)
+                received = _read_to_eof(sock)
+            status, _, listing = http_call(srv.port, "GET", "/sweeps")
+        head, _, content = received.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in lines
+        length = next(int(line.split(b":")[1]) for line in lines
+                      if line.startswith(b"Content-Length:"))
+        # Exactly one response, then EOF.
+        assert len(content) == length
+        assert "Transfer-Encoding" in json.loads(content)["error"]
+        assert status == 200 and json.loads(listing)["jobs"] == []
 
 
 class TestWorkerReuse:
