@@ -42,7 +42,6 @@ EQ_SAMPLES = 4 if QUICK else 8
 NAIVE_SAMPLE = 6 if QUICK else 12
 DURATION_US = SECOND // 5
 SEED = 2019
-CHUNK = 4
 MIN_SPEEDUP = 2.0 if QUICK else 10.0
 
 BENCH_JSON = (pathlib.Path(__file__).resolve().parent.parent
@@ -54,7 +53,7 @@ def run_measurement():
 
     t0 = time.perf_counter()
     result = run_campaign(APPS, machines, duration_us=DURATION_US,
-                          seed=SEED, chunk=CHUNK,
+                          seed=SEED,
                           equivalence_samples=EQ_SAMPLES)
     campaign_wall = time.perf_counter() - t0
 
@@ -96,7 +95,6 @@ def test_dse(experiment, report):
         "grid_points": stats.grid_points,
         "duration_us": DURATION_US,
         "seed": SEED,
-        "chunk": CHUNK,
         "numpy": numpy_available(),
         "stats": stats.to_payload(),
         "equivalence": eq.to_payload(),

@@ -52,7 +52,7 @@ def run_measurement():
     whichever executor happened to run last.
     """
     def make_supervised():
-        return SupervisedExecutor(retries=2, backoff_s=0.0)
+        return SupervisedExecutor(retries=2)
 
     timed_pass(SerialExecutor)      # warm-up, discarded
     t_plain = t_supervised = None

@@ -9,10 +9,9 @@ must:
 2. **Simulate** one base run per (app, signature) — plus a seeded
    sample of extra configs re-simulated *in full* purely to check the
    analytic path against ground truth.  All runs go through one
-   :class:`~repro.harness.supervisor.SupervisedExecutor` sweep in
-   chunked batches, so campaign dispatch overhead is per-chunk, not
-   per-run, and a crashed grid point quarantines instead of killing
-   the campaign.
+   :class:`~repro.harness.supervisor.SupervisedExecutor` sweep, one
+   run per worker round trip, so a crashed or hung grid point
+   quarantines alone instead of killing the campaign.
 3. **Score** every config of every group analytically from its
    group's base run (:func:`~repro.analysis.dse.score.batch_score`):
    each group's scoring inputs are extracted once as columns (read
@@ -192,7 +191,7 @@ def _sample_equivalence(apps, groups, samples, seed):
 
 
 def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
-                 chunk=4, cache=None, retries=0, deadline_s=None,
+                 cache=None, retries=0, deadline_s=None,
                  equivalence_samples=8, rtol=EQUIVALENCE_RTOL,
                  executor=None):
     """Score every (app, config) grid point; simulate only per signature.
@@ -203,9 +202,9 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     :class:`~repro.hardware.catalog.MachineGrid` from
     :func:`repro.hardware.catalog.generate_machines`, read through its
     columns so only the machines the campaign simulates or reports
-    are built, or any iterable of machines.  ``jobs``, ``chunk``,
-    ``cache``, ``retries`` and ``deadline_s`` configure the supervised
-    sweep (``executor`` overrides them with a prebuilt one).
+    are built, or any iterable of machines.  ``jobs``, ``cache``,
+    ``retries`` and ``deadline_s`` configure the supervised sweep
+    (``executor`` overrides them with a prebuilt one).
     ``equivalence_samples`` configs are additionally re-simulated in
     full and checked against their analytic scores (0 disables the
     check).  Runs use streaming metrics — a campaign keeps aggregates,
@@ -239,8 +238,7 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     if executor is None:
         executor = SupervisedExecutor(jobs=jobs, cache=cache,
                                       retries=retries,
-                                      deadline_s=deadline_s, chunk=chunk,
-                                      seed=seed)
+                                      deadline_s=deadline_s)
     results = executor.map(specs)
     base_runs = results[:len(plan)]
     check_runs = results[len(plan):]

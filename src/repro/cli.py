@@ -111,6 +111,12 @@ def _check_exec_args(args, out):
     if resume is not None and not os.path.exists(resume):
         out(f"error: --resume journal {resume!r} does not exist")
         return 2
+    if getattr(args, "cores", None) is not None:
+        try:
+            _machine_from_args(args)
+        except ValueError as exc:
+            out(f"error: --cores does not fit the machine: {exc}")
+            return 2
     if getattr(args, "salvage", False) and getattr(args, "streaming",
                                                    False):
         out("error: --salvage recovers a prefix of the recorded trace; "
@@ -152,14 +158,9 @@ def _cache_from_args(args):
 
 
 def _machine_from_args(args):
-    machine = paper_machine()
-    if getattr(args, "gpu", None):
-        machine = machine.with_gpu(GPUS[args.gpu])
-    if getattr(args, "no_smt", False):
-        machine = machine.with_smt(False)
-    if getattr(args, "cores", None):
-        machine = machine.with_logical_cpus(args.cores)
-    return machine
+    return paper_machine(gpu=getattr(args, "gpu", None),
+                         smt=not getattr(args, "no_smt", False),
+                         cores=getattr(args, "cores", None))
 
 
 def cmd_list(_args, out):
@@ -440,9 +441,6 @@ def cmd_dse(args, out):
     if args.configs < 1:
         out("error: --configs must be >= 1")
         return 2
-    if args.chunk < 1:
-        out("error: --chunk must be >= 1")
-        return 2
     from repro.analysis.dse import run_campaign
     from repro.analysis.dse.engine import duplicate_apps
     from repro.hardware.catalog import generate_machines
@@ -464,7 +462,6 @@ def cmd_dse(args, out):
         duration_us=int(args.duration * SECOND),
         seed=args.seed,
         jobs=args.jobs,
-        chunk=args.chunk,
         cache=_cache_from_args(args),
         retries=args.retries or 0,
         deadline_s=deadline_us / 1e6 if deadline_us else None,
@@ -491,9 +488,6 @@ def cmd_dse(args, out):
 def cmd_serve(args, out):
     if _check_exec_args(args, out):
         return 2
-    if args.chunk < 1:
-        out("error: --chunk must be >= 1")
-        return 2
     if args.job_workers < 1:
         out("error: --job-workers must be >= 1")
         return 2
@@ -511,7 +505,6 @@ def cmd_serve(args, out):
         cache=args.cache,
         retries=args.retries or 0,
         deadline_s=deadline_us / 1e6 if deadline_us else None,
-        chunk=args.chunk,
         golden_path=args.golden,
         dse_path=args.dse,
         ledger=args.ledger,
@@ -593,9 +586,9 @@ def build_parser():
                             "(or of a crashed run) and report the result "
                             "as partial")
         p.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="retry a failed run up to N times with "
-                            "deterministic seeded backoff (implies the "
-                            "supervised executor)")
+                       help="retry a failed run up to N times, each "
+                            "retry at once (implies the supervised "
+                            "executor)")
         p.add_argument("--deadline-us", type=int, default=None,
                        metavar="US",
                        help="wall-clock budget per run attempt, in "
@@ -720,9 +713,6 @@ def build_parser():
         help="parallel simulation processes (default: serial; 0 = one "
              "per CPU)")
     dse_parser.add_argument(
-        "--chunk", type=int, default=4, metavar="K",
-        help="specs per supervisor pipe round-trip (batched dispatch)")
-    dse_parser.add_argument(
         "--equivalence", type=int, default=8, metavar="N",
         help="configs re-simulated in full to check the analytic path "
              "(0 disables the check)")
@@ -772,9 +762,6 @@ def build_parser():
     serve_parser.add_argument(
         "--deadline-us", type=int, default=None, metavar="US",
         help="wall-clock budget per run attempt, in microseconds")
-    serve_parser.add_argument(
-        "--chunk", type=int, default=1, metavar="K",
-        help="specs per supervisor pipe round-trip")
     serve_parser.add_argument(
         "--ledger", default=None, metavar="PATH",
         help="write-ahead job ledger: every job transition is fsynced "

@@ -106,9 +106,18 @@ GTX_285 = GpuSpec(
 )
 
 
-def paper_machine():
-    """The 2018 benchmarking desktop of Table I (12 LCPUs, 1080 Ti)."""
-    return MachineSpec(cpu=CORE_I7_8700K, gpu=GTX_1080_TI, ram_gb=64)
+def paper_machine(gpu=None, smt=True, cores=None):
+    """The 2018 benchmarking desktop of Table I (12 LCPUs, 1080 Ti),
+    with GPU ``gpu`` (a :data:`GPUS` key), SMT off unless ``smt``, then
+    ``cores`` logical CPUs; ``ValueError`` if it cannot take ``cores``."""
+    machine = MachineSpec(cpu=CORE_I7_8700K, gpu=GTX_1080_TI, ram_gb=64)
+    if gpu:
+        machine = machine.with_gpu(GPUS[gpu])
+    if not smt:
+        machine = machine.with_smt(False)
+    if cores:
+        machine = machine.with_logical_cpus(cores)
+    return machine
 
 
 def machine_2010():

@@ -10,13 +10,13 @@ same argument parallel GPU-simulator campaigns make for restartable
 fan-out).  This module wraps both backends in a supervisor that keeps
 the sweep alive through every failure mode the harness can encounter:
 
-* **Deadlines** — each run attempt gets a wall-clock budget; a
-  watchdog terminates the worker that blows it and respawns a fresh
-  one, so one wedged simulation costs one deadline, not the sweep.
-* **Bounded retries** — failed attempts are re-queued up to
-  ``retries`` times with deterministic seeded exponential backoff
-  (``random.Random(f"{seed}:{index}:{attempt}")``), so transient
-  faults heal without ever making the sweep nondeterministic.
+* **Deadlines** — each run attempt gets a wall-clock budget; the
+  supervisor terminates the worker that blows it and respawns a fresh
+  one, so one wedged simulation costs one attempt of one run, not the
+  sweep.
+* **Bounded retries** — a failed attempt goes again at once, up to
+  ``retries`` times.  Every run is seed-determined, so a healed
+  transient fault leaves the sweep's results byte-identical.
 * **Quarantine** — a run that exhausts its attempts becomes a
   structured :class:`RunFailure` in the result list (taxonomy:
   ``crash | deadline | invalid-trace | cache-corrupt``) while every
@@ -35,8 +35,12 @@ The process pool here is deliberately *not*
 of a futures pool poisons the whole executor.  Instead the supervisor
 owns a small set of persistent :mod:`multiprocessing` workers joined
 by pipes, multiplexed with :func:`multiprocessing.connection.wait`,
-each individually terminable and respawnable.  Workers stay alive
-across runs, so supervision adds pipe traffic and a poll tick — not a
+each individually terminable and respawnable.  A worker holds one run
+at a time: the supervisor sends it one spec and gets back one
+outcome, so a failure is charged to the run that caused it and to no
+other.  Between replies the supervisor sleeps in ``wait`` on the busy
+pipes until one answers or the earliest deadline passes.  Workers
+stay alive across runs, so supervision adds a pipe round trip — not a
 process spawn — per grid point (the ``BENCH_supervisor`` benchmark
 holds the overhead under 3% on the 150-run grid).  They also stay
 alive across ``map`` calls when the caller lends the executor a
@@ -49,7 +53,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import random
 import stat
 import threading
 import time
@@ -72,10 +75,6 @@ FAILURE_KINDS = ("crash", "deadline", "invalid-trace", "cache-corrupt")
 
 #: First line of every journal file.
 JOURNAL_FORMAT = "repro-sweep-journal-v1"
-
-#: Supervisor poll tick (seconds): bounds deadline-detection latency
-#: and backoff wake-ups without measurable idle cost.
-_TICK_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -177,17 +176,11 @@ class SweepJournal:
 
 
 def _worker_main(conn, parent_end):
-    """Persistent worker loop: recv a chunk of specs, send back one
-    batched outcome message.
+    """Persistent worker loop: receive one spec, send back its outcome.
 
-    A job is ``(indices, specs)`` — K grid points resolved in one pipe
-    round-trip, so per-run IPC latency is paid once per chunk rather
-    than once per run (the campaign-scale fix for per-run dispatch
-    overhead dominating small simulations).  The reply is ``(indices,
-    "batch", outcomes)`` with one outcome per spec, in order:
-    ``("ok", payload)`` or ``("err", type name, message, formatted
-    traceback)``.  Exceptions never cross the pipe as objects (a
-    custom exception class may not unpickle in the parent); the
+    The outcome is ``("ok", payload)`` or ``("err", type name, message,
+    formatted traceback)``.  Exceptions never cross the pipe as objects
+    (a custom exception class may not unpickle in the parent); the
     formatted worker-side traceback is what survives for reporting.
 
     ``parent_end`` is the supervisor's end of this worker's pipe, which
@@ -200,35 +193,29 @@ def _worker_main(conn, parent_end):
     _release_inherited_sockets(keep=conn.fileno())
     while True:
         try:
-            job = conn.recv()
+            spec = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             return
-        if job is None:
+        if spec is None:
             return
-        indices, specs = job
-        outcomes = []
-        for spec in specs:
-            try:
-                outcome = ("ok", execute_spec(spec))
-            except KeyboardInterrupt:
-                return
-            except BaseException as exc:
-                outcome = ("err", type(exc).__name__, str(exc),
-                           traceback.format_exc())
-            outcomes.append(outcome)
         try:
-            conn.send((indices, "batch", outcomes))
+            outcome = ("ok", execute_spec(spec))
+        except KeyboardInterrupt:
+            return
+        except BaseException as exc:
+            outcome = ("err", type(exc).__name__, str(exc),
+                       traceback.format_exc())
+        try:
+            conn.send(outcome)
         except KeyboardInterrupt:
             return
         except Exception as exc:
-            # Some payload would not pickle: degrade every slot to an
-            # error rather than wedging the pipe.
+            # The payload would not pickle: send an error outcome
+            # rather than wedging the pipe.
             try:
-                conn.send((indices, "batch", [
-                    ("err", type(exc).__name__,
-                     f"result not transferable: {exc}",
-                     traceback.format_exc())
-                    for _ in specs]))
+                conn.send(("err", type(exc).__name__,
+                           f"result not transferable: {exc}",
+                           traceback.format_exc()))
             except Exception:
                 return
 
@@ -269,7 +256,7 @@ class _Worker:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.job = None         # ([(index, attempt), ...], deadline | None)
+        self.job = None         # (index, attempt, deadline | None)
         self._spawn()
 
     def _spawn(self):
@@ -279,21 +266,12 @@ class _Worker:
         self.proc.start()
         child.close()
 
-    def assign(self, entries, specs, deadline_s):
-        """Send a chunk: ``entries`` is ``[(index, attempt), ...]``.
-
-        The chunk's wall-clock budget is ``deadline_s`` per member —
-        K serial runs legitimately take K deadlines, so the watchdog
-        scales with the chunk rather than killing healthy batches.
-        """
-        deadline = (time.monotonic() + deadline_s * len(entries)
+    def assign(self, index, attempt, spec, deadline_s):
+        """Send one run; its wall-clock budget, if any, starts now."""
+        deadline = (time.monotonic() + deadline_s
                     if deadline_s is not None else None)
-        self.conn.send(([index for index, _ in entries], specs))
-        self.job = (list(entries), deadline)
-
-    def overdue(self, now):
-        return self.job is not None and self.job[1] is not None \
-            and now >= self.job[1]
+        self.conn.send(spec)
+        self.job = (index, attempt, deadline)
 
     def respawn(self):
         self.discard()
@@ -327,7 +305,7 @@ class _Worker:
 class WorkerPool:
     """Idle supervised workers, lent to executors across ``map`` calls.
 
-    A worker between chunks holds nothing of the last one: every run
+    A worker between runs holds nothing of the last one: every run
     builds its own environment, kernel, trace session and GPU from a
     pickled spec, so a worker one sweep leaves idle can serve the
     next.  The pool never forks ahead of demand — :meth:`take` forks
@@ -355,7 +333,7 @@ class WorkerPool:
         return workers
 
     def give_back(self, workers):
-        """Keep a worker idle only when it holds no chunk and its
+        """Keep a worker idle only when it holds no run and its
         process is alive; shut every other one down.  After
         :meth:`close` every worker is shut down — a dispatcher abandoned
         during a drain can return its workers late."""
@@ -379,6 +357,17 @@ class WorkerPool:
             worker.shutdown()
 
 
+@dataclass
+class _Sweep:
+    """One ``map`` call: its specs, their cache keys (``None`` when
+    uncacheable), the result slots and the journal (or ``None``)."""
+
+    specs: list
+    keys: list
+    results: list
+    journal: SweepJournal = None
+
+
 class SupervisedExecutor:
     """Deadline/retry/quarantine/checkpoint wrapper over both backends.
 
@@ -390,11 +379,11 @@ class SupervisedExecutor:
     — except that a ``deadline_s`` forces process isolation even for
     ``jobs=1``, because an in-process run cannot be killed.
 
-    ``chunk`` batches K specs per worker pipe round-trip: results come
-    back as one message per chunk, so per-run dispatch latency is paid
-    ``1/K`` times — the campaign-scale knob for sweeps of many small
-    runs.  Deadlines scale with the chunk (K runs get K budgets) and
-    retries always re-run as singletons.
+    A pooled worker holds one run at a time, so ``deadline_s`` is one
+    run's budget, and a worker that dies or is killed charges exactly
+    the run it held one attempt.  A failed attempt is retried at once
+    while ``retries`` allows — re-queued by the pool, re-run in place
+    by the serial backend — and quarantined after that.
 
     ``journal`` writes a fresh checkpoint journal; ``resume`` loads an
     existing one, verifies it describes this exact sweep, restores
@@ -411,25 +400,19 @@ class SupervisedExecutor:
     """
 
     def __init__(self, jobs=None, cache=None, retries=0, deadline_s=None,
-                 backoff_s=0.0, seed=0, journal=None, resume=None,
-                 chunk=1, pool=None):
+                 journal=None, resume=None, pool=None):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         if jobs is not None and jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = auto)")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
         if journal is not None and resume is not None:
             raise ValueError("pass either journal (fresh) or resume, "
                              "not both")
         self.jobs = jobs
-        self.chunk = chunk
         self.retries = retries
         self.deadline_s = deadline_s
-        self.backoff_s = backoff_s
-        self.seed = seed
         self.pool = pool
         self.journal_path = str(journal) if journal is not None else None
         self.resume_path = str(resume) if resume is not None else None
@@ -458,30 +441,23 @@ class SupervisedExecutor:
         specs = list(specs)
         keys = [self._key_for(spec) for spec in specs]
         digest = sweep_digest(keys)
-        results = [None] * len(specs)
-        done = [False] * len(specs)
         completed_before = self._load_resume(specs, keys, digest)
-        journal = None
-        if self.journal_path or self.resume_path:
-            journal = SweepJournal(self.journal_path or self.resume_path)
-            journal.start(digest, len(specs),
-                          fresh=self.resume_path is None)
+        sweep = _Sweep(specs, keys, [None] * len(specs))
+        checkpoint = self.journal_path or self.resume_path
+        if checkpoint:
+            sweep.journal = SweepJournal(checkpoint)
+            sweep.journal.start(digest, len(specs),
+                                fresh=self.resume_path is None)
         try:
-            pending = []
-            for index, spec in enumerate(specs):
-                restored = self._restore_cached(
-                    specs, keys, index, results, journal,
-                    from_journal=index in completed_before)
-                if restored:
-                    done[index] = True
-                else:
-                    pending.append(index)
+            pending = [index for index in range(len(specs))
+                       if not self._restore_cached(
+                           sweep, index, index in completed_before)]
             if pending:
-                self._execute(specs, keys, pending, results, journal)
+                self._execute(sweep, pending)
         finally:
-            if journal is not None:
-                journal.close()
-        return results
+            if sweep.journal is not None:
+                sweep.journal.close()
+        return sweep.results
 
     def _key_for(self, spec):
         if self.cache is None or spec.kwargs.get("keep_trace"):
@@ -502,8 +478,7 @@ class SupervisedExecutor:
         return frozenset(index for index, entry in entries.items()
                          if entry["status"] == "ok")
 
-    def _restore_cached(self, specs, keys, index, results, journal,
-                        from_journal):
+    def _restore_cached(self, sweep, index, from_journal):
         """Try to satisfy one grid point from the cache.
 
         Returns True when restored.  A corrupt entry is recorded as a
@@ -511,45 +486,43 @@ class SupervisedExecutor:
         already deleted the bad file) and the run recomputes; an
         implausible entry is invalidated and recomputes.
         """
-        key = keys[index]
+        key, spec = sweep.keys[index], sweep.specs[index]
         if key is None:
             return False
         status, hit = self.cache.load_classified(key)
         if status == "corrupt":
             self.incidents.append(RunFailure(
-                index=index, app=_app_name(specs[index]),
-                seed=specs[index].kwargs.get("seed", 0),
+                index=index, app=_app_name(spec),
+                seed=spec.kwargs.get("seed", 0),
                 kind="cache-corrupt", attempts=0, spec_key=key,
                 detail="cache entry unreadable; deleted and recomputed"))
             return False
         if status != "hit":
             return False
-        if not _cached_result_ok(hit[0], specs[index]):
+        if not _cached_result_ok(hit[0], spec):
             self.rejected += 1
             self.cache.invalidate(key)
             return False
-        results[index] = hit[0]
+        sweep.results[index] = hit[0]
         if from_journal:
             self.resumed += 1
-        if journal is not None:
-            journal.record(index, key, "ok",
-                           partial=getattr(hit[0], "partial", False))
+        if sweep.journal is not None:
+            sweep.journal.record(index, key, "ok",
+                                 partial=getattr(hit[0], "partial", False))
         return True
 
     # -- execution backends --------------------------------------------
 
-    def _execute(self, specs, keys, pending, results, journal):
+    def _execute(self, sweep, pending):
         pool_size = self._pool_size(len(pending))
-        if pool_size == 0:
-            self._run_serial(specs, keys, pending, results, journal)
-            return
-        remote = [i for i in pending if _picklable(specs[i])]
-        local = [i for i in pending if not _picklable(specs[i])]
+        remote, local = [], []
+        for index in pending:
+            picklable = pool_size and _picklable(sweep.specs[index])
+            (remote if picklable else local).append(index)
         if remote:
-            self._run_pool(specs, keys, remote, results, journal,
-                           min(pool_size, len(remote)))
+            self._run_pool(sweep, remote, min(pool_size, len(remote)))
         if local:
-            self._run_serial(specs, keys, local, results, journal)
+            self._run_serial(sweep, local)
 
     def planned_backend(self, n_pending):
         """Human-readable backend a sweep of ``n_pending`` runs gets.
@@ -579,214 +552,136 @@ class SupervisedExecutor:
             return 1 if self.deadline_s is not None else 0
         return min(jobs, n_pending)
 
-    def _run_serial(self, specs, keys, items, results, journal):
+    def _run_serial(self, sweep, items):
         for index in items:
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    result = execute_spec(specs[index])
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    self.executed += 1
-                    if self._retry(index, attempt):
-                        continue
-                    self._fail(specs, keys, index, _classify(exc),
-                               attempt, f"{type(exc).__name__}: {exc}",
-                               results, journal,
-                               tb=traceback.format_exc())
-                    break
+            for attempt in range(1, self.retries + 2):
                 self.executed += 1
-                self._complete(specs, keys, index, result, results,
-                               journal)
-                break
+                try:
+                    result = execute_spec(sweep.specs[index])
+                except Exception as exc:
+                    name = type(exc).__name__
+                    if self._failed(sweep, index, attempt, _kind(name),
+                                    f"{name}: {exc}",
+                                    traceback.format_exc()):
+                        break
+                else:
+                    self._complete(sweep, index, result)
+                    break
 
-    def _run_pool(self, specs, keys, items, results, journal, n_workers):
+    def _run_pool(self, sweep, items, n_workers):
+        """Keep every worker busy with one run until all are resolved:
+        sleep in ``wait`` until a reply arrives or the earliest deadline
+        passes, then reap the replies and kill the overdue workers."""
         pool = self.pool if self.pool is not None else WorkerPool()
-        queue = deque((index, 1, 0.0) for index in items)
+        queue = deque((index, 1) for index in items)
         outstanding = len(items)
         workers = pool.take(n_workers)
         try:
             while outstanding:
-                now = time.monotonic()
-                self._dispatch(specs, workers, queue, now)
+                self._dispatch(sweep, workers, queue)
                 busy = {w.conn: w for w in workers if w.job is not None}
                 if not busy:
-                    # Everything left is waiting out a backoff window.
-                    time.sleep(min(_TICK_S, max(
-                        0.0, min(nb for _, _, nb in queue) - now)))
+                    # A worker found dead was respawned; hand its run
+                    # out again rather than wait on no pipe at all.
                     continue
-                for conn in _mpconn.wait(list(busy), timeout=_TICK_S):
-                    outstanding -= self._reap(
-                        specs, keys, busy[conn], results, journal, queue)
+                timeout = None
+                if self.deadline_s is not None:
+                    earliest = min(w.job[2] for w in busy.values())
+                    timeout = max(0.0, earliest - time.monotonic())
+                for conn in _mpconn.wait(list(busy), timeout):
+                    outstanding -= self._reap(sweep, busy[conn], queue)
                 now = time.monotonic()
-                for worker in list(busy.values()):
-                    if worker.overdue(now):
-                        outstanding -= self._expire(
-                            specs, keys, worker, results, journal, queue)
+                for worker in busy.values():
+                    job = worker.job
+                    if job is not None and job[2] is not None \
+                            and now >= job[2]:
+                        worker.respawn()
+                        outstanding -= self._failed(
+                            sweep, job[0], job[1], "deadline",
+                            f"run exceeded its {self.deadline_s:g}s "
+                            f"wall-clock deadline; worker terminated",
+                            queue=queue)
         finally:
             pool.give_back(workers)
             if pool is not self.pool:
                 pool.close()
 
-    def _dispatch(self, specs, workers, queue, now):
+    def _dispatch(self, sweep, workers, queue):
+        """Hand every idle worker the next queued run."""
         for worker in workers:
             if worker.job is not None or not queue:
                 continue
-            entries = self._take_chunk(queue, now)
-            if not entries:
-                continue
+            index, attempt = queue.popleft()
             try:
-                worker.assign(entries, [specs[i] for i, _ in entries],
+                worker.assign(index, attempt, sweep.specs[index],
                               self.deadline_s)
             except (OSError, ValueError):
-                # The worker died between runs; give the chunk back
-                # and bring up a replacement.
-                for index, attempt in reversed(entries):
-                    queue.appendleft((index, attempt, now))
+                # The worker died between runs; put the run back and
+                # bring up a replacement.
+                queue.appendleft((index, attempt))
                 worker.respawn()
-
-    def _take_chunk(self, queue, now):
-        """Pop up to ``chunk`` ready first-attempt entries (one rotation
-        of the queue), or a single ready retry.
-
-        Retries always travel alone: a singleton keeps the deadline
-        budget per-run precise and a flaky spec from re-poisoning a
-        whole batch.
-        """
-        entries = []
-        for _ in range(len(queue)):
-            if len(entries) >= self.chunk:
-                break
-            index, attempt, not_before = queue.popleft()
-            if not_before > now or (attempt > 1 and entries):
-                queue.append((index, attempt, not_before))
                 continue
-            entries.append((index, attempt))
-            if attempt > 1:
-                break
-        return entries
+            self.executed += 1
 
-    def _reap(self, specs, keys, worker, results, journal, queue):
-        """Handle one ready pipe: a batched outcome or a dead worker.
-
-        Returns the number of grid points finally resolved (the rest
-        were re-queued for another attempt).
-        """
-        entries, _ = worker.job
+    def _reap(self, sweep, worker, queue):
+        """Resolve the run of a worker whose pipe is ready: its outcome,
+        or the worker's death.  1 if resolved, 0 if re-queued."""
+        index, attempt, _ = worker.job
         try:
-            message = worker.conn.recv()
+            outcome = worker.conn.recv()
         except (EOFError, OSError):
-            # The worker died mid-chunk (segfault, OOM-kill, hard
-            # exit).  Results are batched per chunk, so nothing from
-            # this chunk survived; every member is charged one failed
-            # attempt (retries re-run as singletons).
+            # The worker died mid-run (segfault, OOM-kill, hard exit).
             exitcode = worker.proc.exitcode
             worker.respawn()
-            resolved = 0
-            for index, attempt in entries:
-                self.executed += 1
-                if self._retry(index, attempt, queue):
-                    continue
-                self._fail(specs, keys, index, "crash", attempt,
-                           f"worker process died (exit code {exitcode})",
-                           results, journal)
-                resolved += 1
-            return resolved
+            return self._failed(
+                sweep, index, attempt, "crash",
+                f"worker process died (exit code {exitcode})", queue=queue)
         worker.job = None
-        _, _, outcomes = message
-        resolved = 0
-        for (index, attempt), outcome in zip(entries, outcomes):
-            self.executed += 1
-            resolved += self._settle(specs, keys, index, attempt,
-                                     outcome, results, journal, queue)
-        return resolved
-
-    def _settle(self, specs, keys, index, attempt, outcome, results,
-                journal, queue):
-        """Resolve one chunk member's outcome; 1 if final, 0 if retried."""
         if outcome[0] == "ok":
-            self._complete(specs, keys, index, outcome[1], results,
-                           journal)
+            self._complete(sweep, index, outcome[1])
             return 1
-        _, exc_name, exc_message, remote_tb = outcome
-        if self._retry(index, attempt, queue):
-            return 0
-        self._fail(specs, keys, index,
-                   "invalid-trace" if exc_name == "TraceValidationError"
-                   else "crash",
-                   attempt, f"{exc_name}: {exc_message}",
-                   results, journal, tb=remote_tb)
-        return 1
-
-    def _expire(self, specs, keys, worker, results, journal, queue):
-        """Kill a worker that blew its deadline; retry or quarantine."""
-        entries, _ = worker.job
-        worker.respawn()
-        resolved = 0
-        for index, attempt in entries:
-            self.executed += 1
-            if self._retry(index, attempt, queue):
-                continue
-            self._fail(specs, keys, index, "deadline", attempt,
-                       f"chunk exceeded its {self.deadline_s:g}s-per-run "
-                       f"wall-clock deadline; worker terminated",
-                       results, journal)
-            resolved += 1
-        return resolved
+        _, name, message, remote_tb = outcome
+        return self._failed(sweep, index, attempt, _kind(name),
+                            f"{name}: {message}", remote_tb, queue)
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _retry(self, index, attempt, queue=None):
-        """Re-queue after a failed attempt if the budget allows."""
-        if attempt > self.retries:
-            return False
-        self.retried += 1
-        delay = self._backoff_delay(index, attempt)
-        if queue is None:       # serial backend blocks in place
-            if delay > 0:
-                time.sleep(delay)
-        else:
-            queue.append((index, attempt + 1,
-                          time.monotonic() + delay))
-        return True
-
-    def _backoff_delay(self, index, attempt):
-        """Deterministic jittered exponential backoff, in seconds."""
-        if self.backoff_s <= 0:
-            return 0.0
-        rng = random.Random(f"{self.seed}:{index}:{attempt}")
-        return self.backoff_s * (2 ** (attempt - 1)) * (0.5 + rng.random())
-
-    def _complete(self, specs, keys, index, result, results, journal):
-        results[index] = result
-        key = keys[index]
+    def _complete(self, sweep, index, result):
+        sweep.results[index] = result
+        key = sweep.keys[index]
         if key is not None:
             self.cache.store(key, result)
-        if journal is not None:
-            journal.record(index, key, "ok",
-                           partial=getattr(result, "partial", False))
+        if sweep.journal is not None:
+            sweep.journal.record(index, key, "ok",
+                                 partial=getattr(result, "partial", False))
 
-    def _fail(self, specs, keys, index, kind, attempts, detail, results,
-              journal, tb=""):
+    def _failed(self, sweep, index, attempt, kind, detail, tb="",
+                queue=None):
+        """Charge one failed attempt of run ``index``: 0 when it goes
+        again at once (onto ``queue``, or in place by the serial backend,
+        which passes none), 1 when it is quarantined as a RunFailure."""
+        if attempt <= self.retries:
+            self.retried += 1
+            if queue is not None:
+                queue.append((index, attempt + 1))
+            return 0
+        spec, key = sweep.specs[index], sweep.keys[index]
         failure = RunFailure(
-            index=index, app=_app_name(specs[index]),
-            seed=specs[index].kwargs.get("seed", 0), kind=kind,
-            attempts=attempts, detail=detail, spec_key=keys[index],
-            remote_traceback=tb)
-        results[index] = failure
+            index=index, app=_app_name(spec),
+            seed=spec.kwargs.get("seed", 0), kind=kind, attempts=attempt,
+            detail=detail, spec_key=key, remote_traceback=tb)
+        sweep.results[index] = failure
         self.failures.append(failure)
-        if journal is not None:
-            journal.record(index, keys[index], "failed",
-                           failure=failure.to_payload())
+        if sweep.journal is not None:
+            sweep.journal.record(index, key, "failed",
+                                 failure=failure.to_payload())
+        return 1
 
 
-def _classify(exc):
-    """Failure kind of an in-process exception (name-based so the
-    check works identically on pipe-serialized worker errors)."""
-    return ("invalid-trace" if type(exc).__name__ == "TraceValidationError"
-            else "crash")
+def _kind(exc_name):
+    """Failure kind of an attempt that raised ``exc_name`` (by name, so
+    a pipe-serialized worker error classifies like an in-process one)."""
+    return "invalid-trace" if exc_name == "TraceValidationError" else "crash"
 
 
 def _app_name(spec):

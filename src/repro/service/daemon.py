@@ -36,10 +36,12 @@ Overload: the dispatcher queue is bounded (429 + ``Retry-After`` at
 capacity, ``/readyz`` flips to 503).
 
 Supervision has one layer: the supervised executor under every job
-kills a run that blows its deadline, respawns a worker that died, and
-quarantines either in the ``crash | deadline | invalid-trace |
-cache-corrupt`` taxonomy.  The dispatcher threads above it only queue
-jobs; a job whose own body raises fails alone.
+hands each worker one run at a time, kills a run that blows its
+deadline, respawns a worker that died, and charges either failure to
+the one run that worker held, quarantining it in the ``crash |
+deadline | invalid-trace | cache-corrupt`` taxonomy.  The dispatcher
+threads above it only queue jobs; a job whose own body raises fails
+alone.
 
 Workers: the daemon keeps one supervisor ``WorkerPool`` for its
 lifetime and lends it to every job's executor, so a simulation worker
@@ -75,6 +77,8 @@ from repro.service.jobs import (
     QueueFull,
     SweepJob,
     SweepRequest,
+    as_float,
+    registry_apps,
 )
 from repro.service.ledger import JobLedger, replay
 from repro.service.tables import TableStore
@@ -136,7 +140,7 @@ class SweepService:
     """Routing + durable job lifecycle over the shared harness machinery.
 
     Executor configuration (``jobs``/``cache``/``retries``/
-    ``deadline_s``/``chunk``) is stored, not resolved: every submission
+    ``deadline_s``) is stored, not resolved: every submission
     builds a *fresh* :class:`SupervisedExecutor` and asks it for its
     backend then, so the auto-mode CPU clamp tracks the machine the
     daemon runs on now — not the one it started on.  The executors
@@ -150,16 +154,15 @@ class SweepService:
     """
 
     def __init__(self, jobs=0, cache=None, retries=0, deadline_s=None,
-                 chunk=1, golden_path=None, dse_path=None,
-                 ledger=None, job_workers=1, max_queue=None,
-                 job_ttl_s=None, drain_s=60.0):
+                 golden_path=None, dse_path=None, ledger=None,
+                 job_workers=1, max_queue=None, job_ttl_s=None,
+                 drain_s=60.0):
         self.jobs = jobs
         if cache is None and ledger is not None:
             cache = str(ledger) + ".cache"
         self.cache_dir = str(cache) if cache is not None else None
         self.retries = retries
         self.deadline_s = deadline_s
-        self.chunk = chunk
         self.drain_s = drain_s
         self.store = JobStore(ttl_s=job_ttl_s)
         self.runner = DispatcherPool(workers=job_workers,
@@ -185,7 +188,7 @@ class SweepService:
         return SupervisedExecutor(jobs=self.jobs, cache=cache,
                                   retries=self.retries,
                                   deadline_s=self.deadline_s,
-                                  chunk=self.chunk, pool=self.worker_pool)
+                                  pool=self.worker_pool)
 
     def close(self):
         self.runner.close()
@@ -470,17 +473,7 @@ class SweepService:
         return HttpResponse(status=200, body=body, headers=headers)
 
     def _update_goldens(self, request):
-        payload = request.json()
-        apps = payload.get("apps")
-        if not isinstance(apps, list) or not apps:
-            raise BadRequest("'apps' must be a non-empty list of "
-                             "registry keys")
-        from repro.apps import REGISTRY
-
-        bad = [a for a in apps if a not in REGISTRY]
-        if bad:
-            raise BadRequest(f"unknown applications: "
-                             f"{', '.join(map(str, bad))}")
+        apps = registry_apps(request.json())
         if not self.tables.mutation_lock.acquire(blocking=False):
             return error_response(
                 409, "a goldens update is already in progress; "
@@ -495,10 +488,9 @@ class SweepService:
         drain_s = self.drain_s
         payload = request.json()
         if "drain_s" in payload:
-            value = payload["drain_s"]
-            if not isinstance(value, (int, float)) or value < 0:
+            drain_s = as_float(payload["drain_s"])
+            if not drain_s >= 0:        # NaN included
                 raise BadRequest("'drain_s' must be a number >= 0")
-            drain_s = float(value)
         with self._lock:
             if self.state == "running":
                 self.state = "draining"

@@ -17,11 +17,13 @@ respawn and quarantine.
 """
 
 import logging
+import math
 import threading
 import time
 from collections import deque
 from dataclasses import replace
 
+from repro.hardware import GPUS, paper_machine
 from repro.harness.suite import SuiteResult, aggregate_results, suite_spans
 from repro.harness.supervisor import RunFailure
 from repro.reporting.payloads import canonical_json_bytes, suite_payload
@@ -67,25 +69,19 @@ class SweepRequest:
 
     @classmethod
     def from_payload(cls, payload):
-        """Validate a request body; raises :class:`BadRequest`."""
-        from repro.apps import REGISTRY
-        from repro.hardware import GPUS
-
+        """Validate a request body; raises :class:`BadRequest`.  Integer
+        fields test ``type(x) is int``, which JSON ``true`` fails."""
         unknown = set(payload) - _REQUEST_KEYS
         if unknown:
             raise BadRequest(f"unknown request fields: {sorted(unknown)}")
-        apps = payload.get("apps")
-        if not isinstance(apps, list) or not apps:
-            raise BadRequest("'apps' must be a non-empty list of "
-                             "registry keys")
-        bad = [a for a in apps if a not in REGISTRY]
-        if bad:
-            raise BadRequest(f"unknown applications: {', '.join(map(str, bad))}")
-        duration_s = payload.get("duration_s", 60.0)
-        if not isinstance(duration_s, (int, float)) or duration_s <= 0:
-            raise BadRequest("'duration_s' must be a positive number")
+        apps = registry_apps(payload)
+        # A float like the CLI's --duration: 1 and 1.0 give one result.
+        duration_s = as_float(payload.get("duration_s", 60.0))
+        if not (math.isfinite(duration_s) and int(duration_s * SECOND) >= 1):
+            raise BadRequest("'duration_s' must be a number of seconds, "
+                             "at least 1 microsecond")
         iterations = payload.get("iterations", 3)
-        if not isinstance(iterations, int) or iterations < 1:
+        if type(iterations) is not int or iterations < 1:
             raise BadRequest("'iterations' must be an integer >= 1")
         machine = payload.get("machine", {})
         if not isinstance(machine, dict):
@@ -94,7 +90,7 @@ class SweepRequest:
         if bad:
             raise BadRequest(f"unknown machine fields: {sorted(bad)}")
         cores = machine.get("cores")
-        if cores is not None and (not isinstance(cores, int) or cores < 1):
+        if cores is not None and (type(cores) is not int or cores < 1):
             raise BadRequest("'machine.cores' must be an integer >= 1")
         gpu = machine.get("gpu")
         if gpu is not None and gpu not in GPUS:
@@ -103,6 +99,10 @@ class SweepRequest:
         smt = machine.get("smt", True)
         if not isinstance(smt, bool):
             raise BadRequest("'machine.smt' must be a boolean")
+        try:
+            paper_machine(gpu=gpu, smt=smt, cores=cores)
+        except ValueError as exc:
+            raise BadRequest(f"'machine.cores' does not fit: {exc}")
         flags = {}
         for name in ("streaming", "validate", "salvage"):
             value = payload.get(name, False)
@@ -120,25 +120,16 @@ class SweepRequest:
                     fault in FAULTS or is_exec_fault(fault)):
                 raise BadRequest(f"unknown fault: {fault!r}")
         fault_seed = payload.get("fault_seed", 0)
-        if not isinstance(fault_seed, int):
+        if type(fault_seed) is not int:
             raise BadRequest("'fault_seed' must be an integer")
         return cls(apps=apps, duration_s=duration_s, iterations=iterations,
                    cores=cores, smt=smt, gpu=gpu,
                    fault=fault, fault_seed=fault_seed, **flags)
 
     def machine(self):
-        """The machine spec, derived like the CLI's ``--cores``/
-        ``--no-smt``/``--gpu`` (same order, same defaults)."""
-        from repro.hardware import GPUS, paper_machine
-
-        machine = paper_machine()
-        if self.gpu:
-            machine = machine.with_gpu(GPUS[self.gpu])
-        if not self.smt:
-            machine = machine.with_smt(False)
-        if self.cores:
-            machine = machine.with_logical_cpus(self.cores)
-        return machine
+        """The machine spec, built like the CLI's ``--gpu``/``--no-smt``/
+        ``--cores``."""
+        return paper_machine(gpu=self.gpu, smt=self.smt, cores=self.cores)
 
     def build(self):
         """``(spans, specs)`` — the exact grid ``repro suite`` runs."""
@@ -170,6 +161,31 @@ class SweepRequest:
             "fault": self.fault,
             "fault_seed": self.fault_seed,
         }
+
+
+def registry_apps(payload):
+    """The ``apps`` list of a request body: registry keys, at least one;
+    raises :class:`BadRequest`."""
+    from repro.apps import REGISTRY
+
+    apps = payload.get("apps")
+    if not isinstance(apps, list) or not apps:
+        raise BadRequest("'apps' must be a non-empty list of registry keys")
+    bad = [a for a in apps if not isinstance(a, str) or a not in REGISTRY]
+    if bad:
+        raise BadRequest(f"unknown applications: {', '.join(map(str, bad))}")
+    return apps
+
+
+def as_float(value):
+    """A JSON number as a float, else NaN (JSON ``true``/``false``
+    decode to ``bool``, whose type is not ``int``)."""
+    if type(value) not in (int, float):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:       # an integer beyond every float
+        return math.inf
 
 
 class SweepJob:

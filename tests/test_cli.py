@@ -32,8 +32,7 @@ class TestParser:
     def test_serve_parses_service_flags(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--jobs", "2", "--cache", "/tmp/c",
-             "--retries", "1", "--deadline-us", "2000000",
-             "--chunk", "4"])
+             "--retries", "1", "--deadline-us", "2000000"])
         assert args.command == "serve"
         assert args.host == "127.0.0.1"
         assert args.port == 0
@@ -41,7 +40,6 @@ class TestParser:
         assert args.cache == "/tmp/c"
         assert args.retries == 1
         assert args.deadline_us == 2000000
-        assert args.chunk == 4
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -63,6 +61,11 @@ class TestCommands:
         ["dse", "--equivalence", "-3"],
         # argparse keeps the last --apps; the repeat is inside it.
         ["dse", "--apps", "excel", "--apps=excel,excel"],
+        # The Table I machine has 12 logical CPUs, 6 without SMT.
+        ["run", "excel", "--cores", "64"],
+        ["suite", "--cores", "-1"],
+        ["suite", "--no-smt", "--cores", "8"],
+        ["lint", "--cores", "64"],
     ], ids=" ".join)
     def test_values_that_cannot_run_are_rejected(self, argv):
         flag = argv[-2]

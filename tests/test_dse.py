@@ -4,16 +4,18 @@ The load-bearing claim of the DSE engine is the axis partition:
 configs sharing a trace-changing signature replay one base simulation
 and everything else is scored analytically.  These tests pin the
 signature semantics, the analytic-vs-resimulation equivalence, the
-Pareto frontier's order properties, the chunked supervisor dispatch
+Pareto frontier's order properties, the campaign's fault attribution
 and the satellite fixes (auto-mode serial clamp, machine-digest cache
 keys).
 """
 
 import math
+import time
 from dataclasses import replace
 
 import pytest
 
+import repro.harness.supervisor as supervisor
 import repro.metrics.kernels as kernels
 from repro.analysis.dse import (
     CampaignResult,
@@ -47,7 +49,6 @@ from repro.hardware.catalog import (
 from repro.metrics.kernels import batch_active_energy
 from repro.os.energy import EnergyCoefficients, default_coefficients
 from repro.sim import SECOND
-from repro.validate import fingerprint_run
 
 SHORT = SECOND // 5
 
@@ -250,6 +251,29 @@ class TestCampaign:
         assert not {s.config_index for s in result.frontiers["chrome"]} \
             & lost
 
+    def test_one_hung_base_run_costs_one_run(self, monkeypatch):
+        # Five core counts are five signatures: five base runs, served
+        # by two pooled workers.  Forked workers inherit the patch.
+        machines = [paper_machine().with_logical_cpus(n)
+                    for n in (12, 10, 8, 6, 4)]
+        run = supervisor.execute_spec
+
+        def hang_first_base_run(spec):
+            if spec.kwargs["machine"] == machines[0]:
+                time.sleep(60)
+            return run(spec)
+
+        monkeypatch.setattr(supervisor, "execute_spec", hang_first_base_run)
+        result = run_campaign(["excel"], machines, duration_us=SHORT,
+                              jobs=2, deadline_s=2.0,
+                              equivalence_samples=0)
+        assert result.stats.failed_runs == 1
+        [failure] = result.failures
+        assert failure.kind == "deadline" and failure.attempts == 1
+        scores = result.scores["excel"]
+        assert scores[0] is None
+        assert all(score is not None for score in scores[1:])
+
     def test_analytic_fraction_accounting(self):
         machines = generate_machines(12, seed=3)
         result = run_campaign(["chrome"], machines, duration_us=SHORT,
@@ -317,40 +341,6 @@ class TestEquivalenceCheck:
         assert report.samples == 1
         assert report.max_rel_err == math.inf
         assert not report.ok
-
-
-class TestChunkedDispatch:
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SupervisedExecutor(chunk=0)
-
-    def test_chunked_results_match_singleton_dispatch(self):
-        specs = [short_spec(seed=s) for s in range(5)]
-        one = SupervisedExecutor(jobs=2, chunk=1).map(specs)
-        many = SupervisedExecutor(jobs=2, chunk=3).map(specs)
-        assert [fingerprint_run(r) for r in one] == \
-            [fingerprint_run(r) for r in many]
-
-    def test_crash_inside_chunk_quarantines_only_itself(self):
-        specs = [short_spec(seed=0),
-                 short_spec(seed=1, fault="worker-crash"),
-                 short_spec(seed=2)]
-        executor = SupervisedExecutor(jobs=2, chunk=3)
-        results = executor.map(specs)
-        assert hasattr(results[0], "tlp")
-        assert hasattr(results[2], "tlp")
-        assert not hasattr(results[1], "tlp")
-        assert len(executor.failures) == 1
-        assert executor.failures[0].kind == "crash"
-
-    def test_flaky_chunk_member_heals_with_retries(self, tmp_path):
-        fault = f"flaky-crash:{tmp_path / 'strike'}"
-        executor = SupervisedExecutor(jobs=2, chunk=4, retries=1)
-        results = executor.map([short_spec(seed=0),
-                                short_spec(seed=1, fault=fault),
-                                short_spec(seed=2)])
-        assert all(hasattr(r, "tlp") for r in results)
-        assert not executor.failures
 
 
 class TestAutoModeClamp:

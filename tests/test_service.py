@@ -259,6 +259,73 @@ class TestSweepRequestValidation:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("payload,fragment", [
+        # JSON true decodes to a bool, which Python counts as the int 1.
+        ({"apps": ["excel"], "duration_s": True}, "duration_s"),
+        ({"apps": ["excel"], "iterations": True}, "iterations"),
+        ({"apps": ["excel"], "machine": {"cores": True}}, "cores"),
+        ({"apps": ["excel"], "fault_seed": True}, "fault_seed"),
+        # `repro suite` refuses under 1 µs of simulated time too.
+        ({"apps": ["excel"], "duration_s": 1e-9}, "duration_s"),
+        # The Table I machine has 12 logical CPUs, 6 without SMT.
+        ({"apps": ["excel"], "machine": {"cores": 64}}, "cores"),
+        ({"apps": ["excel"], "machine": {"cores": 8, "smt": False}},
+         "cores"),
+        ({"apps": [["excel"]]}, "unknown applications"),
+    ], ids=lambda value: json.dumps(value) if isinstance(value, dict)
+        else value)
+    def test_values_that_cannot_run_are_400(self, payload, fragment):
+        service = SweepService()
+        try:
+            response = service.dispatch(
+                make_request("POST", "/sweeps", payload))
+            assert response.status == 400
+            assert fragment in json.loads(response.body)["error"]
+            assert service.store.all() == []
+        finally:
+            service.close()
+
+    def test_non_string_apps_in_a_goldens_update_are_400(self):
+        service = SweepService()
+        try:
+            response = service.dispatch(
+                make_request("POST", "/goldens", {"apps": [{"a": 1}]}))
+            assert response.status == 400
+            assert "unknown applications" in \
+                json.loads(response.body)["error"]
+        finally:
+            service.close()
+
+    # NaN passed `< 0` and made the drain loop spin on a NaN timeout.
+    @pytest.mark.parametrize("drain_s", [True, float("nan")])
+    def test_drain_that_is_not_a_number_is_400(self, drain_s):
+        service = SweepService()
+        try:
+            response = service.dispatch(
+                make_request("POST", "/shutdown", {"drain_s": drain_s}))
+            assert response.status == 400
+            assert "drain_s" in json.loads(response.body)["error"]
+            assert service.state == "running"
+        finally:
+            service.close()
+
+    def test_integer_duration_is_the_cli_float(self, tmp_path):
+        path = tmp_path / "suite.json"
+        assert main(["suite", "--apps", "excel", "--duration", "1",
+                     "--iterations", "1", "--json", str(path)],
+                    out=lambda line: None) == 0
+        service = SweepService()
+        try:
+            sweep = {"apps": ["excel"], "iterations": 1}
+            job = submit_and_wait(service, dict(sweep, duration_s=1))
+            again = service.dispatch(make_request(
+                "POST", "/sweeps", dict(sweep, duration_s=1.0)))
+            assert again.status == 200
+            assert json.loads(again.body)["id"] == job.id
+            assert job.result_bytes == path.read_bytes()
+        finally:
+            service.close()
+
 
 # -- lifecycle over a real server ----------------------------------------
 
