@@ -49,8 +49,8 @@ from repro.harness.supervisor import SupervisedExecutor
 from repro.sim import SECOND
 
 #: Relative tolerance of the float equivalence check.  The two paths
-#: differ only in summation order (per-slice vs histogram-grouped) and
-#: kernel ``**`` rounding, both of which sit many orders below this.
+#: price one activity histogram in one order; they can differ only by
+#: numpy's ``**`` rounding, which sits many orders below this.
 EQUIVALENCE_RTOL = 1e-6
 
 

@@ -10,13 +10,14 @@ Two paths produce a :class:`ConfigScore`:
   built only when read (:class:`GroupScores`).
 * :func:`score_from_simulation` — the **slow path**: scores one
   config from its own full re-simulation's energy report (the
-  per-slice accumulation the :class:`~repro.os.energy.EnergyModel`
-  performed live).
+  :class:`~repro.os.energy.EnergyModel` prices the run's activity
+  histogram with the scalar kernel's expression, in its order).
 
 For trace-invariant and trace-rescaling configs the two must agree —
 exactly on every integer-derived quantity (TLP is a ratio of integer
-microsecond sums; the schedule is bit-identical) and to float
-tolerance on energy (per-slice vs histogram-grouped summation order).
+microsecond sums; the schedule is bit-identical) and on energy to
+float tolerance: exactly on the pure-Python kernel, within the
+rounding of numpy's ``**`` on the vectorized one.
 The DSE property suite pins that equivalence; it is the correctness
 argument for skipping ~all of the grid's simulations.
 
@@ -131,7 +132,7 @@ def _assemble(app, config_index, machine, tlp, duration_us,
 
     ``cpu_active_ref_j`` is the config's active CPU energy in
     *reference time* under its own coefficients — the paths differ
-    only in how they obtained it (kernel batch vs live accumulation).
+    only in how they obtained it (kernel batch vs the energy report).
     :func:`batch_score` runs the same operations, in the same order,
     over a group's columns; this is the reference it must equal.
     """

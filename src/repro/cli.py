@@ -158,9 +158,17 @@ def _cache_from_args(args):
 
 
 def _machine_from_args(args):
+    """The machine the flags select: the era's testbed (Table I's
+    unless ``--era 2010``), then ``--gpu``, ``--no-smt`` and
+    ``--cores``."""
+    base = None
+    if getattr(args, "era", None) == 2010:
+        from repro.hardware import machine_2010
+
+        base = machine_2010()
     return paper_machine(gpu=getattr(args, "gpu", None),
                          smt=not getattr(args, "no_smt", False),
-                         cores=getattr(args, "cores", None))
+                         cores=getattr(args, "cores", None), base=base)
 
 
 def cmd_list(_args, out):
@@ -185,21 +193,19 @@ def cmd_run(args, out):
         return 2
     if args.era == 2010:
         from repro.apps.era2010 import ERA2010_REGISTRY
-        from repro.hardware import machine_2010
 
         if args.app not in ERA2010_REGISTRY:
             out(f"error: unknown 2010-era application {args.app!r}; "
                 f"known: {', '.join(sorted(ERA2010_REGISTRY))}")
             return 2
         app = ERA2010_REGISTRY[args.app]()
-        machine = machine_2010()
     else:
         if args.app not in REGISTRY:
             out(f"error: unknown application {args.app!r}; "
                 f"try `python -m repro list`")
             return 2
         app = create_app(args.app)
-        machine = _machine_from_args(args)
+    machine = _machine_from_args(args)
     driver = MANUAL if args.manual else AUTOIT
     cache = _cache_from_args(args)
     executor = _executor_from_args(args, cache)
@@ -494,8 +500,12 @@ def cmd_serve(args, out):
     if args.max_queue < 0:
         out("error: --max-queue must be >= 0 (0 = unbounded)")
         return 2
-    if args.job_ttl is not None and args.job_ttl <= 0:
-        out("error: --job-ttl must be positive")
+    if args.job_ttl is not None and not (math.isfinite(args.job_ttl)
+                                         and args.job_ttl > 0):
+        out("error: --job-ttl must be a finite number of seconds > 0")
+        return 2
+    if not (math.isfinite(args.drain_s) and args.drain_s >= 0):
+        out("error: --drain-s must be a finite number of seconds >= 0")
         return 2
     from repro.service import ENDPOINTS, ServiceServer, SweepService
 
@@ -612,7 +622,9 @@ def build_parser():
     run_parser.add_argument("--era", type=int, choices=(2010, 2018),
                             default=2018,
                             help="2010 runs the era model on Blake et "
-                                 "al.'s machine")
+                                 "al.'s machine (16 LCPUs, GTX 285), "
+                                 "which --cores, --no-smt and --gpu "
+                                 "then configure")
     add_machine_args(run_parser)
 
     suite_parser = sub.add_parser("suite", help="run the Table II suite")

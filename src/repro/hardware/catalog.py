@@ -106,11 +106,13 @@ GTX_285 = GpuSpec(
 )
 
 
-def paper_machine(gpu=None, smt=True, cores=None):
+def paper_machine(gpu=None, smt=True, cores=None, base=None):
     """The 2018 benchmarking desktop of Table I (12 LCPUs, 1080 Ti),
-    with GPU ``gpu`` (a :data:`GPUS` key), SMT off unless ``smt``, then
-    ``cores`` logical CPUs; ``ValueError`` if it cannot take ``cores``."""
-    machine = MachineSpec(cpu=CORE_I7_8700K, gpu=GTX_1080_TI, ram_gb=64)
+    or the ``base`` machine when given, with GPU ``gpu`` (a
+    :data:`GPUS` key), SMT off unless ``smt``, then ``cores`` logical
+    CPUs; ``ValueError`` if it cannot take ``cores``."""
+    machine = base if base is not None else MachineSpec(
+        cpu=CORE_I7_8700K, gpu=GTX_1080_TI, ram_gb=64)
     if gpu:
         machine = machine.with_gpu(GPUS[gpu])
     if not smt:

@@ -242,6 +242,9 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
         frames = [f for f in trace.frames if f.process in processes]
         marks = [m for m in trace.marks if m.process in processes]
         frame_stats = FrameStats.from_records(frames)
+    # The side models read per-run totals: fold the scheduler's slice
+    # histogram into them once (crashed runs included).
+    kernel.scheduler.fold_slices()
     memory = _aggregate_counters(kernel.memory_model, processes)
     # A crashed run only consumed energy until the crash instant (the
     # environment starts at 0, so `env.now` is the elapsed window).

@@ -23,13 +23,18 @@ coefficients without re-simulating, because they never influence the
 schedule.  A machine without coefficients uses the module defaults,
 bit-identically to the pre-parametric model.
 
-The model also keeps an **activity histogram** — microseconds of CPU
-time per ``(process, work class, clock factor)`` triple.  The
-histogram is the exact integral the energy report is computed from,
-exposed so post-hoc re-scoring under *different* coefficients can
-reproduce a full re-simulation's energy without re-running the
-scheduler (the DSE fast path; the property suite pins the
-equivalence).
+The model keeps one **activity histogram** — integer microseconds of
+CPU time per ``(process, work class, clock factor)`` triple — and
+nothing else.  The scheduler fills it once per run: it keeps its own
+slice histogram while the run simulates and folds it in at run end
+(:meth:`~repro.os.scheduler.Scheduler.fold_slices`), one
+:meth:`EnergyModel.record_slice` call per bucket.  Active joules are
+priced from the histogram on demand, with the expression and the
+summation order of the scalar path of
+:func:`repro.metrics.kernels.batch_active_energy`, so a full
+re-simulation and the DSE fast path (which re-scores the same
+histogram under *other* coefficients, without re-running the
+scheduler) price one histogram with one formula.
 """
 
 from dataclasses import dataclass, field
@@ -116,7 +121,7 @@ class EnergyReport:
 
 
 class EnergyModel:
-    """Accumulates CPU slice energy; reads GPU energy from the device.
+    """Prices CPU activity; reads GPU energy from the device.
 
     ``coefficients`` defaults to the machine spec's ``coefficients``
     attribute when it carries one (parametric machines from
@@ -130,45 +135,48 @@ class EnergyModel:
         if coefficients is None:
             coefficients = getattr(machine, "coefficients", None)
         self.coefficients = coefficients or default_coefficients()
-        self._active_j = 0.0
-        self._by_process = {}
-        #: ``(work_class, clock_factor) -> power``: the float ``**`` is
-        #: the costliest operation of the per-slice hot path and both
-        #: key components take only a handful of values, so each power
-        #: level is computed once and reused bit-for-bit.
-        self._power_cache = {}
-        #: ``(process, work_class, clock_factor) -> µs``, the exact
-        #: integer integral behind ``_active_j`` (see module docstring).
+        #: ``(process, work_class, clock_factor) -> µs`` (see module
+        #: docstring).
         self._activity = {}
 
     def record_slice(self, process_name, work_class, wall_us, clock_factor):
-        """Called per scheduling slice (same stream the memory model
-        sees).
+        """Add ``wall_us`` of CPU time to the activity histogram.
+
+        The scheduler calls this once per bucket of its slice
+        histogram, at run end, with the bucket's total wall µs; any
+        split of the same time into calls gives the same histogram.
 
         ``clock_factor`` is the turbo multiplier at switch-out, not at
-        dispatch: :meth:`~repro.os.scheduler.Scheduler.run_burst`
-        passes ``clock_table[busy cores]`` after the slice has run,
-        while this CPU still counts as busy.  It differs from the
-        factor that set the slice's speed when other cores went busy
-        or idle during the slice.  Every recorded joule, the activity
-        histogram and the DSE golden slice are defined by this
-        switch-out value.
+        dispatch: the scheduler buckets each slice by its busy-core
+        count after the slice has run, while its CPU still counts as
+        busy, and passes ``clock_table[busy cores]``.  It differs from
+        the factor that set the slice's speed when other cores went
+        busy or idle during the slice.  Every recorded joule, the
+        activity histogram and the DSE golden slice are defined by
+        this switch-out value.
         """
-        power = self._power_cache.get((work_class, clock_factor))
-        if power is None:
-            power = (self.coefficients.active_power_w[work_class]
-                     * clock_factor ** self.coefficients.clock_exponent)
-            self._power_cache[(work_class, clock_factor)] = power
-        joules = power * wall_us / 1_000_000.0
-        self._active_j += joules
-        self._by_process[process_name] = (
-            self._by_process.get(process_name, 0.0) + joules)
         key = (process_name, work_class, clock_factor)
         self._activity[key] = self._activity.get(key, 0) + wall_us
 
+    def active_j(self, processes=None):
+        """Active CPU joules of ``processes`` (all when ``None``).
+
+        ``activity(processes)`` priced in key order, each entry as
+        ``power * factor ** exponent * µs / 1e6`` added to a running
+        sum from ``0.0`` — the scalar path of
+        :func:`~repro.metrics.kernels.batch_active_energy`, operation
+        for operation.
+        """
+        power = self.coefficients.active_power_w
+        exponent = self.coefficients.clock_exponent
+        total = 0.0
+        for (work_class, factor), wall_us in self.activity(processes).items():
+            total += power[work_class] * factor ** exponent * wall_us / 1e6
+        return total
+
     def process_active_j(self, process_name):
         """Active CPU joules attributed to one process."""
-        return self._by_process.get(process_name, 0.0)
+        return self.active_j((process_name,))
 
     def activity(self, processes=None):
         """``{(work_class, clock_factor): µs}`` aggregated over
@@ -192,11 +200,7 @@ class EnergyModel:
         those processes (idle power is still whole-package — it exists
         whether or not the app runs, like in a wall-plug measurement).
         """
-        if processes is None:
-            active = self._active_j
-        else:
-            active = sum(self._by_process.get(name, 0.0)
-                         for name in processes)
+        active = self.active_j(processes)
         seconds = window_us / 1_000_000.0
         cpu_idle = self.coefficients.cpu_idle_w * seconds
         gpu_active = 0.0

@@ -6,9 +6,16 @@ prefetch shared data for one another) but *raises* the fraction of time
 a core is stalled on the L1 cache without missing in it, from 5.3% to
 10.7% (functional-unit / load-store contention within the core).
 
-We reproduce those counters from the scheduler's slice stream: every
-scheduling interval reports its work class and whether an SMT sibling
-was running (and whether it belonged to the same process).
+We reproduce those counters from the scheduler's slices: each
+scheduling interval has a work class and a sibling state sampled at
+switch-in (was an SMT sibling running, and did it belong to the same
+process).  The scheduler sums slices into a histogram while the run
+simulates and folds it in at run end
+(:meth:`~repro.os.scheduler.Scheduler.fold_slices`): one
+:meth:`MemoryModel.record_slice` call per (process, work class,
+busy cores, sibling state) bucket, not one per slice.  The integer
+counters are exact either way; the float LLC and L1 sums depend on the
+order of the additions only in their last bits.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +81,13 @@ class MemoryModel:
 
     def record_slice(self, process_name, work_class, wall_us,
                      sibling_busy, sibling_same_process):
-        # get-then-insert rather than setdefault: the default argument
-        # of setdefault would construct (and discard) a ProcessCounters
-        # on every slice of this per-slice hot path.
+        """Add ``wall_us`` of ``process_name``'s CPU time with the given
+        sibling flags.
+
+        The scheduler calls this once per bucket of its slice histogram,
+        at run end, with the bucket's total wall µs; every counter is
+        linear in ``wall_us``, so a bucket stands for its slices.
+        """
         counters = self._counters.get(process_name)
         if counters is None:
             counters = self._counters[process_name] = ProcessCounters()

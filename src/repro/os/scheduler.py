@@ -10,7 +10,9 @@ Responsibilities:
 * time-slice when runnable threads outnumber CPUs (round-robin with a
   Windows-like quantum);
 * scale execution speed for SMT sibling contention and turbo clocks;
-* emit one context-switch trace record per scheduling interval.
+* emit one context-switch trace record per scheduling interval;
+* keep each run's slice histogram, which the energy and memory models
+  read once, at run end (:meth:`Scheduler.fold_slices`).
 """
 
 import math
@@ -34,6 +36,12 @@ RESAMPLE_PERIOD = 50 * MS
 #: audio render) are dispatched before normal work when CPUs are scarce.
 PRIORITY_NORMAL = 0
 PRIORITY_HIGH = 1
+
+#: Sibling states of a slice, sampled at switch-in: every SMT sibling
+#: idle, a sibling running another process, a sibling running the same
+#: process.  They are the last digit of a slice-histogram index.
+SIBLING_IDLE, SIBLING_OTHER_PROCESS, SIBLING_SAME_PROCESS = 0, 1, 2
+_SIBLING_STATES = 3
 
 
 class LogicalCpu:
@@ -152,6 +160,11 @@ class Scheduler:
                              for busy in range(self._n_cores + 1)]
         #: ``smt_pair_throughput`` per work class, filled on first use.
         self._pair_cache = {}
+        #: The run's slice histogram: ``(process name, work class) ->``
+        #: a list of wall µs indexed by ``3 * busy cores at switch-out
+        #: + sibling state at switch-in``.  A burst fetches its list
+        #: once; :meth:`fold_slices` hands it to the side models.
+        self._slices = {}
 
     def _map_siblings(self):
         by_core = {}
@@ -305,12 +318,14 @@ class Scheduler:
         clock_table = self._clock_table
         pair_cache = self._pair_cache
         retired = self.retired_work
-        memory_model = self.memory_model
-        energy_model = self.energy_model
         quantum = self.quantum
         ceil = math.ceil
         process = thread.process
         process_name = process.name
+        slices = self._slices.get((process_name, work_class))
+        if slices is None:
+            slices = [0] * (_SIBLING_STATES * len(clock_table))
+            self._slices[process_name, work_class] = slices
         state_ready = ThreadState.READY
         state_running = ThreadState.RUNNING
         queue = env._queue
@@ -348,16 +363,17 @@ class Scheduler:
             thread.state = state_running
             lcpu.work_class = work_class
             # One fused pass over the SMT siblings feeds both the speed
-            # factor (busy-sibling count) and the memory-model flags —
-            # the legacy code walked the sibling tuple twice per slice.
+            # factor (busy-sibling count) and the sibling state.
             busy_siblings = 0
-            sibling_same_process = False
+            sibling = SIBLING_IDLE
             for s in siblings[lcpu.index]:
                 other = s.thread
                 if other is not None:
                     busy_siblings += 1
                     if other.process is process:
-                        sibling_same_process = True
+                        sibling = SIBLING_SAME_PROCESS
+                    elif sibling == SIBLING_IDLE:
+                        sibling = SIBLING_OTHER_PROCESS
             speed = clock_table[self._busy_cores]
             if busy_siblings:
                 pair = pair_cache.get(work_class)
@@ -396,16 +412,39 @@ class Scheduler:
                 session.emit_cswitch(
                     process_name, process.pid, thread.tid,
                     thread.name, lcpu.index, ready_time, switch_in, env._now)
-                if memory_model is not None:
-                    memory_model.record_slice(
-                        process_name, work_class, wall,
-                        busy_siblings > 0, sibling_same_process)
-                if energy_model is not None:
-                    energy_model.record_slice(
-                        process_name, work_class, wall,
-                        clock_table[self._busy_cores])
+                # Busy cores at switch-out: this CPU still counts.
+                slices[_SIBLING_STATES * self._busy_cores + sibling] += wall
             self._vacate(lcpu)
             if ready:
                 self._dispatch()
             if interrupted is not None:
                 raise interrupted
+
+    def fold_slices(self):
+        """Feed the run's slice histogram to the side models.
+
+        One ``record_slice`` call per non-empty bucket, with the
+        arguments a per-slice call would have passed: the memory model
+        gets the sibling flags sampled at switch-in, the energy model
+        the switch-out clock factor ``clock_table[busy cores]``.  The
+        buckets are zeroed in place (bursts still in flight hold
+        them), so a second fold adds only what ran since the first.
+        """
+        memory_model = self.memory_model
+        energy_model = self.energy_model
+        clock_table = self._clock_table
+        for (process_name, work_class), buckets in self._slices.items():
+            for index, wall_us in enumerate(buckets):
+                if not wall_us:
+                    continue
+                buckets[index] = 0
+                busy_cores, sibling = divmod(index, _SIBLING_STATES)
+                if memory_model is not None:
+                    memory_model.record_slice(
+                        process_name, work_class, wall_us,
+                        sibling != SIBLING_IDLE,
+                        sibling == SIBLING_SAME_PROCESS)
+                if energy_model is not None:
+                    energy_model.record_slice(
+                        process_name, work_class, wall_us,
+                        clock_table[busy_cores])

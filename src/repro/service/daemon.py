@@ -56,6 +56,7 @@ mutated, so they revalidate via ``ETag`` each time.
 
 import json
 import logging
+import math
 import re
 import threading
 
@@ -489,8 +490,9 @@ class SweepService:
         payload = request.json()
         if "drain_s" in payload:
             drain_s = as_float(payload["drain_s"])
-            if not drain_s >= 0:        # NaN included
-                raise BadRequest("'drain_s' must be a number >= 0")
+            # 1e400 decodes to infinity, which JSON cannot echo back.
+            if not (math.isfinite(drain_s) and drain_s >= 0):
+                raise BadRequest("'drain_s' must be a finite number >= 0")
         with self._lock:
             if self.state == "running":
                 self.state = "draining"

@@ -66,6 +66,14 @@ class TestCommands:
         ["suite", "--cores", "-1"],
         ["suite", "--no-smt", "--cores", "8"],
         ["lint", "--cores", "64"],
+        # Blake et al.'s 2010 machine has 16 logical CPUs.
+        ["run", "acrobat-9", "--era", "2010", "--cores", "32"],
+        # A drain or TTL bound must be a finite number of seconds.
+        ["serve", "--drain-s", "nan"],
+        ["serve", "--drain-s", "inf"],
+        ["serve", "--drain-s", "-1"],
+        ["serve", "--job-ttl", "nan"],
+        ["serve", "--job-ttl", "inf"],
     ], ids=" ".join)
     def test_values_that_cannot_run_are_rejected(self, argv):
         flag = argv[-2]
@@ -191,6 +199,21 @@ class TestCommands:
                               "--duration", "10", "--iterations", "1"])
         assert code == 0
         assert "HandBrake 0.9" in text
+
+    def test_era_2010_run_takes_the_machine_flags(self):
+        code, text = run_cli(["run", "acrobat-9", "--era", "2010",
+                              "--cores", "4", "--no-smt",
+                              "--duration", "0.5", "--iterations", "1"])
+        assert code == 0
+        assert "4 LCPUs, SMT off, NVIDIA GTX 285" in text
+
+    def test_era_2010_cores_are_checked_against_its_machine(self):
+        # 16 exceeds Table I's 12 logical CPUs, not the 2010 machine's.
+        code, text = run_cli(["run", "acrobat-9", "--era", "2010",
+                              "--cores", "16", "--duration", "0.5",
+                              "--iterations", "1"])
+        assert code == 0
+        assert "16 LCPUs, SMT on" in text
 
     def test_era_2010_unknown_app(self):
         code, text = run_cli(["run", "handbrake", "--era", "2010",

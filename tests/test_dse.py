@@ -226,6 +226,16 @@ class TestCampaign:
         assert eq.max_rel_err <= eq.rtol
         assert eq.ok
 
+    def test_scalar_kernel_prices_like_the_energy_model(self, monkeypatch):
+        # A re-simulation's energy report and the pure-Python kernel
+        # price one activity histogram with one expression, in one
+        # summation order, so they agree to the last bit.
+        monkeypatch.setattr(kernels, "_np", None)
+        result = run_campaign(["handbrake", "premiere", "excel"],
+                              generate_machines(2000, seed=1), seed=1)
+        assert result.equivalence.samples == 8
+        assert result.equivalence.max_rel_err == 0.0
+
     def test_failed_base_run_leaves_its_group_unscored(self):
         class FirstBaseRunFails:
             failures = []

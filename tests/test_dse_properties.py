@@ -4,10 +4,11 @@ The engine's correctness claim: for any config drawn from the
 generator's axes, scoring it analytically from the *signature
 representative's* base run equals fully re-simulating the config
 itself — exactly on every integer-derived quantity (TLP, duration),
-to float tolerance on the energy path (summation order and kernel
-``**`` rounding differ).  Hypothesis draws the tech node, DVFS point
-and energy coefficients; base runs are memoized per signature so each
-example costs one simulation, not two.
+to float tolerance on the energy path (both paths price the same
+activity histogram in the same order, but numpy's ``**`` may round
+differently from the scalar one).  Hypothesis draws the tech node,
+DVFS point and energy coefficients; base runs are memoized per
+signature so each example costs one simulation, not two.
 """
 
 import random
@@ -49,6 +50,7 @@ from repro.hardware.catalog import (
 )
 from repro.metrics.kernels import batch_active_energy
 from repro.os.energy import EnergyCoefficients, default_coefficients
+from repro.os.memmodel import MemoryModel
 from repro.os.scheduler import build_topology, compute_clock_factor
 from repro.os.work import WorkClass
 from repro.sim import SECOND
@@ -156,6 +158,46 @@ class TestBatchKernelProperties:
         for a, b in zip(vec, sca):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
             assert a >= 0.0
+
+
+# -- one model call per histogram bucket ---------------------------------------
+
+#: Slices as (process, work class, wall µs, (sibling busy, same process)).
+slices_strategy = st.lists(
+    st.tuples(st.sampled_from(["a.exe", "b.exe"]),
+              st.sampled_from(list(WorkClass)),
+              st.integers(1, 1_000_000),
+              st.sampled_from([(False, False), (True, False),
+                               (True, True)])),
+    max_size=60)
+
+
+class TestSliceBucketProperties:
+    """The scheduler folds its slice histogram into the memory model,
+    one call per bucket; the counters must be those of one call per
+    slice."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(slices_strategy)
+    def test_one_call_per_bucket_counts_like_one_per_slice(self, slices):
+        per_slice, per_bucket = MemoryModel(), MemoryModel()
+        buckets = {}
+        for name, work_class, wall_us, flags in slices:
+            per_slice.record_slice(name, work_class, wall_us, *flags)
+            key = (name, work_class, flags)
+            buckets[key] = buckets.get(key, 0) + wall_us
+        for (name, work_class, flags), wall_us in buckets.items():
+            per_bucket.record_slice(name, work_class, wall_us, *flags)
+        assert per_bucket.process_names() == per_slice.process_names()
+        for name in per_slice.process_names():
+            want, got = per_slice.counters(name), per_bucket.counters(name)
+            assert got.work_us == want.work_us
+            assert got.contended_us == want.contended_us
+            assert got.by_class == want.by_class
+            assert got.llc_misses == pytest.approx(want.llc_misses,
+                                                   rel=1e-12)
+            assert got.l1_stall_us == pytest.approx(want.l1_stall_us,
+                                                    rel=1e-12)
 
 
 def score_point(tlp, edp, index):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.apps import SUITE, create_app
+from repro.harness import run_app_once
 from repro.hardware import GTX_1080_TI, MachineSpec, paper_machine
 from repro.hardware.specs import CpuSpec
 from repro.os import Kernel, ThreadState, WorkClass, boot, build_topology
@@ -292,3 +294,40 @@ class TestWarmCpuAffinity:
         cores = {lcpus[r.cpu].core for r in trace.cswitches
                  if r.process == "app.exe"}
         assert len(cores) == 2  # one physical core per thread
+
+
+class TestSliceHistogram:
+    """The side models see exactly the CPU time the trace records."""
+
+    @pytest.mark.parametrize("name", SUITE)
+    def test_histogram_matches_the_trace(self, name):
+        run = run_app_once(create_app(name), duration_us=SECOND, seed=1,
+                           keep_trace=True)
+        traced = sum(r.switch_out_time - r.switch_in_time
+                     for r in run.trace.cswitches
+                     if r.process in run.process_names)
+        counters = run.memory_counters
+        assert traced > 0
+        assert counters.work_us == traced
+        assert sum(run.activity.values()) == traced
+        assert sum(counters.by_class.values()) == traced
+
+    def test_a_second_fold_adds_only_what_ran_since(self):
+        env, kernel, _ = make_kernel()
+        process = kernel.spawn_process("app.exe")
+
+        def body(ctx):
+            yield ctx.cpu(5 * MS, WorkClass.BALANCED)
+            yield ctx.cpu(30 * MS, WorkClass.BALANCED)
+
+        process.spawn_thread(body)
+        env.run(until=10 * MS)
+        kernel.scheduler.fold_slices()
+        assert kernel.memory_model.counters("app.exe").work_us == 5 * MS
+        # The second burst was in flight at the first fold.
+        env.run()
+        kernel.scheduler.fold_slices()
+        kernel.scheduler.fold_slices()
+        assert kernel.memory_model.counters("app.exe").work_us == 35 * MS
+        assert kernel.energy_model.activity() == {
+            (WorkClass.BALANCED, 1.0): 35 * MS}

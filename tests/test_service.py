@@ -296,8 +296,10 @@ class TestSweepRequestValidation:
         finally:
             service.close()
 
-    # NaN passed `< 0` and made the drain loop spin on a NaN timeout.
-    @pytest.mark.parametrize("drain_s", [True, float("nan")])
+    # NaN passed `< 0` and made the drain loop spin on a NaN timeout;
+    # infinity (what `1e400` decodes to) came back as a bare
+    # `Infinity` token that strict JSON parsers reject.
+    @pytest.mark.parametrize("drain_s", [True, float("nan"), float("inf")])
     def test_drain_that_is_not_a_number_is_400(self, drain_s):
         service = SweepService()
         try:
