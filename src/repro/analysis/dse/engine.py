@@ -13,12 +13,14 @@ must:
    run per worker round trip, so a crashed or hung grid point
    quarantines alone instead of killing the campaign.
 3. **Score** every config of every group analytically from its
-   group's base run (:func:`~repro.analysis.dse.score.batch_score`):
-   each group's scoring inputs are extracted once as columns (read
-   straight from a :class:`~repro.hardware.catalog.MachineGrid`'s
-   draw columns, so a generated config's machine is built only if it
-   is simulated or reported) and reused for every app, and a score
-   object is built only when read.
+   group's base run (:func:`~repro.analysis.dse.score.batch_score`),
+   one group at a time: the group's scoring inputs are extracted once
+   as columns (read straight from a
+   :class:`~repro.hardware.catalog.MachineGrid`'s draw columns, so a
+   generated config's machine is built only if it is simulated or
+   reported), converted once to the batch kernel's layout, and scored
+   for every app from that one conversion, which is dropped before
+   the next group; a score object is built only when read.
    The frontier is taken over each group's lowest-EDP member
    (:func:`frontier_from_groups`).
 4. **Verify**: the sampled re-simulations are scored through the slow
@@ -177,17 +179,27 @@ def _sample_equivalence(apps, groups, samples, seed):
     """Seeded sample of (app, config index) pairs to re-simulate.
 
     Prefers non-representative configs (a representative's "re-
-    simulation" would be the base run itself); falls back to any pair
-    when the grid is too small.
+    simulation" would be the base run itself); falls back to the group
+    representatives when no group has another member.  The pool is
+    every app crossed with those configs, app-major, and is sampled by
+    position: ``random.sample`` picks positions from the pool's length
+    alone, so drawing from ``range(pool)`` and mapping position ``j``
+    to app ``j // m`` and config ``j % m`` of the ``m`` candidates
+    picks the same pairs without building the pool.  Returns the
+    sample sorted, or the whole pool in pool order when ``samples``
+    covers it.
     """
-    non_rep = [(app, index) for app in apps
-               for members in groups.values() for index in members[1:]]
-    pool = non_rep or [(app, members[0]) for app in apps
-                       for members in groups.values()]
+    configs = [index for members in groups.values()
+               for index in members[1:]]
+    if not configs:
+        configs = [members[0] for members in groups.values()]
+    m = len(configs)
+    pool = len(apps) * m
     rng = random.Random(f"dse-equivalence:{seed}")
-    if samples >= len(pool):
-        return list(pool)
-    return sorted(rng.sample(pool, samples))
+    if samples >= pool:
+        return [(app, index) for app in apps for index in configs]
+    return sorted((apps[j // m], configs[j % m])
+                  for j in rng.sample(range(pool), samples))
 
 
 def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
@@ -243,22 +255,24 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     base_runs = results[:len(plan)]
     check_runs = results[len(plan):]
 
-    columns = [ConfigColumns(machines if grid
-                             else [machines[i] for i in members], members)
-               for members in group_list]
     owner = [0] * len(machines)
     position = [0] * len(machines)
+    blocks = {app: [None] * len(group_list) for app in apps}
+    failed = 0
     for group, members in enumerate(group_list):
         for k, index in enumerate(members):
             owner[index] = group
             position[index] = k
-    blocks = {app: [None] * len(group_list) for app in apps}
-    failed = 0
-    for (app, group), run in zip(plan, base_runs):
-        if not _is_run(run):
-            failed += 1
-            continue
-        blocks[app][group] = batch_score(app, run, columns[group])
+        columns = ConfigColumns(machines if grid
+                                else [machines[i] for i in members], members)
+        # The plan is app-major, so the group's base runs are every
+        # len(group_list)-th result, in app order.
+        with columns.kernel_table():
+            for app, run in zip(apps, base_runs[group::len(group_list)]):
+                if not _is_run(run):
+                    failed += 1
+                    continue
+                blocks[app][group] = batch_score(app, run, columns)
     scores = {app: CampaignScores(blocks[app], owner, position)
               for app in apps}
 

@@ -33,10 +33,11 @@ f ~ V).
 """
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.hardware import catalog
-from repro.metrics.kernels import batch_active_energy
+from repro.metrics.kernels import batch_active_energy, config_table
 from repro.os.energy import default_coefficients, gpu_tdp_for
 from repro.os.work import WorkClass
 
@@ -168,15 +169,23 @@ class ConfigColumns:
     kernel's power row and exponent, the idle CPU and GPU watts, the
     GPU's active span (TDP minus idle), :func:`time_scale` and
     :func:`node_power_scale` — computed once per config with the same
-    scalar functions :func:`_assemble` calls, so a campaign extracts
-    them once per config rather than once per (app, config).
+    operations, in the same order, as the scalar functions
+    :func:`_assemble` calls, so a campaign extracts them once per
+    config rather than once per (app, config).
 
     ``machines`` is a machine list, with ``indices`` the configs'
     campaign indices (default ``0..N-1``), or a
     :class:`~repro.hardware.catalog.MachineGrid`, with ``indices`` the
     grid rows of the group (default every row): a config's campaign
     index is its grid row.  A grid's columns are read directly, so no
-    machine is built until :meth:`machine` asks for one.
+    machine is built until :meth:`machine` asks for one: its power
+    rows are shared, not copied, when its class order is
+    :data:`WORK_CLASSES` (the generator's), and each tech node's
+    clock and power factors are looked up once per group.
+
+    :meth:`kernel_table` holds the power rows and exponents converted
+    to the batch kernel's layout while a group is scored for several
+    base runs.
     """
 
     def __init__(self, machines, indices=None):
@@ -185,6 +194,7 @@ class ConfigColumns:
         self.indices = list(indices if indices is not None
                             else range(len(self._machines)))
         self._rows = self.indices if grid else range(len(self._machines))
+        self._table = None
         if grid:
             self._read_grid(machines)
         else:
@@ -209,22 +219,54 @@ class ConfigColumns:
 
         A grid machine's coefficients carry the module-default GPU
         fields, so the GPU columns are one value for the whole grid.
+        The time and power factors are :func:`time_scale_at` and
+        :func:`node_power_scale_at` with each node's constants taken
+        once: ``REF / ((REF * FREQ[t]) * d)`` and ``POWER[t] * d ** 3``.
         """
         rows = self.indices
-        position = {cls: j for j, cls in enumerate(grid.power_classes)}
-        order = [position[cls] for cls in WORK_CLASSES]
         power_w = grid.power_w
-        self.power = [[power_w[i][j] for j in order] for i in rows]
+        if tuple(grid.power_classes) == WORK_CLASSES:
+            self.power = [power_w[i] for i in rows]
+        else:
+            position = {cls: j for j, cls in enumerate(grid.power_classes)}
+            order = [position[cls] for cls in WORK_CLASSES]
+            self.power = [[power_w[i][j] for j in order] for i in rows]
         self.exponents = [grid.clock_exponent[i] for i in rows]
         self.cpu_idle_w = [grid.cpu_idle_w[i] for i in rows]
         base = default_coefficients()
         span = gpu_tdp_for(base, grid.gpu) - base.gpu_idle_w
         self.gpu_idle_w = [base.gpu_idle_w] * len(rows)
         self.gpu_span_w = [span] * len(rows)
+        ref = catalog.REF_BASE_CLOCK_GHZ
+        node_clock = {tech: ref * freq
+                      for tech, freq in catalog.FREQ_SCALE.items()}
+        node_power = catalog.POWER_SCALE
         tech, dvfs = grid.tech_nm, grid.dvfs_ratio
-        self.time_scale = [time_scale_at(tech[i], dvfs[i]) for i in rows]
-        self.node_scale = [node_power_scale_at(tech[i], dvfs[i])
+        self.time_scale = [ref / (node_clock[tech[i]] * dvfs[i])
                            for i in rows]
+        self.node_scale = [node_power[tech[i]] * dvfs[i] ** 3
+                           for i in rows]
+
+    @contextmanager
+    def kernel_table(self):
+        """Convert the power rows and exponents to the batch kernel's
+        layout (:func:`~repro.metrics.kernels.config_table`) once, for
+        the ``with`` block: every :func:`batch_score` over these
+        columns inside it prices from that one conversion, which is
+        dropped on exit, so the converted arrays live no longer than
+        the group's scoring."""
+        self._table = config_table(self.power, self.exponents)
+        try:
+            yield self
+        finally:
+            self._table = None
+
+    def kernel_inputs(self):
+        """The batch kernel's ``(power, exponents)`` config axis: the
+        one held by :meth:`kernel_table`, else a fresh conversion."""
+        if self._table is not None:
+            return self._table
+        return config_table(self.power, self.exponents)
 
     def machine(self, k):
         """The machine of the group's ``k``-th config."""
@@ -303,7 +345,7 @@ def batch_score(app, base_run, machines, indices=None):
     class_idx = [_CLASS_COLUMN[cls] for (cls, _), _ in entries]
     factors = [factor for (_, factor), _ in entries]
     active_ref = batch_active_energy(t_us, class_idx, factors,
-                                     columns.power, columns.exponents)
+                                     *columns.kernel_inputs())
     duration_us = base_run.duration_us
     busy_fraction = min(1.0, base_run.gpu_busy_us / max(1, duration_us))
     wall_s = [duration_us * scale / 1e6 for scale in columns.time_scale]

@@ -52,6 +52,25 @@ _PACKAGE_ROOT = Path(__file__).resolve().parents[3]
 _SHADOW_FILES = (str(Path(__file__).resolve()),)
 _SYNC_FILE = str((_PACKAGE_ROOT / "repro" / "os" / "sync.py").resolve())
 
+#: Frame filename -> its name relative to the package root (the bare
+#: file name outside it).  A shadow build records thousands of sync
+#: ops from a handful of source files.
+_SITE_NAMES = {}
+
+
+def _site_name(filename):
+    """The package-relative name :func:`_call_site` prints for a
+    frame's filename, resolved once per filename."""
+    name = _SITE_NAMES.get(filename)
+    if name is None:
+        path = Path(filename)
+        try:
+            name = str(path.relative_to(_PACKAGE_ROOT))
+        except ValueError:
+            name = path.name
+        _SITE_NAMES[filename] = name
+    return name
+
 
 def _call_site(skip_files):
     """``file.py:line`` of the nearest frame outside ``skip_files``."""
@@ -60,12 +79,7 @@ def _call_site(skip_files):
         frame = frame.f_back
     if frame is None:
         return None
-    path = Path(frame.f_code.co_filename)
-    try:
-        name = str(path.relative_to(_PACKAGE_ROOT))
-    except ValueError:
-        name = path.name
-    return f"{name}:{frame.f_lineno}"
+    return f"{_site_name(frame.f_code.co_filename)}:{frame.f_lineno}"
 
 
 @dataclass(frozen=True)

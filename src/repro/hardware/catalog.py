@@ -239,10 +239,14 @@ def check_grid_point(cores, smt_ways, tech_nm, dvfs_ratio):
     thread per core."""
     lo, hi = dvfs_bounds(tech_nm)
     if not lo <= dvfs_ratio <= hi:
-        raise ValueError(
-            f"dvfs_ratio={dvfs_ratio:.4f} outside [{lo:.4f}, {hi:.4f}] "
-            f"at {tech_nm} nm")
+        raise _outside_band(tech_nm, dvfs_ratio, lo, hi)
     check_core_counts(cores, smt_ways)
+
+
+def _outside_band(tech_nm, dvfs_ratio, lo, hi):
+    """The ``ValueError`` of a DVFS point outside ``[lo, hi]``."""
+    return ValueError(f"dvfs_ratio={dvfs_ratio:.4f} outside "
+                      f"[{lo:.4f}, {hi:.4f}] at {tech_nm} nm")
 
 
 def parametric_machine(cores, smt_ways=2, tech_nm=45, dvfs_ratio=1.0,
@@ -344,33 +348,51 @@ def generate_machines(count, seed=0, cores=GENERATOR_CORES,
     ``±coefficient_jitter`` (the exponent by ``±0.2``) —
     trace-invariant; the core count and SMT ways — trace-changing; and
     a DVFS point uniform inside the node's admissible band —
-    trace-rescaling.  Every point is checked with
-    :func:`check_grid_point` as it is drawn.  The same ``(count, seed,
+    trace-rescaling.  The axes are checked once, before any draw: each
+    tech node's :func:`dvfs_bounds` and every (cores, SMT ways) pair
+    (:func:`~repro.hardware.specs.check_core_counts`), so a bad axis
+    raises even when ``count`` is 0; each drawn DVFS point is checked
+    against its node's band as it is drawn, with
+    :func:`check_grid_point`'s message.  The same ``(count, seed,
     axes)`` always yields the same grid, so a DSE campaign is
     reproducible end to end.
     """
+    # Each ``uniform(a, b)`` draw is inlined as ``a + (b - a) *
+    # random()``, the way ``random.uniform`` computes it, with each
+    # width taken once: per node for the DVFS band (floor, width,
+    # ceiling), once for the jitters.
+    bands = {}
+    for tech in tech_nodes:
+        lo, hi = dvfs_bounds(tech)
+        bands[tech] = (lo, hi - lo, hi)
+    for n_cores in cores:
+        for n_ways in smt_ways:
+            check_core_counts(n_cores, n_ways)
     rng = random.Random(f"dse-machines:{seed}")
-    uniform = rng.uniform
+    rand = rng.random
     choice = rng.choice
     base = default_coefficients()
     classes = tuple(base.active_power_w)
     watts = tuple(base.active_power_w.values())
+    idle_w, exponent = base.cpu_idle_w, base.clock_exponent
     low, high = -coefficient_jitter, coefficient_jitter
+    width = high - low
+    ex_low, ex_high = -0.2, 0.2
+    ex_width = ex_high - ex_low
     techs, dvfs, core_counts, ways, power, idle, exponents = (
         [], [], [], [], [], [], [])
     for _ in range(count):
         tech = choice(tech_nodes)
-        lo, hi = dvfs_bounds(tech)
-        power.append([w * (1.0 + uniform(low, high)) for w in watts])
-        idle.append(base.cpu_idle_w * (1.0 + uniform(low, high)))
-        exponents.append(base.clock_exponent + uniform(-0.2, 0.2))
-        n_cores = choice(cores)
-        n_ways = choice(smt_ways)
-        ratio = uniform(lo, hi)
-        check_grid_point(n_cores, n_ways, tech, ratio)
+        lo, span, hi = bands[tech]
+        power.append([w * (1.0 + (low + width * rand())) for w in watts])
+        idle.append(idle_w * (1.0 + (low + width * rand())))
+        exponents.append(exponent + (ex_low + ex_width * rand()))
+        core_counts.append(choice(cores))
+        ways.append(choice(smt_ways))
+        ratio = lo + span * rand()
+        if not lo <= ratio <= hi:
+            raise _outside_band(tech, ratio, lo, hi)
         techs.append(tech)
         dvfs.append(ratio)
-        core_counts.append(n_cores)
-        ways.append(n_ways)
     return MachineGrid(techs, dvfs, core_counts, ways, power, idle,
                        exponents, power_classes=classes, gpu=gpu)

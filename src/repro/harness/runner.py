@@ -300,11 +300,17 @@ def _salvage_info(trace, intended_stop, crash_exc, prefix):
 
 
 def _aggregate_counters(memory_model, processes):
-    """Merge per-process memory counters over the app's processes."""
+    """Merge per-process memory counters over the app's processes.
+
+    The float counters are summed in sorted process-name order:
+    ``processes`` is a set of strings, whose iteration order follows
+    the interpreter's hash seed, and a float sum's last bits follow
+    its order.
+    """
     from repro.os.memmodel import ProcessCounters
 
     merged = ProcessCounters()
-    for name in processes:
+    for name in sorted(processes):
         counters = memory_model.counters(name)
         merged.work_us += counters.work_us
         merged.contended_us += counters.contended_us

@@ -187,6 +187,22 @@ def clipped_busy_sum(starts, stops, window_start, window_stop):
     return int(spans[spans > 0].sum())
 
 
+def config_table(active_power_w, exponents):
+    """The config axis of :func:`batch_active_energy` in the backend's
+    layout: float64 arrays on the numpy backend, the inputs themselves
+    on the pure-Python one.
+
+    ``batch_active_energy`` converts its config axis on every call;
+    converted once here, one table prices any number of histograms
+    with no further copy (``numpy.asarray`` returns a float64 array as
+    it is), and every total comes out as it would from the lists.
+    """
+    if _np is None:
+        return active_power_w, exponents
+    return (_np.asarray(active_power_w, dtype=_np.float64),
+            _np.asarray(exponents, dtype=_np.float64))
+
+
 def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
                         exponents):
     """Active CPU joules of one activity histogram under N coefficient

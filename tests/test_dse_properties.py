@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import repro.metrics.kernels as kernels
 from repro.analysis.dse.axes import partition_configs, sim_signature
-from repro.analysis.dse.engine import frontier_from_groups
+from repro.analysis.dse.engine import _sample_equivalence, frontier_from_groups
 from repro.analysis.dse.pareto import dominates, pareto_frontier
 from repro.analysis.dse.score import (
     WORK_CLASSES,
@@ -41,6 +41,7 @@ from repro.hardware.catalog import (
     GTX_1080_TI,
     TECH_NODES,
     VTH_V,
+    MachineGrid,
     dvfs_bounds,
     generate_machines,
     machine_2000,
@@ -331,6 +332,21 @@ class TestColumnarScoring:
             assembled("handbrake", run, machines, range(len(machines)))
 
 
+class TestKernelTable:
+    def test_one_conversion_inside_the_block_none_after(self):
+        run = base_run("handbrake", 4, 2)
+        columns = ConfigColumns(generate_machines(30, seed=5))
+        fresh = batch_score("handbrake", run, columns)
+        with columns.kernel_table():
+            held = columns.kernel_inputs()
+            assert columns.kernel_inputs() is held
+            inside = batch_score("handbrake", run, columns)
+        assert columns.kernel_inputs() is not held
+        for name in ("wall_s", "energy_j", "edp_js"):
+            assert float_hexes(getattr(inside, name)) == \
+                float_hexes(getattr(fresh, name)), name
+
+
 # -- the group-minimum frontier ------------------------------------------------
 
 _POOL = [parametric_machine(4, tech_nm=45, dvfs_ratio=1.0),
@@ -560,6 +576,22 @@ class TestMachineGrid:
             assert all(got.machine(k) is grid[index]
                        for k, index in enumerate(members))
 
+    def test_columns_of_a_grid_in_another_class_order(self):
+        # Rows in the kernel's class order are shared; any other order
+        # is copied into it.
+        grid = generate_machines(40, seed=2)
+        flipped = MachineGrid(
+            grid.tech_nm, grid.dvfs_ratio, grid.cores, grid.smt_ways,
+            [row[::-1] for row in grid.power_w], grid.cpu_idle_w,
+            grid.clock_exponent, grid.power_classes[::-1], grid.gpu)
+        assert list(flipped) == list(grid)
+        members = list(range(0, 40, 3))
+        for name in _COLUMNS:
+            assert float_hexes(getattr(ConfigColumns(flipped, members),
+                                       name)) == \
+                float_hexes(getattr(ConfigColumns(grid, members), name)), \
+                name
+
     def test_grid_reads_like_the_machine_list(self):
         grid = generate_machines(30, seed=4)
         machines = reference_machines(30, seed=4)
@@ -588,8 +620,11 @@ class TestMachineGrid:
         ({"tech_nodes": (22, 7)}, "^unknown tech node 7 nm"),
     ], ids=["cores", "smt_ways", "tech_nodes"])
     def test_bad_axis_raises_at_generation(self, axes, message):
-        with pytest.raises(ValueError, match=message):
-            generate_machines(50, seed=0, **axes)
+        # The axes are checked before the first draw, so a grid of no
+        # configs rejects them too.
+        for count in (0, 50):
+            with pytest.raises(ValueError, match=message):
+                generate_machines(count, seed=0, **axes)
 
     def test_empty_dvfs_band_raises_at_generation(self, monkeypatch):
         # A threshold above the overclock ceiling leaves no DVFS point.
@@ -597,3 +632,51 @@ class TestMachineGrid:
         with pytest.raises(ValueError, match=r"^dvfs_ratio=.* outside "
                                              r"\[2\.0000, 1\.3000\] at 45 nm$"):
             generate_machines(3, seed=0, tech_nodes=(45,))
+
+
+# -- the equivalence sample against its materialized pool ----------------------
+
+def pooled_sample(apps, groups, samples, seed):
+    """The sampler that builds every (app, config) pair and samples the
+    list: the reference the positional sampler must equal."""
+    non_rep = [(app, index) for app in apps
+               for members in groups.values() for index in members[1:]]
+    pool = non_rep or [(app, members[0]) for app in apps
+                       for members in groups.values()]
+    rng = random.Random(f"dse-equivalence:{seed}")
+    if samples >= len(pool):
+        return list(pool)
+    return sorted(rng.sample(pool, samples))
+
+
+@st.composite
+def sampling_strategy(draw):
+    """Apps, a partition of configs into groups (all singletons, so
+    the sampler falls back to the representatives, or not), a sample
+    size from 0 to two past the pool and a seed."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    configs = draw(st.permutations(range(sum(sizes))))
+    groups = {}
+    for group, size in enumerate(sizes):
+        start = sum(sizes[:group])
+        groups[("signature", group)] = sorted(configs[start:start + size])
+    apps = draw(st.sampled_from([["excel"], ["premiere", "excel"],
+                                 ["handbrake", "premiere", "excel"]]))
+    per_app = sum(sizes) - len(sizes) or len(sizes)
+    samples = draw(st.integers(0, len(apps) * per_app + 2))
+    return apps, groups, samples, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEquivalenceSample:
+    @settings(max_examples=200, deadline=None)
+    @given(sampling_strategy())
+    @example((["excel"], {"a": [0], "b": [1], "c": [2]}, 2, 1))
+    @example((["excel", "chrome"], {"a": [3], "b": [0, 2, 5], "c": [1, 4]},
+              7, 3))
+    @example((["handbrake", "premiere", "excel"],
+              {"a": list(range(0, 120, 2)), "b": list(range(1, 120, 2))},
+              8, 1))
+    def test_equals_the_materialized_pool(self, drawn):
+        apps, groups, samples, seed = drawn
+        assert _sample_equivalence(apps, groups, samples, seed) == \
+            pooled_sample(apps, groups, samples, seed)

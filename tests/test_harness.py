@@ -1,5 +1,10 @@
 """Tests for the experiment harness: runner, sweeps, suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps.transcoding import HandBrake, WinXVideoConverter
@@ -58,6 +63,27 @@ class TestRunner:
         result = run_app_once("handbrake", duration_us=SHORT, seed=2)
         assert result.memory_counters.work_us > 0
         assert result.memory_counters.llc_misses > 0
+
+    def test_memory_counters_ignore_the_hash_seed(self):
+        # An app's processes are a set of names; its float counters
+        # must not be summed in the set's hash-seed-dependent order.
+        script = (
+            "from repro.apps import create_app\n"
+            "from repro.harness import run_app_once\n"
+            "from repro.sim import SECOND\n"
+            "for name in ('firefox', 'edge'):\n"
+            "    c = run_app_once(create_app(name), duration_us=SECOND,\n"
+            "                     seed=1).memory_counters\n"
+            "    print(name, c.llc_misses.hex(), c.l1_stall_us.hex())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for hash_seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=src)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert len(outputs) == 1, outputs
 
     def test_fractions_averaged_over_iterations(self):
         result = run_app("vlc", duration_us=SHORT, iterations=2)
