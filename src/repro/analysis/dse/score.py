@@ -371,7 +371,6 @@ def score_from_simulation(app, run, machine, config_index=-1):
     not know about.  Used by the equivalence check and as the honest
     baseline the speedup benchmark measures against.
     """
-    scale = time_scale(machine)
     # Undo nothing, scale everything: the report's joules are per
     # reference-time second; active CPU power additionally carries the
     # node factor.  Recomputed from parts (not report.total_j) so the

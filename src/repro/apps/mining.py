@@ -19,7 +19,7 @@ Four miners spanning the paper's observations:
 from repro.apps.base import AppModel, Category
 from repro.apps.blocks import duty_cycle_thread, housekeeping_thread
 from repro.gpu.device import ENGINE_COMPUTE, ENGINE_COPY
-from repro.gpu.mining import BATCH_REF_US, HASHES_PER_BATCH, MiningStats
+from repro.gpu.mining import BATCH_REF_US, MiningStats
 from repro.os.work import WorkClass
 from repro.sim import MS, SECOND
 

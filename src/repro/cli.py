@@ -58,7 +58,7 @@ import sys
 
 from repro.apps import REGISTRY, SUITE, create_app
 from repro.automation import AUTOIT, MANUAL
-from repro.harness import run_app, run_suite
+from repro.harness import JournalError, run_app, run_suite
 from repro.hardware import GPUS, paper_machine
 from repro.reporting import format_table, heat_row, render_table1, render_table2
 from repro.sim import SECOND
@@ -117,11 +117,6 @@ def _check_exec_args(args, out):
         except ValueError as exc:
             out(f"error: --cores does not fit the machine: {exc}")
             return 2
-    if getattr(args, "salvage", False) and getattr(args, "streaming",
-                                                   False):
-        out("error: --salvage recovers a prefix of the recorded trace; "
-            "incompatible with --streaming")
-        return 2
     return 0
 
 
@@ -219,8 +214,10 @@ def cmd_run(args, out):
                          executor=executor,
                          cache=None if executor is not None else cache,
                          streaming=args.streaming,
-                         validate=args.validate,
-                         salvage=args.salvage)
+                         validate=args.validate)
+    except JournalError as exc:
+        out(f"error: --resume {exc}")
+        return 2
     except RuntimeError as exc:
         if executor is not None and executor.failures:
             from repro.reporting import render_failures
@@ -242,8 +239,7 @@ def cmd_run(args, out):
     if printable:
         out(f"  outputs         : {printable}")
     if result.partial:
-        out("  NOTE: partial result — some iterations were salvaged "
-            "or quarantined")
+        out("  NOTE: partial result — some iterations were quarantined")
     if executor is not None and executor.failures:
         from repro.reporting import render_failures
 
@@ -262,16 +258,19 @@ def cmd_suite(args, out):
         return 2
     cache = _cache_from_args(args)
     executor = _executor_from_args(args, cache)
-    suite = run_suite(names=names,
-                      machine=_machine_from_args(args),
-                      duration_us=int(args.duration * SECOND),
-                      iterations=args.iterations,
-                      jobs=None if executor is not None else args.jobs,
-                      executor=executor,
-                      cache=None if executor is not None else cache,
-                      streaming=args.streaming,
-                      validate=args.validate,
-                      salvage=args.salvage)
+    try:
+        suite = run_suite(names=names,
+                          machine=_machine_from_args(args),
+                          duration_us=int(args.duration * SECOND),
+                          iterations=args.iterations,
+                          jobs=None if executor is not None else args.jobs,
+                          executor=executor,
+                          cache=None if executor is not None else cache,
+                          streaming=args.streaming,
+                          validate=args.validate)
+    except JournalError as exc:
+        out(f"error: --resume {exc}")
+        return 2
     out(render_table2(suite))
     if suite.failures:
         from repro.reporting import render_failures
@@ -590,11 +589,6 @@ def build_parser():
                        help="check every run against the trace-invariant "
                             "catalogue (fails loudly on an inconsistent "
                             "trace)")
-        p.add_argument("--salvage", action="store_true",
-                       help="degrade instead of aborting: recover the "
-                            "longest valid prefix of a rejected trace "
-                            "(or of a crashed run) and report the result "
-                            "as partial")
         p.add_argument("--retries", type=int, default=None, metavar="N",
                        help="retry a failed run up to N times, each "
                             "retry at once (implies the supervised "

@@ -20,6 +20,7 @@ from repro.harness.executor import (
 from repro.harness.suite import SuiteResult, run_suite
 from repro.harness.supervisor import (
     FAILURE_KINDS,
+    JournalError,
     RunFailure,
     SupervisedExecutor,
     SweepJournal,
@@ -53,6 +54,7 @@ __all__ = [
     "DEFAULT_DURATION_US",
     "DEFAULT_ITERATIONS",
     "FAILURE_KINDS",
+    "JournalError",
     "ParallelExecutor",
     "ResultCache",
     "RunFailure",

@@ -57,7 +57,6 @@ RUN_DEFAULTS = {
     "quantum": None,
     "streaming": False,
     "validate": False,
-    "salvage": False,
     "fault": None,
     "fault_seed": 0,
 }

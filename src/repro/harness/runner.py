@@ -61,9 +61,6 @@ class SingleRun:
     frames: list = field(default_factory=list)
     marks: list = field(default_factory=list)
     frame_stats: object = None  # metrics.FrameStats
-    #: True when metrics cover a salvaged prefix, not the full window.
-    partial: bool = False
-    salvage: object = None      # trace.salvage.SalvageInfo when partial
 
 
 @dataclass
@@ -79,8 +76,7 @@ class AppResult:
     max_instantaneous: int
     gpu_capped: bool
     runs: list
-    #: True when any surviving iteration is partial (salvaged) or some
-    #: iterations were lost to quarantined failures.
+    #: True when some iterations were lost to quarantined failures.
     partial: bool = False
 
     @property
@@ -93,7 +89,7 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
                  seed=0, driver_mode=AUTOIT, keep_trace=False,
                  gpu_method="sum", background_services=True, turbo=True,
                  dispatch_policy="spread", quantum=None, streaming=False,
-                 validate=False, salvage=False, fault=None, fault_seed=0):
+                 validate=False, fault=None, fault_seed=0):
     """Run one traced iteration of ``app`` and measure it.
 
     ``streaming=True`` computes TLP / GPU utilization / frame stats
@@ -108,18 +104,10 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
     is validated online in every mode, and the recorded trace is
     additionally validated post-hoc when one exists.  Violations raise
     :class:`~repro.validate.invariants.TraceValidationError`; the
-    checks only observe, so results stay bit-identical.
-
-    ``salvage=True`` degrades instead of aborting: a trace the
-    validator rejects is cut back to its longest valid prefix
-    (:func:`repro.trace.salvage.salvage_prefix`) and a simulation that
-    dies mid-run keeps whatever the session recorded; either way the
-    metrics are recomputed over the shorter window and the result
-    comes back ``partial=True`` with a
-    :class:`~repro.trace.salvage.SalvageInfo` attached.  Salvage
-    implies post-hoc validation (there is nothing to salvage *from*
-    otherwise) and needs a recorded trace, so it is incompatible with
-    ``streaming``.
+    checks only observe, so results stay bit-identical.  A run either
+    measures its full window or raises: under the supervised executor
+    a rejected trace is quarantined as ``invalid-trace`` and a run
+    that dies mid-simulation as ``crash``.
 
     ``fault`` injects a seeded failure for chaos testing: a trace
     fault from :data:`repro.validate.faults.FAULTS` corrupts the
@@ -130,9 +118,6 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
     if streaming and keep_trace:
         raise ValueError("streaming=True does not retain a trace; "
                          "drop keep_trace")
-    if streaming and salvage:
-        raise ValueError("salvage recovers a prefix of the recorded "
-                         "trace; incompatible with streaming")
     machine = machine or paper_machine()
     exec_fault = False
     if fault is not None:
@@ -173,57 +158,22 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
         from repro.validate.faults import install_exec_fault
 
         install_exec_fault(env, duration_us, fault)
-    crash_exc = None
-    if salvage:
-        try:
-            app.build(runtime)
-            env.run(until=runtime.end_time)
-            trace = session.stop()
-        except Exception as exc:
-            # Crash-salvage: keep whatever the session recorded.  The
-            # abort seals the partial capture; a crash before any
-            # simulated time elapsed leaves nothing to measure, so the
-            # original error propagates.
-            trace = session.abort()
-            if trace is None or trace.stop_time <= trace.start_time:
-                raise
-            crash_exc = exc
-    else:
-        app.build(runtime)
-        env.run(until=runtime.end_time)
-        trace = session.stop()
+    app.build(runtime)
+    env.run(until=runtime.end_time)
+    trace = session.stop()
 
     if fault is not None and not exec_fault and not streaming:
         from repro.validate.faults import inject_fault
 
         trace = inject_fault(trace, fault, seed=fault_seed)
 
-    salvage_info = None
-    if validate and online_validator is not None and crash_exc is None:
-        # With salvage, the post-hoc pass below governs: an online
-        # violation would abort the run the salvage asked to keep.
-        if not salvage:
-            online_validator.raise_if_failed()
-    if (validate or salvage) and not streaming:
-        from repro.trace.salvage import salvage_prefix
-        from repro.validate import TraceValidator
+    if validate:
+        online_validator.raise_if_failed()
+        if not streaming:
+            from repro.validate import TraceValidator
 
-        report = TraceValidator(machine.logical_cpus).validate(trace)
-        prefix = None
-        if not report.ok:
-            if not salvage:
-                report.raise_if_failed()
-            prefix = salvage_prefix(trace, machine.logical_cpus,
-                                    report=report)
-            if prefix is None:
-                # Nothing recoverable: surface the crash that caused
-                # the mess, or the validation verdict itself.
-                if crash_exc is not None:
-                    raise crash_exc
-                report.raise_if_failed()
-            trace = prefix.trace
-        salvage_info = _salvage_info(trace, runtime.end_time,
-                                     crash_exc, prefix)
+            TraceValidator(machine.logical_cpus).validate(
+                trace).raise_if_failed()
 
     if streaming:
         tlp = engine.tlp_result()
@@ -243,14 +193,11 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
         marks = [m for m in trace.marks if m.process in processes]
         frame_stats = FrameStats.from_records(frames)
     # The side models read per-run totals: fold the scheduler's slice
-    # histogram into them once (crashed runs included).
+    # histogram into them once.
     kernel.scheduler.fold_slices()
     memory = _aggregate_counters(kernel.memory_model, processes)
-    # A crashed run only consumed energy until the crash instant (the
-    # environment starts at 0, so `env.now` is the elapsed window).
-    energy = kernel.energy_model.report(
-        duration_us if crash_exc is None else env.now,
-        gpu_device=gpu, processes=processes)
+    energy = kernel.energy_model.report(duration_us, gpu_device=gpu,
+                                        processes=processes)
     return SingleRun(
         app_name=app.name,
         seed=seed,
@@ -269,33 +216,6 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
         frames=frames,
         marks=marks,
         frame_stats=frame_stats,
-        partial=salvage_info is not None,
-        salvage=salvage_info,
-    )
-
-
-def _salvage_info(trace, intended_stop, crash_exc, prefix):
-    """Build the :class:`~repro.trace.salvage.SalvageInfo` of a
-    degraded run, or ``None`` when the trace survived intact."""
-    from repro.trace.salvage import SalvageInfo
-
-    if crash_exc is None and prefix is None:
-        return None
-    if crash_exc is not None:
-        reason = "crash"
-        detail = f"{type(crash_exc).__name__}: {crash_exc}"
-    else:
-        reason = "invalid-trace"
-        detail = "violated: " + ", ".join(prefix.invariants)
-    return SalvageInfo(
-        reason=reason,
-        cut_time=trace.stop_time,
-        original_stop=intended_stop,
-        salvaged_us=trace.stop_time - trace.start_time,
-        dropped_cswitches=prefix.dropped_cswitches if prefix else 0,
-        dropped_gpu_packets=prefix.dropped_gpu_packets if prefix else 0,
-        invariants=tuple(prefix.invariants) if prefix else (),
-        detail=detail,
     )
 
 
@@ -326,8 +246,8 @@ def iteration_specs(app, machine=None, duration_us=DEFAULT_DURATION_US,
                     iterations=DEFAULT_ITERATIONS, base_seed=100,
                     driver_mode=AUTOIT, keep_trace=False, gpu_method="sum",
                     turbo=True, dispatch_policy="spread", quantum=None,
-                    streaming=False, validate=False, salvage=False,
-                    fault=None, fault_seed=0):
+                    streaming=False, validate=False, fault=None,
+                    fault_seed=0):
     """The N seed-derived grid points of one ``run_app`` measurement."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -337,7 +257,7 @@ def iteration_specs(app, machine=None, duration_us=DEFAULT_DURATION_US,
                   keep_trace=keep_trace, gpu_method=gpu_method,
                   turbo=turbo, dispatch_policy=dispatch_policy,
                   quantum=quantum, streaming=streaming, validate=validate,
-                  salvage=salvage, fault=fault, fault_seed=fault_seed)
+                  fault=fault, fault_seed=fault_seed)
         for k in range(iterations)
     ]
 
@@ -371,7 +291,7 @@ def summarize_runs(app, runs):
         max_instantaneous=max(r.tlp.max_instantaneous for r in good),
         gpu_capped=any(r.gpu_util.capped for r in good),
         runs=good,
-        partial=len(good) < len(runs) or any(r.partial for r in good),
+        partial=len(good) < len(runs),
     )
 
 
@@ -380,7 +300,7 @@ def run_app(app, machine=None, duration_us=DEFAULT_DURATION_US,
             driver_mode=AUTOIT, keep_trace=False, gpu_method="sum",
             turbo=True, dispatch_policy="spread", quantum=None,
             jobs=None, executor=None, cache=None, streaming=False,
-            validate=False, salvage=False):
+            validate=False):
     """Run ``iterations`` seeded repetitions and summarize them.
 
     ``jobs`` selects the execution backend (``None``/1 serial, 0 an
@@ -396,6 +316,6 @@ def run_app(app, machine=None, duration_us=DEFAULT_DURATION_US,
         driver_mode=driver_mode, keep_trace=keep_trace,
         gpu_method=gpu_method, turbo=turbo,
         dispatch_policy=dispatch_policy, quantum=quantum,
-        streaming=streaming, validate=validate, salvage=salvage)
+        streaming=streaming, validate=validate)
     runs = resolve_executor(jobs=jobs, executor=executor, cache=cache).map(specs)
     return summarize_runs(app, runs)

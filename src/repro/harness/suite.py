@@ -39,7 +39,7 @@ class SuiteResult:
     failures: list = field(default_factory=list)
 
     def partial_apps(self):
-        """App keys whose row is partial (salvaged or lost iterations)."""
+        """App keys whose row is partial (iterations lost to quarantine)."""
         return [name for name, result in self.results.items()
                 if getattr(result, "partial", False)]
 

@@ -128,6 +128,11 @@ def sweep_digest(keys):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+class JournalError(ValueError):
+    """A journal that cannot be resumed: not a readable sweep journal,
+    or the journal of another sweep."""
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint file of one sweep.
 
@@ -150,9 +155,9 @@ class SweepJournal:
                                          "digest": digest, "total": total},
                              fresh=fresh)
 
-    def record(self, index, key, status, partial=False, failure=None):
+    def record(self, index, key, status, failure=None):
         self._log.append({"index": index, "key": key, "status": status,
-                          "partial": partial, "failure": failure})
+                          "failure": failure})
 
     def close(self):
         if self._log is not None:
@@ -162,16 +167,21 @@ class SweepJournal:
     @staticmethod
     def load(path):
         """``(header, {index: last entry})`` of a journal on disk."""
+        try:
+            records = read_jsonl(path, "sweep journal")
+        except ValueError as exc:
+            raise JournalError(str(exc)) from None
         header, entries = None, {}
-        for entry in read_jsonl(path, "sweep journal"):
+        for entry in records:
             if header is None:
-                if entry.get("format") != JOURNAL_FORMAT:
-                    raise ValueError(f"{path!r} is not a sweep journal")
+                if not isinstance(entry, dict) \
+                        or entry.get("format") != JOURNAL_FORMAT:
+                    raise JournalError(f"{path!r} is not a sweep journal")
                 header = entry
             else:
                 entries[entry["index"]] = entry
         if header is None:
-            raise ValueError(f"{path!r} is empty")
+            raise JournalError(f"{path!r} is empty")
         return header, entries
 
 
@@ -470,7 +480,7 @@ class SupervisedExecutor:
             return frozenset()
         header, entries = SweepJournal.load(self.resume_path)
         if header["digest"] != digest or header["total"] != len(specs):
-            raise ValueError(
+            raise JournalError(
                 f"journal {self.resume_path!r} describes a different "
                 f"sweep (digest/run-count mismatch); not resuming")
         # `failed` entries are deliberately not restored: a resume is
@@ -507,8 +517,7 @@ class SupervisedExecutor:
         if from_journal:
             self.resumed += 1
         if sweep.journal is not None:
-            sweep.journal.record(index, key, "ok",
-                                 partial=getattr(hit[0], "partial", False))
+            sweep.journal.record(index, key, "ok")
         return True
 
     # -- execution backends --------------------------------------------
@@ -652,8 +661,7 @@ class SupervisedExecutor:
         if key is not None:
             self.cache.store(key, result)
         if sweep.journal is not None:
-            sweep.journal.record(index, key, "ok",
-                                 partial=getattr(result, "partial", False))
+            sweep.journal.record(index, key, "ok")
 
     def _failed(self, sweep, index, attempt, kind, detail, tb="",
                 queue=None):

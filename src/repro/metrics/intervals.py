@@ -103,10 +103,8 @@ def first_time_above(events, bound):
 
     Zero-width excursions above the bound (a ``+1``/``-1`` pair at the
     same instant) are ignored, matching the positive-span-only peak
-    tracking of :func:`fused_sweep`.  Used by the trace validator to
-    timestamp CPU-oversubscription violations — which is what lets the
-    salvage pass (:mod:`repro.trace.salvage`) cut a corrupted trace
-    exactly where it first became inconsistent.
+    tracking of :func:`fused_sweep`.  The trace validator prints it in
+    its CPU-oversubscription message ("first oversubscribed at t=…").
     """
     level = 0
     above_since = None

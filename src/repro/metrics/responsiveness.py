@@ -12,7 +12,7 @@ simulated 2018 machine too.
 import math
 from dataclasses import dataclass
 
-from repro.metrics.stats import Summary, summarize
+from repro.metrics.stats import summarize
 
 
 @dataclass(frozen=True)

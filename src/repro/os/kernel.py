@@ -12,7 +12,7 @@ from repro.os.memmodel import MemoryModel
 from repro.os.scheduler import Scheduler
 from repro.os.threads import OsProcess
 from repro.os.work import WorkClass
-from repro.sim import MS, SECOND
+from repro.sim import SECOND
 from repro.trace.session import NullSession
 
 

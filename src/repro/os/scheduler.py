@@ -134,10 +134,10 @@ class Scheduler:
         #: Incremental per-core busy counters (kept in sync by
         #: ``_occupy``/``_vacate``) replace the per-slice set
         #: comprehensions of ``busy_physical_cores``.
-        self._core_busy = [0] * (max((l.core for l in self.lcpus),
+        self._core_busy = [0] * (max((lcpu.core for lcpu in self.lcpus),
                                      default=-1) + 1)
         self._busy_cores = 0
-        self._n_cores = len({l.core for l in self.lcpus})
+        self._n_cores = len({lcpu.core for lcpu in self.lcpus})
         #: Bit i set == lcpu i is idle.  Together with the per-core bit
         #: masks this makes dispatch an O(1) bit scan instead of a walk
         #: over every logical CPU per scheduling decision.

@@ -1,6 +1,6 @@
 """Renderers for the paper's tables (I, II, III)."""
 
-from repro.apps import CATEGORIES, REGISTRY
+from repro.apps import CATEGORIES
 from repro.data import PAPER_CATEGORY_AVERAGES, PAPER_TABLE2, PAPER_TABLE3
 from repro.reporting.render import format_table, heat_row
 
@@ -69,8 +69,8 @@ def render_table2(suite_result):
     partial = [name for name, result in suite_result.results.items()
                if getattr(result, "partial", False)]
     if partial:
-        lines.append(f"~ partial rows (salvaged traces or lost "
-                     f"iterations): {', '.join(sorted(partial))}")
+        lines.append(f"~ partial rows (iterations lost to quarantine): "
+                     f"{', '.join(sorted(partial))}")
     return "\n".join(lines)
 
 

@@ -228,13 +228,21 @@ class SweepService:
         ``failed`` jobs stay failed — resubmission is the retry.
         A record that no longer validates (apps renamed, old format)
         is logged and skipped; recovery never takes the daemon down.
+        Older ledgers carry ``"salvage": false`` in every submitted
+        record, from when runs could salvage a partial trace: that key
+        is dropped, and the job recovers under its current digest.  A
+        ``true`` one fails validation like any removed field.
         """
         for entry in replayed:
             if entry.state == "failed":
                 continue
             kind = "finished" if entry.state == "finished" else "interrupted"
+            request = entry.request
+            if request.get("salvage") is False:
+                request = {k: v for k, v in request.items()
+                           if k != "salvage"}
             try:
-                sweep = SweepRequest.from_payload(entry.request)
+                sweep = SweepRequest.from_payload(request)
                 self._admit(sweep, recovered=kind)
             except (BadRequest, QueueFull) as exc:
                 log.warning("ledger job %s not recoverable: %s",

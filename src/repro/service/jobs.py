@@ -34,7 +34,7 @@ log = logging.getLogger("repro.service")
 
 _REQUEST_KEYS = frozenset({
     "apps", "duration_s", "iterations", "machine",
-    "streaming", "validate", "salvage", "fault", "fault_seed",
+    "streaming", "validate", "fault", "fault_seed",
 })
 _MACHINE_KEYS = frozenset({"cores", "smt", "gpu"})
 
@@ -54,7 +54,7 @@ class SweepRequest:
 
     def __init__(self, apps, duration_s=60.0, iterations=3, cores=None,
                  smt=True, gpu=None, streaming=False, validate=False,
-                 salvage=False, fault=None, fault_seed=0):
+                 fault=None, fault_seed=0):
         self.apps = tuple(apps)
         self.duration_s = duration_s
         self.iterations = iterations
@@ -63,7 +63,6 @@ class SweepRequest:
         self.gpu = gpu
         self.streaming = streaming
         self.validate = validate
-        self.salvage = salvage
         self.fault = fault
         self.fault_seed = fault_seed
 
@@ -104,14 +103,11 @@ class SweepRequest:
         except ValueError as exc:
             raise BadRequest(f"'machine.cores' does not fit: {exc}")
         flags = {}
-        for name in ("streaming", "validate", "salvage"):
+        for name in ("streaming", "validate"):
             value = payload.get(name, False)
             if not isinstance(value, bool):
                 raise BadRequest(f"'{name}' must be a boolean")
             flags[name] = value
-        if flags["salvage"] and flags["streaming"]:
-            raise BadRequest("'salvage' recovers a prefix of the recorded "
-                             "trace; incompatible with 'streaming'")
         fault = payload.get("fault")
         if fault is not None:
             from repro.validate.faults import FAULTS, is_exec_fault
@@ -119,6 +115,9 @@ class SweepRequest:
             if not isinstance(fault, str) or not (
                     fault in FAULTS or is_exec_fault(fault)):
                 raise BadRequest(f"unknown fault: {fault!r}")
+            if flags["streaming"] and not is_exec_fault(fault):
+                raise BadRequest("trace faults corrupt the recorded trace; "
+                                 "incompatible with 'streaming'")
         fault_seed = payload.get("fault_seed", 0)
         if type(fault_seed) is not int:
             raise BadRequest("'fault_seed' must be an integer")
@@ -137,8 +136,8 @@ class SweepRequest:
             self.apps, machine=self.machine(),
             duration_us=int(self.duration_s * SECOND),
             iterations=self.iterations, streaming=self.streaming,
-            validate=self.validate, salvage=self.salvage,
-            fault=self.fault, fault_seed=self.fault_seed)
+            validate=self.validate, fault=self.fault,
+            fault_seed=self.fault_seed)
 
     def metadata(self):
         """Result metadata — identical to what ``repro suite --json``
@@ -157,7 +156,6 @@ class SweepRequest:
                         "gpu": self.gpu},
             "streaming": self.streaming,
             "validate": self.validate,
-            "salvage": self.salvage,
             "fault": self.fault,
             "fault_seed": self.fault_seed,
         }

@@ -32,12 +32,6 @@ from repro.trace.records import (
     GpuPacketRecord,
     MarkRecord,
 )
-from repro.trace.salvage import (
-    SalvageInfo,
-    SalvageResult,
-    salvage_prefix,
-    truncate_trace,
-)
 from repro.trace.session import (
     ALL_PROVIDERS,
     CPU_USAGE_PRECISE,
@@ -74,14 +68,10 @@ __all__ = [
     "MARKS",
     "MarkRecord",
     "NullSession",
-    "SalvageInfo",
-    "SalvageResult",
     "SampledProfile",
     "WaitAnalysis",
     "TraceSession",
     "export_csv",
-    "salvage_prefix",
-    "truncate_trace",
     "load_cpu_csv",
     "gpu_by_process",
     "threads_by_time",

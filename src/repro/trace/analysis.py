@@ -12,7 +12,7 @@
 
 from dataclasses import dataclass
 
-from repro.metrics.stats import Summary, summarize
+from repro.metrics.stats import summarize
 
 
 def timeline_by_process(cpu_table, n_logical):

@@ -138,23 +138,6 @@ class TraceSession:
             consumer.on_window_stop(self.env.now)
         return trace
 
-    def abort(self):
-        """Seal whatever has been recorded so far, never raising.
-
-        The crash-salvage path of the harness
-        (:func:`repro.harness.runner.run_app_once` with
-        ``salvage=True``) calls this when a simulation dies mid-run:
-        unlike :meth:`stop` it is safe in any state — if the session is
-        recording it behaves exactly like ``stop`` (so the partial
-        capture becomes an ordinary, shorter trace); if it never
-        started or already stopped it returns ``None`` instead of
-        raising, because crash cleanup must not mask the original
-        error with a session-state one.
-        """
-        if not self.recording:
-            return None
-        return self.stop()
-
     # -- emit hooks called by the simulated kernel / GPU ---------------
 
     def emit_cswitch(self, process, pid, tid, thread_name, cpu,

@@ -234,12 +234,11 @@ def install_exec_fault(env, duration_us, fault):
     """Arm ``fault`` on a simulation environment.
 
     Schedules the fault at half the measurement window via
-    ``env.timeout`` — deep inside the run, so a crash leaves a
-    half-recorded trace for the salvage path and a hang leaves the
-    worker genuinely wedged mid-simulation.  Raising from a timeout
-    callback propagates out of ``env.run`` (see
-    :mod:`repro.sim.environment`), which is exactly how a real
-    simulation bug would surface.
+    ``env.timeout`` — deep inside the run, so a crash aborts a
+    half-finished simulation and a hang leaves the worker genuinely
+    wedged mid-simulation.  Raising from a timeout callback propagates
+    out of ``env.run`` (see :mod:`repro.sim.environment`), which is
+    exactly how a real simulation bug would surface.
     """
     if not is_exec_fault(fault):
         raise ValueError(f"not an execution fault: {fault!r}")

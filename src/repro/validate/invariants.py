@@ -44,18 +44,11 @@ from repro.metrics.intervals import first_time_above, fused_sweep, interval_even
 
 @dataclass(frozen=True)
 class Violation:
-    """One broken invariant occurrence.
-
-    ``time`` is the earliest simulation time (µs) at which the trace is
-    known to be inconsistent, when the check can name one.  It is what
-    the salvage pass (:func:`repro.trace.salvage.salvage_prefix`) cuts
-    at to recover the longest valid prefix; checks that cannot place a
-    violation in time (e.g. ``busy-conservation``) leave it ``None``.
-    """
+    """One broken invariant occurrence: the invariant's catalogue name
+    and a message that names the offending records."""
 
     invariant: str
     message: str
-    time: object = None
 
     def __str__(self):
         return f"[{self.invariant}] {self.message}"
@@ -162,8 +155,7 @@ class TraceValidator:
                     yield Violation(
                         "thread-monotonic",
                         f"thread {row[0]}/{pid}:{tid} runs in two places: "
-                        f"slice in={row[6]} overlaps previous out={prev[7]}",
-                        time=row[6])
+                        f"slice in={row[6]} overlaps previous out={prev[7]}")
                 prev = row
 
     def _check_balanced_edges(self, trace, cswitches, gpu):
@@ -173,8 +165,7 @@ class TraceValidator:
                     "balanced-switch-edges",
                     f"slice of {row[0]}:{row[2]} on cpu {row[4]} has "
                     f"disordered edges ready={row[5]} in={row[6]} "
-                    f"out={row[7]}",
-                    time=min(row[6], row[7]))
+                    f"out={row[7]}")
         # Global sweep balance: one +1 per switch-in, one -1 per
         # switch-out; the running level of the sorted edge stream must
         # stay non-negative and end at zero.  Zero-length slices are
@@ -191,8 +182,7 @@ class TraceValidator:
                 yield Violation(
                     "balanced-switch-edges",
                     f"switch-out edge at t={time} precedes any matching "
-                    f"switch-in (sweep level went negative)",
-                    time=time)
+                    f"switch-in (sweep level went negative)")
         if level != 0:
             yield Violation(
                 "balanced-switch-edges",
@@ -205,8 +195,7 @@ class TraceValidator:
                 yield Violation(
                     "cpu-occupancy",
                     f"slice of {row[0]}:{row[2]} on cpu {row[4]} outside "
-                    f"machine (0..{self.n_logical - 1})",
-                    time=row[6])
+                    f"machine (0..{self.n_logical - 1})")
             by_cpu.setdefault(row[4], []).append((row[6], row[7], row))
         for cpu, slices in sorted(by_cpu.items()):
             slices.sort(key=lambda item: item[:2])
@@ -216,8 +205,7 @@ class TraceValidator:
                     yield Violation(
                         "cpu-occupancy",
                         f"cpu {cpu} double-booked: {row[0]}:{row[2]} "
-                        f"in={start} overlaps previous out={prev[1]}",
-                        time=start)
+                        f"in={start} overlaps previous out={prev[1]}")
                 prev = (start, stop)
         if self.n_logical is not None and cswitches:
             events = interval_events([(row[6], row[7]) for row in cswitches])
@@ -229,8 +217,7 @@ class TraceValidator:
                     "cpu-occupancy",
                     f"{sweep.max_concurrency} CPUs busy at once on a "
                     f"{self.n_logical}-logical-CPU machine "
-                    f"(first oversubscribed at t={when})",
-                    time=when)
+                    f"(first oversubscribed at t={when})")
 
     def _check_gpu_exclusive(self, trace, cswitches, gpu):
         for row in gpu:
@@ -238,8 +225,7 @@ class TraceValidator:
                 yield Violation(
                     "gpu-engine-exclusive",
                     f"packet of {row[0]} on {row[2]} has disordered times "
-                    f"submit={row[4]} start={row[5]} finish={row[6]}",
-                    time=min(row[5], row[6]))
+                    f"submit={row[4]} start={row[5]} finish={row[6]}")
         by_engine = {}
         for row in gpu:
             by_engine.setdefault(row[2], []).append((row[5], row[6], row))
@@ -252,29 +238,23 @@ class TraceValidator:
                         "gpu-engine-exclusive",
                         f"engine {engine} runs two packets at once: "
                         f"{row[0]} start={start} overlaps previous "
-                        f"finish={prev[1]}",
-                        time=start)
+                        f"finish={prev[1]}")
                 prev = (start, stop)
 
     def _check_window_containment(self, trace, cswitches, gpu):
         lo, hi = trace.start_time, trace.stop_time
         for row in cswitches:
             if row[6] < lo or row[7] > hi:
-                # Records predating the window cannot be salvaged by a
-                # prefix cut, so only the late-overhang case carries a
-                # cut hint (clip everything to the advertised stop).
                 yield Violation(
                     "window-containment",
                     f"slice of {row[0]}:{row[2]} [{row[6]}, {row[7]}] "
-                    f"outside trace window [{lo}, {hi}]",
-                    time=hi if row[6] >= lo else None)
+                    f"outside trace window [{lo}, {hi}]")
         for row in gpu:
             if row[5] < lo or row[6] > hi:
                 yield Violation(
                     "window-containment",
                     f"packet of {row[0]} on {row[2]} [{row[5]}, {row[6]}] "
-                    f"outside trace window [{lo}, {hi}]",
-                    time=hi if row[5] >= lo else None)
+                    f"outside trace window [{lo}, {hi}]")
 
     def _check_busy_conservation(self, trace, cswitches, gpu):
         for kind, rows, spans in (

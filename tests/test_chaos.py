@@ -53,16 +53,6 @@ class TestEveryInjectorIsContained:
         assert isinstance(failure, RunFailure)
         assert failure.kind == "invalid-trace"
 
-    @pytest.mark.parametrize("fault", TRACE_FAULTS)
-    def test_trace_fault_salvaged_to_partial_run(self, fault):
-        executor = SupervisedExecutor()
-        results = executor.map(
-            [spec(seed=1, fault=fault, salvage=True)])
-        run = results[0]
-        assert isinstance(run, SingleRun)
-        assert run.partial is True
-        assert executor.failures == []
-
     def test_worker_crash_quarantined(self):
         executor = SupervisedExecutor()
         results = executor.map([spec(seed=1, fault="worker-crash")])
@@ -93,23 +83,21 @@ class TestEveryInjectorIsContained:
 
 def chaos_grid(n=150):
     """A deterministic 150-point grid seeded with every failure mode:
-    trace corruption under validation, trace corruption under salvage,
-    and worker crashes, scattered through clean runs."""
-    specs, expected_failures = [], set()
+    trace corruption under validation and worker crashes, scattered
+    through clean runs.  Returns the specs and ``{index: kind}`` of the
+    runs that must be quarantined."""
+    specs, expected_failures = [], {}
     trace_faults = TRACE_FAULTS
     for i in range(n):
         app = APPS[i % len(APPS)]
         overrides = {}
-        if i % 10 == 3:
+        if i % 10 in (3, 7):
             overrides = {"fault": trace_faults[i % len(trace_faults)],
                          "fault_seed": i, "validate": True}
-            expected_failures.add(i)
-        elif i % 10 == 7:
-            overrides = {"fault": trace_faults[i % len(trace_faults)],
-                         "fault_seed": i, "salvage": True}
+            expected_failures[i] = "invalid-trace"
         elif i % 25 == 11:
             overrides = {"fault": "worker-crash"}
-            expected_failures.add(i)
+            expected_failures[i] = "crash"
         specs.append(spec(app, seed=i, **overrides))
     return specs, expected_failures
 
@@ -126,17 +114,14 @@ class TestChaosGrid:
             assert isinstance(slot, (SingleRun, RunFailure)), i
             if isinstance(slot, RunFailure):
                 assert slot.kind in FAILURE_KINDS
-        quarantined = {f.index for f in executor.failures}
+        quarantined = {f.index: f.kind for f in executor.failures}
+        assert len(expected_failures) == 36
         assert quarantined == expected_failures
-        salvaged = [r for r in results
-                    if isinstance(r, SingleRun) and r.partial]
-        assert len(salvaged) == sum(1 for s in specs
-                                    if s.kwargs["salvage"])
         # Every grid point is resolved in the journal.
         _, entries = SweepJournal.load(path)
         assert sorted(entries) == list(range(150))
         assert {i for i, e in entries.items()
-                if e["status"] == "failed"} == expected_failures
+                if e["status"] == "failed"} == set(expected_failures)
 
 
 class TestGoldenResume:

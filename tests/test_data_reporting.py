@@ -1,7 +1,5 @@
 """Tests for historical datasets and the table/figure renderers."""
 
-import pytest
-
 from repro.data import (
     BLAKE_2010_GPU,
     BLAKE_2010_TLP,

@@ -128,10 +128,10 @@ class TestParallelBackend:
         assert executor.executed == 1
 
     def test_sweep_accepts_jobs(self):
-        grid = lambda **kw: smt_sweep(lambda: HandBrake(),
-                                      physical_cores=(2,),
-                                      gpus=(GTX_1080_TI,),
-                                      duration_us=SHORT, **kw)
+        def grid(**kw):
+            return smt_sweep(lambda: HandBrake(), physical_cores=(2,),
+                             gpus=(GTX_1080_TI,), duration_us=SHORT, **kw)
+
         serial, parallel = grid(), grid(jobs=2)
         assert set(serial) == set(parallel)
         for key in serial:

@@ -8,8 +8,6 @@ from repro.hardware import (
     GTX_285,
     GTX_680,
     CpuSpec,
-    GpuSpec,
-    MachineSpec,
     machine_2000,
     machine_2010,
     paper_machine,

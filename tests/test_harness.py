@@ -16,8 +16,9 @@ from repro.harness import (
     run_suite,
     smt_sweep,
 )
-from repro.hardware import GTX_1080_TI, GTX_680, paper_machine
+from repro.hardware import GTX_1080_TI, GTX_680
 from repro.sim import SECOND
+from repro.validate import InjectedCrash, TraceValidationError
 
 SHORT = 15 * SECOND
 
@@ -89,6 +90,21 @@ class TestRunner:
         result = run_app("vlc", duration_us=SHORT, iterations=2)
         assert len(result.fractions) == 13
         assert sum(result.fractions) == pytest.approx(1.0, abs=1e-6)
+
+    def test_unknown_fault_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault"):
+            run_app_once("chrome", duration_us=SECOND,
+                         fault="no-such-fault")
+
+    def test_validated_trace_fault_raises(self):
+        with pytest.raises(TraceValidationError):
+            run_app_once("chrome", duration_us=SECOND, seed=2019,
+                         fault="timestamp-skew", validate=True)
+
+    def test_injected_crash_propagates(self):
+        with pytest.raises(InjectedCrash):
+            run_app_once("chrome", duration_us=SECOND, seed=2019,
+                         fault="worker-crash")
 
 
 class TestSweeps:

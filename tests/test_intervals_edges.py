@@ -20,6 +20,7 @@ from repro.metrics import (
     union_length,
 )
 from repro.metrics.gpu import gpu_result_from_totals
+from repro.metrics.intervals import first_time_above
 from repro.trace import CpuUsagePreciseTable, GpuUtilizationTable
 
 
@@ -117,3 +118,18 @@ class TestEmptyMeasurementWindow:
         assert result.tlp == 0.0
         assert result.fractions[0] == 1.0
         assert result.max_instantaneous == 0
+
+
+class TestFirstTimeAbove:
+    def test_reports_earliest_positive_excursion(self):
+        events = [(0, 1), (5, 1), (5, 1), (9, -1), (9, -1), (12, -1)]
+        assert first_time_above(events, 2) == 5
+
+    def test_zero_width_excursions_ignored(self):
+        # +2 at t=7 immediately cancelled at t=7: no positive span.
+        events = [(0, 1), (7, 1), (7, 1), (7, -1), (7, -1), (10, -1)]
+        assert first_time_above(events, 2) is None
+
+    def test_never_above(self):
+        events = [(0, 1), (4, -1), (4, 1), (8, -1)]
+        assert first_time_above(events, 1) is None

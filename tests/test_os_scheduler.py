@@ -5,7 +5,6 @@ import pytest
 from repro.apps import SUITE, create_app
 from repro.harness import run_app_once
 from repro.hardware import GTX_1080_TI, MachineSpec, paper_machine
-from repro.hardware.specs import CpuSpec
 from repro.os import Kernel, ThreadState, WorkClass, boot, build_topology
 from repro.sim import MS, SECOND, Environment
 from repro.trace import CpuUsagePreciseTable, TraceSession
@@ -30,7 +29,7 @@ class TestTopology:
     def test_full_machine_exposes_12_lcpus(self):
         lcpus = build_topology(paper_machine())
         assert len(lcpus) == 12
-        assert {l.core for l in lcpus} == set(range(6))
+        assert {lcpu.core for lcpu in lcpus} == set(range(6))
 
     def test_core_major_enumeration_pairs_siblings(self):
         lcpus = build_topology(paper_machine())
@@ -40,12 +39,12 @@ class TestTopology:
 
     def test_restricting_to_4_lcpus_gives_2_full_cores(self):
         lcpus = build_topology(paper_machine().with_logical_cpus(4))
-        assert {l.core for l in lcpus} == {0, 1}
+        assert {lcpu.core for lcpu in lcpus} == {0, 1}
 
     def test_smt_off_gives_one_way_per_core(self):
         lcpus = build_topology(paper_machine().with_smt(False))
         assert len(lcpus) == 6
-        assert all(l.way == 0 for l in lcpus)
+        assert all(lcpu.way == 0 for lcpu in lcpus)
 
 
 class TestProcessesAndThreads:

@@ -1,7 +1,5 @@
 """Tests for CPU thread priorities and GPU priority queues."""
 
-import pytest
-
 from repro.gpu import ENGINE_3D, GpuDevice
 from repro.hardware import GTX_1080_TI, paper_machine
 from repro.os import Kernel, PRIORITY_HIGH, PRIORITY_NORMAL, WorkClass

@@ -1,7 +1,5 @@
 """Tests for process termination (kill semantics)."""
 
-import pytest
-
 from repro.hardware import paper_machine
 from repro.os import Kernel, ThreadState, WorkClass
 from repro.sim import MS, SECOND, Environment

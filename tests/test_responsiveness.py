@@ -34,7 +34,7 @@ class TestPairing:
             mark("a", 30, "response:op"), mark("a", 70, "response:op"),
         ]
         latencies = pair_marks(marks)
-        assert [l.latency_us for l in latencies] == [30, 60]
+        assert [lat.latency_us for lat in latencies] == [30, 60]
 
     def test_unmatched_trailing_input_dropped(self):
         marks = [mark("a", 0, "input:op")]
@@ -46,7 +46,7 @@ class TestPairing:
             mark("b", 0, "input:op"), mark("b", 9, "response:op"),
         ]
         latencies = pair_marks(marks, processes={"b"})
-        assert [l.latency_us for l in latencies] == [9]
+        assert [lat.latency_us for lat in latencies] == [9]
 
     def test_non_interaction_marks_ignored(self):
         marks = [mark("a", 0, "phase:render"),

@@ -2,8 +2,6 @@
 
 import pickle
 
-import pytest
-
 from repro.apps.transcoding import HandBrake
 from repro.harness import (
     ResultCache,

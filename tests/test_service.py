@@ -240,10 +240,14 @@ class TestSweepRequestValidation:
         ({"apps": ["excel"], "machine": {"cores": 0}}, "cores"),
         ({"apps": ["excel"], "machine": {"gpu": "voodoo2"}}, "GPU"),
         ({"apps": ["excel"], "streaming": "yes"}, "streaming"),
-        ({"apps": ["excel"], "salvage": True, "streaming": True},
-         "incompatible"),
+        # A trace fault corrupts the recorded trace; a streaming run
+        # records none, so the request could only end in a crash.
+        ({"apps": ["excel"], "streaming": True,
+          "fault": "timestamp-skew"}, "incompatible"),
         ({"apps": ["excel"], "fault": "meteor-strike"}, "fault"),
         ({"apps": ["excel"], "turbo": False}, "unknown request fields"),
+        ({"apps": ["excel"], "salvage": False}, "unknown request fields"),
+        ({"apps": ["excel"], "salvage": True}, "unknown request fields"),
     ])
     def test_invalid_payloads_rejected(self, payload, fragment):
         with pytest.raises(BadRequest, match=fragment):
@@ -1058,6 +1062,57 @@ class TestLedgerRecovery:
             response = service.dispatch(make_request("GET", "/healthz"))
             assert json.loads(response.body)["recovered"] == {
                 "finished": 0, "interrupted": 1}
+        finally:
+            service.close()
+
+    @staticmethod
+    def _older_ledger(path, salvage):
+        """A ledger holding one interrupted job whose submitted record
+        carries the ``salvage`` field older ledgers wrote."""
+        request_payload = dict(SweepRequest.from_payload(SWEEP).to_payload(),
+                               salvage=salvage)
+        path.write_text("".join(json.dumps(line) + "\n" for line in [
+            {"format": "repro-job-ledger-v1"},
+            {"event": "submitted", "id": "ef" * 32,
+             "request": request_payload},
+            {"event": "started", "id": "ef" * 32},
+        ]))
+
+    def test_older_record_with_salvage_false_recovers(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        self._older_ledger(ledger, salvage=False)
+        service = SweepService(ledger=ledger, cache=tmp_path / "cache")
+        try:
+            [job] = service.store.all()
+            assert job.recovered == "interrupted"
+            # Recovered under the digest of today's spec keys.
+            assert job.id == supervisor.sweep_digest(
+                [spec_key(spec)
+                 for spec in SweepRequest.from_payload(SWEEP).build()[1]])
+            assert job.wait_done(120)
+            assert job.state == "done" and job.failures == []
+            response = service.dispatch(make_request("GET", "/healthz"))
+            assert json.loads(response.body)["recovered"] == {
+                "finished": 0, "interrupted": 1}
+        finally:
+            service.close()
+
+    def test_older_record_with_salvage_true_is_skipped(self, tmp_path,
+                                                       caplog):
+        ledger = tmp_path / "ledger.jsonl"
+        self._older_ledger(ledger, salvage=True)
+        with caplog.at_level("WARNING", logger="repro.service"):
+            service = SweepService(ledger=ledger,
+                                   cache=tmp_path / "cache")
+        try:
+            assert service.store.all() == []
+            assert "not recoverable" in caplog.text
+            assert "salvage" in caplog.text
+            response = service.dispatch(make_request("GET", "/healthz"))
+            assert response.status == 200
+            assert json.loads(response.body)["recovered"] == {
+                "finished": 0, "interrupted": 0}
+            assert submit_and_wait(service, SWEEP).state == "done"
         finally:
             service.close()
 

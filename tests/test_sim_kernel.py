@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Environment,
-    Event,
     Interrupt,
     SimulationError,
     Timeout,

@@ -195,6 +195,8 @@ class TestJournal:
         assert lines[0]["total"] == 2
         statuses = {entry["index"]: entry["status"] for entry in lines[1:]}
         assert statuses == {0: "ok", 1: "ok"}
+        assert all(set(entry) == {"index", "key", "status", "failure"}
+                   for entry in lines[1:])
 
     def test_failure_recorded(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -203,6 +205,7 @@ class TestJournal:
         entry = json.loads(path.read_text().splitlines()[-1])
         assert entry["status"] == "failed"
         assert entry["failure"]["kind"] == "crash"
+        assert set(entry) == {"index", "key", "status", "failure"}
 
     def test_torn_final_line_tolerated(self, tmp_path):
         # Killed mid-write, or between a record's last byte and its
@@ -227,10 +230,12 @@ class TestJournal:
             SweepJournal.load(path)
         with pytest.raises(ValueError, match="is empty"):
             SupervisedExecutor(resume=path).map(specs)
-        with pytest.raises(ValueError, match="is empty"):
-            main(["suite", "--apps", "chrome", "--duration", "0.5",
-                  "--iterations", "1", "--resume", str(path)],
-                 out=lambda line: None)
+        lines = []
+        assert main(["suite", "--apps", "chrome", "--duration", "0.5",
+                     "--iterations", "1", "--resume", str(path)],
+                    out=lines.append) == 2
+        assert len(lines) == 1 and lines[0].startswith("error: --resume")
+        assert "is empty" in lines[0]
         # Refused, never rewritten without its header.
         assert path.read_bytes() == header
 
