@@ -58,7 +58,7 @@ import sys
 
 from repro.apps import REGISTRY, SUITE, create_app
 from repro.automation import AUTOIT, MANUAL
-from repro.harness import JournalError, run_app, run_suite
+from repro.harness import run_app, run_suite
 from repro.hardware import GPUS, paper_machine
 from repro.reporting import format_table, heat_row, render_table1, render_table2
 from repro.sim import SECOND
@@ -103,14 +103,6 @@ def _check_exec_args(args, out):
     if deadline is not None and deadline <= 0:
         out("error: --deadline-us must be a positive wall-clock budget")
         return 2
-    if getattr(args, "journal", None) and getattr(args, "resume", None):
-        out("error: pass either --journal (fresh sweep) or --resume "
-            "(continue one), not both")
-        return 2
-    resume = getattr(args, "resume", None)
-    if resume is not None and not os.path.exists(resume):
-        out(f"error: --resume journal {resume!r} does not exist")
-        return 2
     if getattr(args, "cores", None) is not None:
         try:
             _machine_from_args(args)
@@ -120,28 +112,18 @@ def _check_exec_args(args, out):
     return 0
 
 
-def _supervised(args):
-    """True when any resilience flag asks for the supervised executor."""
-    return bool(getattr(args, "retries", None)
-                or getattr(args, "deadline_us", None)
-                or getattr(args, "journal", None)
-                or getattr(args, "resume", None))
-
-
 def _executor_from_args(args, cache):
-    """A SupervisedExecutor when resilience flags are set, else None."""
-    if not _supervised(args):
+    """A SupervisedExecutor when ``--retries`` or ``--deadline-us`` is
+    set, else None."""
+    if not (args.retries or args.deadline_us):
         return None
     from repro.harness import SupervisedExecutor
 
-    deadline_us = getattr(args, "deadline_us", None)
     return SupervisedExecutor(
         jobs=args.jobs,
         cache=cache,
-        retries=getattr(args, "retries", None) or 0,
-        deadline_s=deadline_us / 1e6 if deadline_us else None,
-        journal=getattr(args, "journal", None),
-        resume=getattr(args, "resume", None))
+        retries=args.retries or 0,
+        deadline_s=args.deadline_us / 1e6 if args.deadline_us else None)
 
 
 def _cache_from_args(args):
@@ -215,9 +197,6 @@ def cmd_run(args, out):
                          cache=None if executor is not None else cache,
                          streaming=args.streaming,
                          validate=args.validate)
-    except JournalError as exc:
-        out(f"error: --resume {exc}")
-        return 2
     except RuntimeError as exc:
         if executor is not None and executor.failures:
             from repro.reporting import render_failures
@@ -258,19 +237,15 @@ def cmd_suite(args, out):
         return 2
     cache = _cache_from_args(args)
     executor = _executor_from_args(args, cache)
-    try:
-        suite = run_suite(names=names,
-                          machine=_machine_from_args(args),
-                          duration_us=int(args.duration * SECOND),
-                          iterations=args.iterations,
-                          jobs=None if executor is not None else args.jobs,
-                          executor=executor,
-                          cache=None if executor is not None else cache,
-                          streaming=args.streaming,
-                          validate=args.validate)
-    except JournalError as exc:
-        out(f"error: --resume {exc}")
-        return 2
+    suite = run_suite(names=names,
+                      machine=_machine_from_args(args),
+                      duration_us=int(args.duration * SECOND),
+                      iterations=args.iterations,
+                      jobs=None if executor is not None else args.jobs,
+                      executor=executor,
+                      cache=None if executor is not None else cache,
+                      streaming=args.streaming,
+                      validate=args.validate)
     out(render_table2(suite))
     if suite.failures:
         from repro.reporting import render_failures
@@ -598,13 +573,6 @@ def build_parser():
                        help="wall-clock budget per run attempt, in "
                             "microseconds; a run over budget is killed "
                             "and quarantined (implies process isolation)")
-        p.add_argument("--journal", default=None, metavar="PATH",
-                       help="write a checkpoint journal of the sweep to "
-                            "PATH (JSONL, one fsynced line per run)")
-        p.add_argument("--resume", default=None, metavar="PATH",
-                       help="resume the sweep recorded in journal PATH, "
-                            "restoring completed runs from the result "
-                            "cache")
         p.add_argument("--profile", action="store_true",
                        help="run under cProfile and print the top 25 "
                             "functions by cumulative time")

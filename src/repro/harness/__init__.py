@@ -20,10 +20,8 @@ from repro.harness.executor import (
 from repro.harness.suite import SuiteResult, run_suite
 from repro.harness.supervisor import (
     FAILURE_KINDS,
-    JournalError,
     RunFailure,
     SupervisedExecutor,
-    SweepJournal,
 )
 from repro.harness.sweeps import core_scaling_sweep, gpu_swap_sweep, smt_sweep
 
@@ -54,7 +52,6 @@ __all__ = [
     "DEFAULT_DURATION_US",
     "DEFAULT_ITERATIONS",
     "FAILURE_KINDS",
-    "JournalError",
     "ParallelExecutor",
     "ResultCache",
     "RunFailure",
@@ -63,7 +60,6 @@ __all__ = [
     "SingleRun",
     "SuiteResult",
     "SupervisedExecutor",
-    "SweepJournal",
     "core_scaling_sweep",
     "gpu_swap_sweep",
     "make_spec",

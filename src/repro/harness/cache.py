@@ -48,22 +48,11 @@ from pathlib import Path
 
 import repro
 
-#: Environment variable overriding the default cache location.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
 #: Entry frame: magic, pickled-payload length, CRC-32 of the payload.
 #: The magic's trailing digit is the frame version — bump it when the
 #: layout changes so older readers reject newer files cleanly.
 CACHE_MAGIC = b"RPROCHE1"
 _FRAME = struct.Struct("<8sQI")
-
-
-def default_cache_dir():
-    """``$REPRO_CACHE_DIR`` or ``~/.cache/repro-results``."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-results"
 
 
 class UncacheableSpec(Exception):
@@ -140,8 +129,8 @@ def spec_key(spec, code_version=None):
 class ResultCache:
     """Pickled :class:`SingleRun` results keyed by canonical spec hash."""
 
-    def __init__(self, root=None, code_version=None):
-        self.root = Path(root) if root is not None else default_cache_dir()
+    def __init__(self, root, code_version=None):
+        self.root = Path(root)
         self.code_version = code_version or repro.__version__
         self.hits = 0
         self.misses = 0

@@ -23,10 +23,10 @@ This module is the single submission path for those grid points:
 
 Both executors consult an optional
 :class:`~repro.harness.cache.ResultCache` before simulating and store
-fresh results afterwards, so re-running a benchmark suite skips
-already-computed grid points.  ``keep_trace=True`` runs bypass the
-cache entirely: traces are large, and callers who keep them want the
-live artifacts.
+each fresh result as soon as it lands, so re-running a benchmark suite
+skips already-computed grid points, and a sweep that dies keeps every
+run it finished.  ``keep_trace=True`` runs bypass the cache entirely:
+traces are large, and callers who keep them want the live artifacts.
 """
 
 import os
@@ -157,14 +157,14 @@ class _CachingExecutor:
                         self.rejected += 1
                         self.cache.invalidate(keys[i])
             pending.append(i)
-        self._execute(specs, pending, results)
-        if self.cache is not None:
-            for i in pending:
-                if keys[i] is not None:
-                    self.cache.store(keys[i], results[i])
+        for i, result in self._execute(specs, pending):
+            results[i] = result
+            if keys[i] is not None:
+                self.cache.store(keys[i], result)
         return results
 
-    def _execute(self, specs, pending, results):
+    def _execute(self, specs, pending):
+        """Yield ``(index, result)`` for every pending spec as it lands."""
         raise NotImplementedError
 
 
@@ -188,10 +188,11 @@ class SerialExecutor(_CachingExecutor):
 
     jobs = 1
 
-    def _execute(self, specs, pending, results):
+    def _execute(self, specs, pending):
         for i in pending:
-            results[i] = execute_spec(specs[i])
+            result = execute_spec(specs[i])
             self.executed += 1
+            yield i, result
 
 
 class ParallelExecutor(_CachingExecutor):
@@ -209,7 +210,7 @@ class ParallelExecutor(_CachingExecutor):
             raise ValueError("jobs must be >= 0 (0 = auto)")
         self.jobs = jobs or default_jobs()
 
-    def _execute(self, specs, pending, results):
+    def _execute(self, specs, pending):
         remote, local = [], []
         for i in pending:
             (remote if self.jobs > 1 and _picklable(specs[i])
@@ -223,7 +224,7 @@ class ParallelExecutor(_CachingExecutor):
                            for i in remote]
                 for i, future in futures:
                     try:
-                        results[i] = future.result()
+                        result = future.result()
                     except Exception as exc:
                         # The pool re-raises worker exceptions with the
                         # remote traceback only as a chained cause that
@@ -233,16 +234,19 @@ class ParallelExecutor(_CachingExecutor):
                         if exc.__cause__ is not None:
                             exc.remote_traceback = str(exc.__cause__)
                         raise
+                    self.executed += 1
+                    yield i, result
             except BaseException:
                 # KeyboardInterrupt or a worker failure: drop queued
-                # work and do not block on stragglers — callers (the
-                # supervisor journal above us) need control back now.
+                # work and do not block on stragglers — the caller
+                # needs control back now.
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
             pool.shutdown(wait=True)
         for i in local:
-            results[i] = execute_spec(specs[i])
-        self.executed += len(pending)
+            result = execute_spec(specs[i])
+            self.executed += 1
+            yield i, result
 
 
 def _picklable(spec):

@@ -1,10 +1,9 @@
 """Supervised experiment execution: the crash-tolerant campaign runner.
 
 The plain executors (:mod:`repro.harness.executor`) are one-shot: a
-single hung simulation stalls the sweep forever, a single raising
-worker aborts it, and a killed process loses every completed grid
-point.  That is fine for a 90-run Table II pass; it is not fine for
-the campaign-scale sweeps of the core-scaling and SMT grids, where
+single hung simulation stalls the sweep forever, and a single raising
+worker aborts it.  That is fine for a 90-run Table II pass; it is not
+fine for the campaign-scale sweeps of the core-scaling and SMT grids, where
 *supervision* — not speed — decides whether the sweep finishes (the
 same argument parallel GPU-simulator campaigns make for restartable
 fan-out).  This module wraps both backends in a supervisor that keeps
@@ -21,14 +20,8 @@ the sweep alive through every failure mode the harness can encounter:
   structured :class:`RunFailure` in the result list (taxonomy:
   ``crash | deadline | invalid-trace | cache-corrupt``) while every
   other grid point completes normally.
-* **Checkpoint journal** — every resolved run is appended to a
-  flushed-and-fsynced JSONL journal (:mod:`repro.harness.wal`, the
-  log the service's job ledger is written with too); ``resume=``
-  restarts a killed sweep, restoring completed runs through the
-  content-addressed result cache and re-running only what is
-  missing.  Because every
-  grid point is seed-determined, the resumed sweep is bit-identical
-  to an uninterrupted one.
+* **Checkpoint** — completed runs go to the result cache as they
+  land, and a re-run over the same cache re-simulates only the rest.
 
 The process pool here is deliberately *not*
 ``concurrent.futures.ProcessPoolExecutor``: killing one hung worker
@@ -61,20 +54,15 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 
-from repro.harness.cache import ResultCache
 from repro.harness.executor import (
     _cached_result_ok,
     _picklable,
     default_jobs,
     execute_spec,
 )
-from repro.harness.wal import JsonlLog, read_jsonl
 
 #: The complete failure taxonomy, in the order the docs present it.
 FAILURE_KINDS = ("crash", "deadline", "invalid-trace", "cache-corrupt")
-
-#: First line of every journal file.
-JOURNAL_FORMAT = "repro-sweep-journal-v1"
 
 
 @dataclass(frozen=True)
@@ -119,70 +107,12 @@ def sweep_digest(keys):
 
     Uncacheable specs (key ``None``) keep their position under a
     placeholder, so two sweeps differing only in cacheable content
-    still get distinct digests.  Stored in the journal header and
-    verified on resume — resuming the wrong journal is an error, not
-    a silently wrong sweep.
+    still get distinct digests.  The sweep service uses it as a job's
+    id and its result's ``ETag``.
     """
     blob = json.dumps([key or "?" for key in keys],
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class JournalError(ValueError):
-    """A journal that cannot be resumed: not a readable sweep journal,
-    or the journal of another sweep."""
-
-
-class SweepJournal:
-    """Append-only JSONL checkpoint file of one sweep.
-
-    Line 1 is a header (``format``, sweep ``digest``, ``total`` run
-    count); every later line resolves one run index (``status`` of
-    ``ok`` or ``failed``, the spec's cache ``key``, and the failure
-    payload when quarantined).  Lines go through the shared
-    :class:`~repro.harness.wal.JsonlLog` writer, so a SIGKILL loses at
-    most the line being written: :meth:`load` drops that torn line, and
-    a resume cuts it off before appending.
-    """
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._log = None
-
-    def start(self, digest, total, fresh=True):
-        """Open for writing; ``fresh=False`` appends (resume)."""
-        self._log = JsonlLog(self.path, {"format": JOURNAL_FORMAT,
-                                         "digest": digest, "total": total},
-                             fresh=fresh)
-
-    def record(self, index, key, status, failure=None):
-        self._log.append({"index": index, "key": key, "status": status,
-                          "failure": failure})
-
-    def close(self):
-        if self._log is not None:
-            self._log.close()
-            self._log = None
-
-    @staticmethod
-    def load(path):
-        """``(header, {index: last entry})`` of a journal on disk."""
-        try:
-            records = read_jsonl(path, "sweep journal")
-        except ValueError as exc:
-            raise JournalError(str(exc)) from None
-        header, entries = None, {}
-        for entry in records:
-            if header is None:
-                if not isinstance(entry, dict) \
-                        or entry.get("format") != JOURNAL_FORMAT:
-                    raise JournalError(f"{path!r} is not a sweep journal")
-                header = entry
-            else:
-                entries[entry["index"]] = entry
-        if header is None:
-            raise JournalError(f"{path!r} is empty")
-        return header, entries
 
 
 def _worker_main(conn, parent_end):
@@ -370,16 +300,15 @@ class WorkerPool:
 @dataclass
 class _Sweep:
     """One ``map`` call: its specs, their cache keys (``None`` when
-    uncacheable), the result slots and the journal (or ``None``)."""
+    uncacheable) and the result slots."""
 
     specs: list
     keys: list
     results: list
-    journal: SweepJournal = None
 
 
 class SupervisedExecutor:
-    """Deadline/retry/quarantine/checkpoint wrapper over both backends.
+    """Deadline/retry/quarantine wrapper over both backends.
 
     Drop-in for the plain executors' ``map`` contract, with one
     extension: slots of runs that exhausted their attempts hold
@@ -395,13 +324,9 @@ class SupervisedExecutor:
     while ``retries`` allows — re-queued by the pool, re-run in place
     by the serial backend — and quarantined after that.
 
-    ``journal`` writes a fresh checkpoint journal; ``resume`` loads an
-    existing one, verifies it describes this exact sweep, restores
-    completed runs via the result cache and continues appending to the
-    same file.  Either implies a cache (an anonymous
-    ``<journal>.cache`` if the caller passed none) — a journal without
-    a cache could say *that* a run completed but not restore *what* it
-    produced.
+    With a ``cache``, every completed run is stored as it lands and
+    every cached one is restored, so a re-run of a killed sweep over
+    the same cache re-simulates only what never finished.
 
     ``pool`` lends the executor a :class:`WorkerPool` to borrow its
     workers from and return them to, so they outlive this ``map``
@@ -410,29 +335,20 @@ class SupervisedExecutor:
     """
 
     def __init__(self, jobs=None, cache=None, retries=0, deadline_s=None,
-                 journal=None, resume=None, pool=None):
+                 pool=None):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         if jobs is not None and jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = auto)")
-        if journal is not None and resume is not None:
-            raise ValueError("pass either journal (fresh) or resume, "
-                             "not both")
         self.jobs = jobs
         self.retries = retries
         self.deadline_s = deadline_s
         self.pool = pool
-        self.journal_path = str(journal) if journal is not None else None
-        self.resume_path = str(resume) if resume is not None else None
-        checkpoint = self.journal_path or self.resume_path
-        if cache is None and checkpoint is not None:
-            cache = ResultCache(checkpoint + ".cache")
         self.cache = cache
         self.executed = 0       # simulation attempts actually run
         self.rejected = 0       # cached entries failing plausibility
-        self.resumed = 0        # runs restored via journal + cache
         self.retried = 0        # attempts re-queued after a failure
         self.failures = []      # final RunFailure records
         self.incidents = []     # non-fatal recoveries (cache-corrupt)
@@ -449,24 +365,12 @@ class SupervisedExecutor:
     def map(self, specs):
         """Run every spec; result slots hold runs or RunFailures."""
         specs = list(specs)
-        keys = [self._key_for(spec) for spec in specs]
-        digest = sweep_digest(keys)
-        completed_before = self._load_resume(specs, keys, digest)
-        sweep = _Sweep(specs, keys, [None] * len(specs))
-        checkpoint = self.journal_path or self.resume_path
-        if checkpoint:
-            sweep.journal = SweepJournal(checkpoint)
-            sweep.journal.start(digest, len(specs),
-                                fresh=self.resume_path is None)
-        try:
-            pending = [index for index in range(len(specs))
-                       if not self._restore_cached(
-                           sweep, index, index in completed_before)]
-            if pending:
-                self._execute(sweep, pending)
-        finally:
-            if sweep.journal is not None:
-                sweep.journal.close()
+        sweep = _Sweep(specs, [self._key_for(spec) for spec in specs],
+                       [None] * len(specs))
+        pending = [index for index in range(len(specs))
+                   if not self._restore_cached(sweep, index)]
+        if pending:
+            self._execute(sweep, pending)
         return sweep.results
 
     def _key_for(self, spec):
@@ -474,21 +378,7 @@ class SupervisedExecutor:
             return None
         return self.cache.key_for(spec)
 
-    def _load_resume(self, specs, keys, digest):
-        """Indices the resumed journal marks complete (``ok``)."""
-        if self.resume_path is None:
-            return frozenset()
-        header, entries = SweepJournal.load(self.resume_path)
-        if header["digest"] != digest or header["total"] != len(specs):
-            raise JournalError(
-                f"journal {self.resume_path!r} describes a different "
-                f"sweep (digest/run-count mismatch); not resuming")
-        # `failed` entries are deliberately not restored: a resume is
-        # a fresh chance for runs that were quarantined last time.
-        return frozenset(index for index, entry in entries.items()
-                         if entry["status"] == "ok")
-
-    def _restore_cached(self, sweep, index, from_journal):
+    def _restore_cached(self, sweep, index):
         """Try to satisfy one grid point from the cache.
 
         Returns True when restored.  A corrupt entry is recorded as a
@@ -514,10 +404,6 @@ class SupervisedExecutor:
             self.cache.invalidate(key)
             return False
         sweep.results[index] = hit[0]
-        if from_journal:
-            self.resumed += 1
-        if sweep.journal is not None:
-            sweep.journal.record(index, key, "ok")
         return True
 
     # -- execution backends --------------------------------------------
@@ -660,8 +546,6 @@ class SupervisedExecutor:
         key = sweep.keys[index]
         if key is not None:
             self.cache.store(key, result)
-        if sweep.journal is not None:
-            sweep.journal.record(index, key, "ok")
 
     def _failed(self, sweep, index, attempt, kind, detail, tb="",
                 queue=None):
@@ -680,9 +564,6 @@ class SupervisedExecutor:
             detail=detail, spec_key=key, remote_traceback=tb)
         sweep.results[index] = failure
         self.failures.append(failure)
-        if sweep.journal is not None:
-            sweep.journal.record(index, key, "failed",
-                                 failure=failure.to_payload())
         return 1
 
 

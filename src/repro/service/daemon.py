@@ -202,22 +202,26 @@ class SweepService:
     def _observe_job(self, event, job):
         """Dispatcher transition hook: the write-ahead ledger.
 
-        A job replayed from a ledger that already records it as
-        finished appends nothing on its way back to ``done``: its
-        ``started``/``finished`` pair is on disk from the daemon that
-        ran it.  A ``failed`` outcome is always recorded.
+        Records go under the job's ``ledger_id``: the id of the
+        ``submitted`` record a replayed job came from, even when the
+        request now digests to another id.  A job replayed from a
+        ledger that already records it as finished appends nothing on
+        its way back to ``done``: its ``started``/``finished`` pair is
+        on disk from the daemon that ran it.  A ``failed`` outcome is
+        always recorded.
         """
         if self._ledger is None or (
                 event != "failed" and job.recovered == "finished"):
             return
         if event == "started":
-            self._ledger.record_started(job.id)
+            self._ledger.record_started(job.ledger_id)
         elif event == "finished":
             self._ledger.record_finished(
-                job.id, executed=job.executed,
+                job.ledger_id, executed=job.executed,
                 failures=[f.to_payload() for f in job.failures])
         elif event == "failed":
-            self._ledger.record_failed(job.id, job.error or "unknown error")
+            self._ledger.record_failed(job.ledger_id,
+                                       job.error or "unknown error")
 
     def _recover(self, replayed):
         """Re-admit every unresolved ledger job on daemon boot.
@@ -230,8 +234,9 @@ class SweepService:
         is logged and skipped; recovery never takes the daemon down.
         Older ledgers carry ``"salvage": false`` in every submitted
         record, from when runs could salvage a partial trace: that key
-        is dropped, and the job recovers under its current digest.  A
-        ``true`` one fails validation like any removed field.
+        is dropped, and the job recovers under its current digest,
+        while its ledger records stay under the id they were submitted
+        with.  A ``true`` one fails validation like any removed field.
         """
         for entry in replayed:
             if entry.state == "failed":
@@ -243,7 +248,7 @@ class SweepService:
                            if k != "salvage"}
             try:
                 sweep = SweepRequest.from_payload(request)
-                self._admit(sweep, recovered=kind)
+                self._admit(sweep, recovered=kind, ledger_id=entry.id)
             except (BadRequest, QueueFull) as exc:
                 log.warning("ledger job %s not recoverable: %s",
                             entry.id[:12], exc)
@@ -254,14 +259,14 @@ class SweepService:
                      "re-admitted", self.recovered["finished"],
                      self.recovered["interrupted"])
 
-    def _admit(self, sweep, recovered=None):
+    def _admit(self, sweep, recovered=None, ledger_id=None):
         """Build, record and enqueue one sweep job (dedup-aware).
 
         ``recovered`` (``"finished"`` or ``"interrupted"``) marks a job
         replayed from the ledger: its ``submitted`` record is already on
-        disk, and it re-enqueues past the queue bound.  The mark is set
-        before the job is enqueued, so a dispatcher that starts it at
-        once already sees it.
+        disk under ``ledger_id``, and it re-enqueues past the queue
+        bound.  Both are set before the job is enqueued, so a dispatcher
+        that starts it at once already sees them.
         """
         spans, specs = sweep.build()
         digest = sweep_digest([spec_key(spec) for spec in specs])
@@ -273,6 +278,8 @@ class SweepService:
             job = SweepJob(sweep, digest, spans, specs, executor,
                            backend=executor.planned_backend(len(specs)))
             job.recovered = recovered
+            if ledger_id is not None:
+                job.ledger_id = ledger_id
             if self._ledger is not None and recovered is None:
                 self._ledger.record_submitted(digest, sweep.to_payload())
             self.store.add(job)

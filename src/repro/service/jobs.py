@@ -3,7 +3,7 @@
 A sweep submission is normalized into the *same* spec grid the CLI
 ``repro suite`` builds (:func:`repro.harness.suite.suite_spans`), so
 its identity — :func:`repro.harness.supervisor.sweep_digest` over the
-ordered cache keys — is shared with the journal/cache machinery.  Two
+ordered cache keys — is built from the result cache's keys.  Two
 requests asking for the same physics get the same digest, the same
 job, and (results being seed-determined) byte-identical payloads;
 that digest doubles as the job id and the result's ``ETag``.
@@ -220,6 +220,7 @@ class SweepJob:
         self.result_bytes = None
         self.error = None
         self.recovered = None   # "finished" | "interrupted" when replayed
+        self.ledger_id = digest  # the id the job's ledger records carry
         self.finished_at = None
         self._events = []
         self._watchers = []

@@ -3,8 +3,7 @@
 The in-memory :class:`~repro.service.jobs.JobStore` dies with the
 daemon; the ledger is what survives.  Every job transition is appended
 to a flushed-and-fsynced JSONL file *before* the transition takes
-effect, in the same spirit (and format discipline) as the supervisor's
-checkpoint journal:
+effect:
 
     {"format": "repro-job-ledger-v1"}                       <- header
     {"event": "submitted", "id": <digest>, "request": {...}}
@@ -18,17 +17,20 @@ to rebuild the job byte-identically: the request re-validates into the
 same spec grid, finished grid points restore from the cache, and only
 work that never completed re-simulates.
 
-The file is a :mod:`repro.harness.wal` log, the same kind as the
-supervisor's checkpoint journal, with one torn-tail rule: a line
-becomes a record only once its newline is on disk.  A SIGKILL can cut
-short at most the append in flight; :func:`replay` drops that torn
-final line and :meth:`JobLedger.open` cuts it off before appending, so
-the file never holds an interior corrupt record.
+The ledger is the one crash-safe log, and it keeps one torn-tail
+rule: a line becomes a record only once its newline is on disk.  A
+crash can cut short only the append in flight, which leaves a final
+line without its newline.  Its fsync never returned, so nothing acted
+on it: :func:`replay` drops that line even when it parses, and
+:meth:`JobLedger.open` cuts exactly that line off before appending, so
+the file never holds an interior corrupt record.  Any other line that
+does not parse is corruption no crash explains, and raises.
 """
 
+import json
+import os
+import threading
 from dataclasses import dataclass, field
-
-from repro.harness.wal import JsonlLog, read_jsonl
 
 #: First line of every ledger file.
 LEDGER_FORMAT = "repro-job-ledger-v1"
@@ -58,19 +60,32 @@ class JobLedger:
     """Append-only fsynced JSONL ledger of job transitions.
 
     Thread-safe: dispatcher workers and the submission path append
-    concurrently through one :class:`~repro.harness.wal.JsonlLog`.
-    Every record is flushed and fsynced before the call returns, so an
+    concurrently, one whole line at a time under one lock.  Every
+    record is flushed and fsynced before the call returns, so an
     acknowledged transition is on disk before anything acts on it.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._log = None
+        self._fh = None
+        self._lock = threading.Lock()
 
     def open(self):
-        """Open for appending, healing a torn tail from a prior crash;
-        a brand-new (or empty) ledger gets the header line."""
-        self._log = JsonlLog(self.path, {"format": LEDGER_FORMAT})
+        """Open for appending after cutting off the torn final line a
+        prior crash left, so the next record starts on a line of its
+        own; a brand-new (or empty) ledger gets the header line."""
+        try:
+            with open(self.path, "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError:
+            blob = b""
+        keep = _torn_tail_start(blob)
+        if keep < len(blob):
+            with open(self.path, "r+b") as fh:
+                fh.truncate(keep)
+        self._fh = open(self.path, "a", encoding="utf-8")
+        if keep == 0:
+            self._write({"format": LEDGER_FORMAT})
         return self
 
     def record_submitted(self, job_id, request_payload):
@@ -88,13 +103,26 @@ class JobLedger:
         self._write({"event": "failed", "id": job_id, "error": error})
 
     def _write(self, entry):
-        if self._log is None:
-            raise RuntimeError("ledger is not open")
-        self._log.append(entry)
+        line = json.dumps(entry, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+        with self._lock:
+            if self._fh is None:
+                raise RuntimeError("ledger is not open")
+            self._fh.write(line)
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
 
     def close(self):
-        if self._log is not None:
-            self._log.close()
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+
+def _torn_tail_start(blob):
+    """Offset where the bytes after the last newline — a torn append —
+    begin (``len(blob)`` when there are none)."""
+    return blob.rfind(b"\n") + 1
 
 
 def replay(path):
@@ -104,16 +132,26 @@ def replay(path):
     empty, a torn final line (no trailing newline — the kill caught an
     append mid-write) is dropped even when it parses, and records
     referencing an id with no surviving ``submitted`` line (its request
-    is what we need to rebuild the job) are dropped.  A file that is not a ledger at all
-    raises ``ValueError`` — replaying the wrong file must be loud.
+    is what we need to rebuild the job) are dropped.  A file that is
+    not a ledger at all, or a complete line that does not parse, raises
+    ``ValueError`` — replaying the wrong file must be loud.
     """
     try:
-        entries = read_jsonl(path, "job ledger")
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except FileNotFoundError:
         return []
     jobs, order = {}, []
     header_seen = False
-    for entry in entries:
+    lines = blob[:_torn_tail_start(blob)].split(b"\n")[:-1]
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            raise ValueError(
+                f"corrupt job ledger {path!r} at line {lineno}") from None
         if not header_seen:
             if not isinstance(entry, dict) \
                     or entry.get("format") != LEDGER_FORMAT:

@@ -6,7 +6,8 @@ exception.  Each one either heals on retry or lands in the result list
 as a :class:`RunFailure` with the right taxonomy tag, while every
 clean grid point completes normally.  A final property drives a
 150-run grid seeded with failures end to end, and a golden-config
-sweep proves resume reproduces bit-identical fingerprints.
+sweep proves a re-run over the result cache reproduces bit-identical
+fingerprints.
 """
 
 import json
@@ -20,7 +21,6 @@ from repro.harness.supervisor import (
     FAILURE_KINDS,
     RunFailure,
     SupervisedExecutor,
-    SweepJournal,
 )
 from repro.sim import SECOND
 from repro.validate import (
@@ -103,10 +103,9 @@ def chaos_grid(n=150):
 
 
 class TestChaosGrid:
-    def test_150_run_sweep_completes_with_quarantine(self, tmp_path):
-        path = tmp_path / "chaos.jsonl"
+    def test_150_run_sweep_completes_with_quarantine(self):
         specs, expected_failures = chaos_grid()
-        executor = SupervisedExecutor(jobs=2, journal=path)
+        executor = SupervisedExecutor(jobs=2)
         results = executor.map(specs)
 
         assert len(results) == 150
@@ -117,36 +116,28 @@ class TestChaosGrid:
         quarantined = {f.index: f.kind for f in executor.failures}
         assert len(expected_failures) == 36
         assert quarantined == expected_failures
-        # Every grid point is resolved in the journal.
-        _, entries = SweepJournal.load(path)
-        assert sorted(entries) == list(range(150))
-        assert {i for i, e in entries.items()
-                if e["status"] == "failed"} == set(expected_failures)
 
 
 class TestGoldenResume:
     def test_kill_resume_reproduces_golden_fingerprints(self, tmp_path):
-        """Interrupt a golden-config sweep after two runs; the resumed
-        sweep must reproduce the uninterrupted fingerprints bit for
-        bit (fingerprints compare float.hex strings, so this is exact
+        """Interrupt a golden-config sweep after two runs — only their
+        cache entries survive — and re-run it over the same cache: it
+        must reproduce the uninterrupted fingerprints bit for bit
+        (fingerprints compare float.hex strings, so this is exact
         equality, not tolerance)."""
-        path = tmp_path / "golden.jsonl"
+        cache = ResultCache(tmp_path / "cache")
         specs = [golden_spec("chrome", cores, smt)
                  for cores, smt in GOLDEN_CONFIGS]
-        baseline = SupervisedExecutor(journal=path).map(specs)
+        baseline = SupervisedExecutor(cache=cache).map(specs)
         expected = [fingerprint_run(run) for run in baseline]
+        for lost in specs[2:]:
+            cache.invalidate(cache.key_for(lost))
 
-        lines = path.read_text().splitlines()
-        cache = ResultCache(str(path) + ".cache")
-        for line in lines[3:]:      # header + 2 kept runs
-            cache.invalidate(json.loads(line)["key"])
-        path.write_text("\n".join(lines[:3]) + "\n")
-
-        executor = SupervisedExecutor(resume=path)
-        resumed = executor.map(specs)
-        assert executor.resumed == 2
+        executor = SupervisedExecutor(cache=ResultCache(tmp_path / "cache"))
+        rerun = executor.map(specs)
+        assert executor.cache_hits == 2
         assert executor.executed == len(specs) - 2
-        assert [fingerprint_run(run) for run in resumed] == expected
+        assert [fingerprint_run(run) for run in rerun] == expected
 
 
 class TestServiceChaos:

@@ -82,41 +82,15 @@ class TestCommands:
         assert text.startswith("error:") and "\n" not in text
         assert flag in text
 
-    @pytest.mark.parametrize("verb", [["run", "word"],
-                                      ["suite", "--apps", "word"]],
-                             ids=" ".join)
-    def test_resume_of_another_sweep_is_rejected(self, tmp_path, verb):
-        journal = str(tmp_path / "a.jsonl")
-        code, _ = run_cli(["suite", "--apps", "excel", "--duration", "0.2",
-                           "--iterations", "1", "--journal", journal])
-        assert code == 0
-        code, text = run_cli(verb + ["--duration", "0.2", "--iterations",
-                                     "1", "--resume", journal])
-        assert code == 2
-        assert text.startswith("error: --resume") and "\n" not in text
-        assert "different sweep" in text
-
-    @pytest.mark.parametrize("verb", [["run", "excel"],
-                                      ["suite", "--apps", "excel"]],
-                             ids=" ".join)
-    @pytest.mark.parametrize("content", ['{"hello": "world"}\n', "[1, 2]\n"],
-                             ids=["object", "list"])
-    def test_resume_of_a_file_that_is_no_journal_is_rejected(
-            self, tmp_path, verb, content):
-        noise = tmp_path / "noise.jsonl"
-        noise.write_text(content)
-        code, text = run_cli(verb + ["--duration", "0.2", "--iterations",
-                                     "1", "--resume", str(noise)])
-        assert code == 2
-        assert text.startswith("error: --resume") and "\n" not in text
-        assert "not a sweep journal" in text
-        assert noise.read_text() == content
-
     @pytest.mark.parametrize("verb", ["run excel", "suite"])
     def test_salvage_flag_is_gone(self, verb):
-        with pytest.raises(SystemExit) as exit_info:
-            main(verb.split() + ["--salvage"], out=lambda line: None)
-        assert exit_info.value.code == 2
+        # So are the sweep journal's flags: a re-run over the same
+        # --cache continues a killed sweep.
+        for flags in (["--salvage"], ["--journal", "PATH"],
+                      ["--resume", "PATH"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(verb.split() + flags, out=lambda line: None)
+            assert exit_info.value.code == 2, flags
 
     def test_list_shows_all_thirty(self):
         code, text = run_cli(["list"])

@@ -161,18 +161,22 @@ class TestLedgerUnit:
             raise AssertionError("replay accepted a non-ledger file")
 
     def test_interior_corruption_rejected(self, tmp_path):
+        # Garbage inside the file, and a complete final line that does
+        # not parse: its newline made it, so no torn append explains it.
         path = tmp_path / "jobs.jsonl"
         ledger = JobLedger(path).open()
         ledger.record_submitted("a" * 64, {})
         ledger.close()
         blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2] + b"garbage\n" + b"{}\n")
-        try:
-            replay(path)
-        except ValueError:
-            pass
-        else:       # pragma: no cover
-            raise AssertionError("replay accepted interior corruption")
+        for damaged in (blob[:len(blob) // 2] + b"garbage\n" + b"{}\n",
+                        blob + b'{"event": "submi\n'):
+            path.write_bytes(damaged)
+            try:
+                replay(path)
+            except ValueError as exc:
+                assert "corrupt job ledger" in str(exc)
+            else:       # pragma: no cover
+                raise AssertionError("replay accepted a corrupt line")
 
     def test_open_heals_torn_tail(self, tmp_path):
         # A torn append, and one that lost only its newline: replay

@@ -2,8 +2,11 @@
 
 import pickle
 
+import pytest
+
 from repro.apps.transcoding import HandBrake
 from repro.harness import (
+    ParallelExecutor,
     ResultCache,
     SerialExecutor,
     make_spec,
@@ -13,6 +16,7 @@ from repro.harness import (
 from repro.harness.cache import _FRAME, CACHE_MAGIC, spec_key
 from repro.hardware import GTX_680, paper_machine
 from repro.sim import MS, SECOND
+from repro.validate import InjectedCrash
 
 SHORT = 3 * SECOND
 
@@ -129,6 +133,31 @@ class TestResultCache:
         vlc = run_app("vlc", duration_us=SHORT, iterations=1, cache=cache)
         assert cache.hits == 0 and cache.misses == 2
         assert excel.fractions != vlc.fractions
+
+
+class TestCacheIsTheCheckpoint:
+    """A plain executor stores each run as it lands, so a sweep that
+    dies keeps every run it finished, and a re-run over the same cache
+    simulates only the rest."""
+
+    @pytest.mark.parametrize("make", [
+        lambda cache: SerialExecutor(cache=cache),
+        lambda cache: ParallelExecutor(jobs=2, cache=cache),
+    ], ids=["serial", "parallel"])
+    def test_a_sweep_that_raises_keeps_every_finished_run(self, tmp_path,
+                                                          make):
+        specs = [make_spec("chrome", duration_us=SECOND // 2, seed=seed)
+                 for seed in (0, 1)]
+        specs.append(make_spec("chrome", duration_us=SECOND // 2, seed=2,
+                               fault="worker-crash"))
+        with pytest.raises(InjectedCrash):
+            make(ResultCache(tmp_path)).map(specs)
+        assert len(list(tmp_path.glob("*/*.pkl"))) == 2
+
+        executor = make(ResultCache(tmp_path))
+        executor.map(specs[:2])
+        assert executor.executed == 0
+        assert executor.cache.hits == 2
 
 
 class TestEntryFraming:

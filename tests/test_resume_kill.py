@@ -1,10 +1,13 @@
-"""Kill–resume integration: SIGKILL a live CLI sweep, resume it, and
-prove the resumed results are byte-identical to an uninterrupted run.
+"""Kill–rerun integration: SIGKILL a live cached CLI sweep, run it again
+over the same cache, and prove the results are byte-identical to an
+uninterrupted run.
 
-This is the end-to-end version of the journal tests in
-``test_supervisor.py``: a real ``python -m repro suite`` process, a
-real kill signal mid-sweep, and a comparison of the saved JSON files
-(which serialize every metric float, so byte equality is bit-identity).
+The result cache is the sweep's checkpoint: every run is stored as
+soon as it finishes, so a re-run re-simulates only what never
+finished.  This test drives a real ``python -m repro suite --cache``
+process, a real signal mid-sweep, and a comparison of the saved JSON
+files (which serialize every metric float, so byte equality is
+bit-identity).
 """
 
 import json
@@ -17,22 +20,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.supervisor import SweepJournal
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 APPS = "chrome,word,excel,firefox,vlc,photoshop"
 ITERATIONS = 3
 TOTAL_RUNS = 6 * ITERATIONS
 
 
-def suite_cmd(json_out, journal=None, resume=None):
+def suite_cmd(json_out, cache=None):
     cmd = [sys.executable, "-m", "repro", "suite", "--apps", APPS,
            "--duration", "5", "--iterations", str(ITERATIONS),
            "--json", str(json_out)]
-    if journal is not None:
-        cmd += ["--journal", str(journal)]
-    if resume is not None:
-        cmd += ["--resume", str(resume)]
+    if cache is not None:
+        cmd += ["--cache", str(cache)]
     return cmd
 
 
@@ -42,26 +41,23 @@ def run_env():
     return env
 
 
-def journal_lines(path):
-    try:
-        return len(path.read_text().splitlines())
-    except FileNotFoundError:
-        return 0
+def cache_entries(cache):
+    return len(list(cache.glob("*/*.pkl")))
 
 
-def start_and_kill(json_out, journal, sig, min_runs=2, timeout_s=60):
-    """Start a sweep and signal it once ``min_runs`` are journaled.
+def start_and_kill(json_out, cache, sig, min_runs=2, timeout_s=60):
+    """Start a cached sweep and signal it once ``min_runs`` are stored.
 
     Returns the process's exit code, or None if the sweep finished
-    before the signal could land (callers retry with a fresh journal).
+    before the signal could land (callers retry with a fresh cache).
     """
     proc = subprocess.Popen(
-        suite_cmd(json_out, journal=journal), env=run_env(),
+        suite_cmd(json_out, cache=cache), env=run_env(),
         cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + timeout_s
     try:
-        while journal_lines(journal) < 1 + min_runs:
+        while cache_entries(cache) < min_runs:
             if proc.poll() is not None or time.monotonic() > deadline:
                 proc.kill()
                 proc.wait()
@@ -73,65 +69,60 @@ def start_and_kill(json_out, journal, sig, min_runs=2, timeout_s=60):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    _, entries = SweepJournal.load(journal)
-    if len(entries) >= TOTAL_RUNS:
+    if cache_entries(cache) >= TOTAL_RUNS:
         return None     # everything finished before the signal landed
     return returncode
 
 
 def interrupted_sweep(tmp_path, sig, name):
     for attempt in range(5):
-        journal = tmp_path / f"{name}-{attempt}.jsonl"
+        cache = tmp_path / f"{name}-{attempt}.cache"
         json_out = tmp_path / f"{name}-{attempt}.json"
-        returncode = start_and_kill(json_out, journal, sig)
+        returncode = start_and_kill(json_out, cache, sig)
         if returncode is not None:
-            return journal, json_out, returncode
+            return cache, json_out, returncode
     pytest.skip("could not interrupt the sweep mid-flight")
 
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("baseline")
-    json_out = tmp / "suite.json"
+    json_out = tmp_path_factory.mktemp("baseline") / "suite.json"
     subprocess.run(
-        suite_cmd(json_out, journal=tmp / "suite.jsonl"), env=run_env(),
-        cwd=REPO_ROOT, check=True, stdout=subprocess.DEVNULL,
-        timeout=300)
+        suite_cmd(json_out), env=run_env(), cwd=REPO_ROOT, check=True,
+        stdout=subprocess.DEVNULL, timeout=300)
     return json_out
+
+
+def rerun(tmp_path, cache):
+    """Run the sweep again over ``cache``; the saved JSON's path."""
+    rerun_out = tmp_path / "rerun.json"
+    done = subprocess.run(
+        suite_cmd(rerun_out, cache=cache), env=run_env(),
+        cwd=REPO_ROOT, stdout=subprocess.DEVNULL, timeout=300)
+    assert done.returncode == 0
+    assert cache_entries(cache) == TOTAL_RUNS
+    return rerun_out
 
 
 class TestKillResume:
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path,
                                                   baseline):
-        journal, json_out, returncode = interrupted_sweep(
+        cache, json_out, returncode = interrupted_sweep(
             tmp_path, signal.SIGKILL, "killed")
         assert returncode != 0
         assert not json_out.exists()    # died before saving
 
-        resumed_out = tmp_path / "resumed.json"
-        done = subprocess.run(
-            suite_cmd(resumed_out, resume=journal), env=run_env(),
-            cwd=REPO_ROOT, stdout=subprocess.DEVNULL, timeout=300)
-        assert done.returncode == 0
-        _, entries = SweepJournal.load(journal)
-        assert len(entries) == TOTAL_RUNS
-
-        assert resumed_out.read_bytes() == baseline.read_bytes()
-        payload = json.loads(resumed_out.read_text())
+        rerun_out = rerun(tmp_path, cache)
+        assert rerun_out.read_bytes() == baseline.read_bytes()
+        payload = json.loads(rerun_out.read_text())
         assert sorted(payload["results"]) == sorted(APPS.split(","))
         assert payload["failures"] == []
 
-    def test_sigint_leaves_resumable_journal(self, tmp_path, baseline):
-        journal, _, returncode = interrupted_sweep(
+    def test_sigint_leaves_a_cache_that_reruns(self, tmp_path, baseline):
+        cache, _, returncode = interrupted_sweep(
             tmp_path, signal.SIGINT, "interrupted")
         assert returncode != 0
-        header, entries = SweepJournal.load(journal)
-        assert 0 < len(entries) < TOTAL_RUNS
-        assert header["total"] == TOTAL_RUNS
+        assert 0 < cache_entries(cache) < TOTAL_RUNS
 
-        resumed_out = tmp_path / "resumed.json"
-        done = subprocess.run(
-            suite_cmd(resumed_out, resume=journal), env=run_env(),
-            cwd=REPO_ROOT, stdout=subprocess.DEVNULL, timeout=300)
-        assert done.returncode == 0
-        assert resumed_out.read_bytes() == baseline.read_bytes()
+        rerun_out = rerun(tmp_path, cache)
+        assert rerun_out.read_bytes() == baseline.read_bytes()

@@ -1192,6 +1192,39 @@ class TestLedgerRecovery:
         assert [(r["event"], r["id"]) for r in appended] == \
             [("started", digest), ("finished", digest)]
 
+    def test_recovered_job_settles_under_its_ledger_id(self, tmp_path):
+        # The record's id is not the request's digest (an older ledger,
+        # or a changed key scheme): the job recovers under the digest,
+        # but its transitions go under the record's id, so the next
+        # boot finds it finished and appends nothing.
+        ledger = tmp_path / "ledger.jsonl"
+        request_payload = SweepRequest.from_payload(SWEEP).to_payload()
+        ledger.write_text("".join(json.dumps(line) + "\n" for line in [
+            {"format": "repro-job-ledger-v1"},
+            {"event": "submitted", "id": "ab" * 32,
+             "request": request_payload},
+            {"event": "started", "id": "ab" * 32},
+        ]))
+        kinds, executed, recorded = [], [], []
+        for _ in range(3):
+            service = SweepService(ledger=ledger, cache=tmp_path / "cache")
+            try:
+                [job] = service.store.all()
+                kinds.append(job.recovered)
+                assert job.wait_done(120) and job.state == "done"
+                executed.append(job.executed)
+            finally:
+                service.close()
+            recorded.append(ledger.read_bytes())
+        assert kinds == ["interrupted", "finished", "finished"]
+        assert executed[0] > 0 and executed[1:] == [0, 0]
+        # Boot 1 appended the record id's started and finished; boots 2
+        # and 3 appended nothing.
+        assert recorded[0] == recorded[1] == recorded[2]
+        assert len(recorded[2].splitlines()) == 5
+        assert [(entry.id, entry.state) for entry in replay(ledger)] == \
+            [("ab" * 32, "finished")]
+
     def test_failed_jobs_stay_failed_across_restart(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         request_payload = SweepRequest.from_payload(SWEEP).to_payload()

@@ -3,10 +3,10 @@
 These tests drive :class:`repro.harness.supervisor.SupervisedExecutor`
 through every failure mode in the taxonomy and prove the two headline
 properties: a failing grid point never takes the sweep down with it,
-and a resumed sweep is bit-identical to an uninterrupted one.
+and a re-run over the same result cache re-simulates only what never
+finished.
 """
 
-import json
 import multiprocessing
 import os
 import select
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.harness.cache import ResultCache
 from repro.harness.executor import (
     ParallelExecutor,
@@ -29,10 +28,8 @@ from repro.harness.executor import (
 from repro.harness.runner import SingleRun
 from repro.harness.supervisor import (
     FAILURE_KINDS,
-    JOURNAL_FORMAT,
     RunFailure,
     SupervisedExecutor,
-    SweepJournal,
     WorkerPool,
     sweep_digest,
 )
@@ -54,15 +51,6 @@ class TestConstruction:
     def test_nonpositive_deadline_rejected(self):
         with pytest.raises(ValueError):
             SupervisedExecutor(deadline_s=0)
-
-    def test_journal_and_resume_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            SupervisedExecutor(journal=tmp_path / "a.jsonl",
-                               resume=tmp_path / "b.jsonl")
-
-    def test_journal_implies_cache(self, tmp_path):
-        executor = SupervisedExecutor(journal=tmp_path / "sweep.jsonl")
-        assert executor.cache is not None
 
 
 class TestCleanSweep:
@@ -184,148 +172,25 @@ class TestCacheCorruption:
         assert executor.executed == 0
 
 
-class TestJournal:
-    def test_header_and_entries(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        specs = [spec(seed=s) for s in (0, 1)]
-        SupervisedExecutor(journal=path).map(specs)
-        lines = [json.loads(line) for line in
-                 path.read_text().splitlines()]
-        assert lines[0]["format"] == JOURNAL_FORMAT
-        assert lines[0]["total"] == 2
-        statuses = {entry["index"]: entry["status"] for entry in lines[1:]}
-        assert statuses == {0: "ok", 1: "ok"}
-        assert all(set(entry) == {"index", "key", "status", "failure"}
-                   for entry in lines[1:])
-
-    def test_failure_recorded(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        SupervisedExecutor(journal=path).map(
-            [spec(seed=0, fault="worker-crash")])
-        entry = json.loads(path.read_text().splitlines()[-1])
-        assert entry["status"] == "failed"
-        assert entry["failure"]["kind"] == "crash"
-        assert set(entry) == {"index", "key", "status", "failure"}
-
-    def test_torn_final_line_tolerated(self, tmp_path):
-        # Killed mid-write, or between a record's last byte and its
-        # newline: either way the line was never acknowledged.
-        for torn in ('{"index": 9, "stat',
-                     '{"index": 9, "key": null, "status": "ok"}'):
-            path = tmp_path / "sweep.jsonl"
-            SupervisedExecutor(journal=path).map([spec(seed=0)])
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(torn)
-            header, entries = SweepJournal.load(path)
-            assert header["total"] == 1
-            assert sorted(entries) == [0]
-
-    def test_header_that_lost_its_newline_is_refused(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        specs = [spec(seed=0)]
-        SupervisedExecutor(journal=path).map(specs)
-        header = path.read_bytes().split(b"\n")[0]
-        path.write_bytes(header)
-        with pytest.raises(ValueError, match="is empty"):
-            SweepJournal.load(path)
-        with pytest.raises(ValueError, match="is empty"):
-            SupervisedExecutor(resume=path).map(specs)
-        lines = []
-        assert main(["suite", "--apps", "chrome", "--duration", "0.5",
-                     "--iterations", "1", "--resume", str(path)],
-                    out=lines.append) == 2
-        assert len(lines) == 1 and lines[0].startswith("error: --resume")
-        assert "is empty" in lines[0]
-        # Refused, never rewritten without its header.
-        assert path.read_bytes() == header
-
-    def test_corrupt_final_line_with_newline_rejected(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        SupervisedExecutor(journal=path).map([spec(seed=0)])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"index": 9, "stat\n')  # the newline made it: no torn write
-        with pytest.raises(ValueError, match="corrupt sweep journal"):
-            SweepJournal.load(path)
-
-    def test_corrupt_interior_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({"format": JOURNAL_FORMAT, "digest": "d",
-                        "total": 1}) + "\nnot json\n"
-            + json.dumps({"index": 0, "key": None, "status": "ok"}) + "\n")
-        with pytest.raises(ValueError, match="corrupt"):
-            SweepJournal.load(path)
-
-    def test_not_a_journal_rejected(self, tmp_path):
-        path = tmp_path / "noise.jsonl"
-        path.write_text('{"hello": "world"}\n')
-        with pytest.raises(ValueError, match="not a sweep journal"):
-            SweepJournal.load(path)
-
-
 class TestResume:
-    def _interrupt_after(self, path, keep):
-        """Simulate a kill: keep the header plus ``keep`` run lines,
-        and drop the corresponding cache entries for the rest."""
-        lines = path.read_text().splitlines()
-        kept, dropped_keys = lines[: 1 + keep], []
-        for line in lines[1 + keep:]:
-            dropped_keys.append(json.loads(line)["key"])
-        path.write_text("\n".join(kept) + "\n")
-        cache = ResultCache(str(path) + ".cache")
-        for key in dropped_keys:
-            cache.invalidate(key)
-
-    def test_resume_is_bit_identical(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        specs = [spec(seed=s) for s in range(4)]
-        baseline = SupervisedExecutor(journal=path).map(specs)
-        self._interrupt_after(path, keep=2)
-
-        executor = SupervisedExecutor(resume=path)
-        resumed = executor.map(specs)
-        assert executor.resumed == 2
-        assert executor.executed == 2
-        assert [fingerprint_run(r) for r in resumed] == \
-            [fingerprint_run(r) for r in baseline]
-        # The journal is now complete again.
-        _, entries = SweepJournal.load(path)
-        assert sorted(entries) == [0, 1, 2, 3]
-
-    def test_torn_journal_resumes_twice(self, tmp_path):
-        """A resume cuts a torn final line off before appending, so the
-        journal it leaves behind resumes again."""
-        path = tmp_path / "sweep.jsonl"
-        specs = [spec(seed=s) for s in range(3)]
-        baseline = SupervisedExecutor(journal=path).map(specs)
-        path.write_bytes(path.read_bytes()[:-10])   # killed mid-record
-        for _ in range(2):
-            resumed = SupervisedExecutor(resume=path).map(specs)
-            assert [fingerprint_run(r) for r in resumed] == \
-                [fingerprint_run(r) for r in baseline]
-        _, entries = SweepJournal.load(path)
-        assert sorted(entries) == [0, 1, 2]
-
     def test_failed_entries_get_a_fresh_chance(self, tmp_path):
         # A one-shot flaky fault quarantines the run on the first
-        # sweep; the strike file is consumed, so the resumed sweep
-        # re-runs it and it completes clean.
-        path = tmp_path / "sweep.jsonl"
+        # sweep, and a quarantined run leaves no cache entry; the
+        # strike file is consumed, so a re-run over the same cache
+        # re-runs it clean and restores the other run from the cache.
         fault = f"flaky-crash:{tmp_path / 'strike'}"
         specs = [spec(seed=0), spec(seed=1, fault=fault)]
-        first = SupervisedExecutor(journal=path).map(specs)
+        first = SupervisedExecutor(
+            cache=ResultCache(tmp_path / "cache")).map(specs)
         assert isinstance(first[1], RunFailure)
 
-        executor = SupervisedExecutor(resume=path)
-        resumed = executor.map(specs)
-        assert isinstance(resumed[1], SingleRun)
+        executor = SupervisedExecutor(cache=ResultCache(tmp_path / "cache"))
+        rerun = executor.map(specs)
+        assert isinstance(rerun[1], SingleRun)
         assert executor.failures == []
-
-    def test_wrong_journal_refused(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        SupervisedExecutor(journal=path).map([spec(seed=0)])
-        with pytest.raises(ValueError, match="different sweep"):
-            SupervisedExecutor(resume=path).map([spec(seed=99)])
+        assert executor.executed == 1
+        assert executor.cache_hits == 1
+        assert fingerprint_run(rerun[0]) == fingerprint_run(first[0])
 
     def test_digest_covers_order(self):
         assert sweep_digest(["a", "b"]) != sweep_digest(["b", "a"])
