@@ -15,14 +15,14 @@ must:
 3. **Score** every config of every group analytically from its
    group's base run (:func:`~repro.analysis.dse.score.batch_score`),
    one group at a time: the group's scoring inputs are extracted once
-   as columns (read straight from a
+   as columns (gathered from a
    :class:`~repro.hardware.catalog.MachineGrid`'s draw columns, so a
    generated config's machine is built only if it is simulated or
-   reported), converted once to the batch kernel's layout, and scored
-   for every app from that one conversion, which is dropped before
-   the next group; a score object is built only when read.
-   The frontier is taken over each group's lowest-EDP member
-   (:func:`frontier_from_groups`).
+   reported), converted once to the scoring kernels' layout (float64
+   arrays when numpy imports), and scored for every app from that one
+   conversion, which is dropped before the next group; a score object
+   is built only when read.  The frontier is taken over each group's
+   lowest-EDP member (:func:`frontier_from_groups`).
 4. **Verify**: the sampled re-simulations are scored through the slow
    path and compared — exact on TLP (integer-derived), relative
    tolerance on energy/delay floats.  A campaign whose equivalence

@@ -5,9 +5,11 @@ Two paths produce a :class:`ConfigScore`:
 * :func:`batch_score` — the **fast path**: scores N configs from one
   base run's activity histogram in a single vectorized kernel pass
   (:func:`repro.metrics.kernels.batch_active_energy`), never touching
-  the simulator.  Per-config work is list arithmetic over the
-  group's :class:`ConfigColumns`, and each :class:`ConfigScore` is
-  built only when read (:class:`GroupScores`).
+  the simulator.  Per-config work is column arithmetic over the
+  group's :class:`ConfigColumns` (:func:`repro.metrics.kernels.
+  score_tail`: numpy arrays when numpy imports, lists otherwise), and
+  each :class:`ConfigScore` is built only when read
+  (:class:`GroupScores`).
 * :func:`score_from_simulation` — the **slow path**: scores one
   config from its own full re-simulation's energy report (the
   :class:`~repro.os.energy.EnergyModel` prices the run's activity
@@ -37,7 +39,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.hardware import catalog
-from repro.metrics.kernels import batch_active_energy, config_table
+from repro.metrics.kernels import (
+    argmin,
+    batch_active_energy,
+    config_table,
+    score_tail,
+)
 from repro.os.energy import default_coefficients, gpu_tdp_for
 from repro.os.work import WorkClass
 
@@ -166,26 +173,27 @@ class ConfigColumns:
     """One config group's scoring inputs, one column per input.
 
     Everything the scoring tail derives from a machine — the batch
-    kernel's power row and exponent, the idle CPU and GPU watts, the
-    GPU's active span (TDP minus idle), :func:`time_scale` and
-    :func:`node_power_scale` — computed once per config with the same
-    operations, in the same order, as the scalar functions
-    :func:`_assemble` calls, so a campaign extracts them once per
-    config rather than once per (app, config).
+    kernel's active watts (``power``: one column per
+    :data:`WORK_CLASSES` entry, the kernel's class-major layout) and
+    exponent, the idle CPU and GPU watts, the GPU's active span (TDP
+    minus idle), :func:`time_scale` and :func:`node_power_scale` —
+    computed once per config with the same operations, in the same
+    order, as the scalar functions :func:`_assemble` calls, so a
+    campaign extracts them once per config rather than once per (app,
+    config).  Each column is a list with one entry per config; the
+    group holds a fixed number of lists, not an object per config.
 
     ``machines`` is a machine list, with ``indices`` the configs'
     campaign indices (default ``0..N-1``), or a
     :class:`~repro.hardware.catalog.MachineGrid`, with ``indices`` the
     grid rows of the group (default every row): a config's campaign
-    index is its grid row.  A grid's columns are read directly, so no
-    machine is built until :meth:`machine` asks for one: its power
-    rows are shared, not copied, when its class order is
-    :data:`WORK_CLASSES` (the generator's), and each tech node's
-    clock and power factors are looked up once per group.
+    index is its grid row.  A grid's columns are gathered at those
+    rows, the power columns by class name, so no machine is built
+    until :meth:`machine` asks for one, and each tech node's clock
+    and power factors are looked up once per group.
 
-    :meth:`kernel_table` holds the power rows and exponents converted
-    to the batch kernel's layout while a group is scored for several
-    base runs.
+    :meth:`kernel_table` holds every column converted to the scoring
+    kernels' layout while a group is scored for several base runs.
     """
 
     def __init__(self, machines, indices=None):
@@ -203,8 +211,8 @@ class ConfigColumns:
     def _read_machines(self, machines):
         """The columns of a machine list, one machine at a time."""
         coeffs = [coefficients_for(machine) for machine in machines]
-        self.power = [[c.active_power_w.get(cls, 0.0)
-                       for cls in WORK_CLASSES] for c in coeffs]
+        self.power = [[c.active_power_w.get(cls, 0.0) for c in coeffs]
+                      for cls in WORK_CLASSES]
         self.exponents = [c.clock_exponent for c in coeffs]
         self.cpu_idle_w = [c.cpu_idle_w for c in coeffs]
         self.gpu_idle_w = [c.gpu_idle_w for c in coeffs]
@@ -224,15 +232,14 @@ class ConfigColumns:
         once: ``REF / ((REF * FREQ[t]) * d)`` and ``POWER[t] * d ** 3``.
         """
         rows = self.indices
-        power_w = grid.power_w
-        if tuple(grid.power_classes) == WORK_CLASSES:
-            self.power = [power_w[i] for i in rows]
-        else:
-            position = {cls: j for j, cls in enumerate(grid.power_classes)}
-            order = [position[cls] for cls in WORK_CLASSES]
-            self.power = [[power_w[i][j] for j in order] for i in rows]
-        self.exponents = [grid.clock_exponent[i] for i in rows]
-        self.cpu_idle_w = [grid.cpu_idle_w[i] for i in rows]
+
+        def gather(column):
+            return [column[i] for i in rows]
+
+        by_class = dict(zip(grid.power_classes, grid.power_w))
+        self.power = [gather(by_class[cls]) for cls in WORK_CLASSES]
+        self.exponents = gather(grid.clock_exponent)
+        self.cpu_idle_w = gather(grid.cpu_idle_w)
         base = default_coefficients()
         span = gpu_tdp_for(base, grid.gpu) - base.gpu_idle_w
         self.gpu_idle_w = [base.gpu_idle_w] * len(rows)
@@ -241,32 +248,40 @@ class ConfigColumns:
         node_clock = {tech: ref * freq
                       for tech, freq in catalog.FREQ_SCALE.items()}
         node_power = catalog.POWER_SCALE
-        tech, dvfs = grid.tech_nm, grid.dvfs_ratio
-        self.time_scale = [ref / (node_clock[tech[i]] * dvfs[i])
-                           for i in rows]
-        self.node_scale = [node_power[tech[i]] * dvfs[i] ** 3
-                           for i in rows]
+        techs, dvfs = gather(grid.tech_nm), gather(grid.dvfs_ratio)
+        self.time_scale = [ref / (node_clock[tech] * d)
+                           for tech, d in zip(techs, dvfs)]
+        self.node_scale = [node_power[tech] * d ** 3
+                           for tech, d in zip(techs, dvfs)]
+
+    def _columns(self):
+        """Every column, in :func:`kernel_inputs`' order."""
+        return (self.power, self.exponents, self.time_scale,
+                self.node_scale, self.cpu_idle_w, self.gpu_span_w,
+                self.gpu_idle_w)
 
     @contextmanager
     def kernel_table(self):
-        """Convert the power rows and exponents to the batch kernel's
-        layout (:func:`~repro.metrics.kernels.config_table`) once, for
-        the ``with`` block: every :func:`batch_score` over these
-        columns inside it prices from that one conversion, which is
+        """Convert every column to the scoring kernels' layout
+        (:func:`~repro.metrics.kernels.config_table`) once, for the
+        ``with`` block: every :func:`batch_score` over these columns
+        inside it prices and scores from that one conversion, which is
         dropped on exit, so the converted arrays live no longer than
         the group's scoring."""
-        self._table = config_table(self.power, self.exponents)
+        self._table = config_table(*self._columns())
         try:
             yield self
         finally:
             self._table = None
 
     def kernel_inputs(self):
-        """The batch kernel's ``(power, exponents)`` config axis: the
-        one held by :meth:`kernel_table`, else a fresh conversion."""
+        """The columns in the kernels' layout — ``(power, exponents,
+        time_scale, node_scale, cpu_idle_w, gpu_span_w, gpu_idle_w)``
+        — the ones held by :meth:`kernel_table`, else a fresh
+        conversion."""
         if self._table is not None:
             return self._table
-        return config_table(self.power, self.exponents)
+        return config_table(*self._columns())
 
     def machine(self, k):
         """The machine of the group's ``k``-th config."""
@@ -276,9 +291,10 @@ class ConfigColumns:
 class GroupScores(Sequence):
     """One config group's scores under one app, built on read.
 
-    Holds the score columns; ``scores[k]`` builds the k-th
-    :class:`ConfigScore` on first access and returns that same object
-    on every later read.
+    Holds the score columns in the scoring kernels' layout (float64
+    arrays on the numpy backend, lists otherwise); ``scores[k]`` builds
+    the k-th :class:`ConfigScore`, with Python floats, on first access
+    and returns that same object on every later read.
     """
 
     def __init__(self, app, columns, tlp, wall_s, energy_j, edp_js):
@@ -307,9 +323,9 @@ class GroupScores(Sequence):
                 tech_nm=getattr(machine, "tech_nm", None),
                 dvfs_ratio=getattr(machine, "dvfs_ratio", 1.0),
                 tlp=self.tlp,
-                wall_s=self.wall_s[k],
-                energy_j=self.energy_j[k],
-                edp_js=self.edp_js[k],
+                wall_s=float(self.wall_s[k]),
+                energy_j=float(self.energy_j[k]),
+                edp_js=float(self.edp_js[k]),
                 analytic=True,
             )
             self._built[k] = score
@@ -321,9 +337,7 @@ class GroupScores(Sequence):
         Every member shares the base run's TLP, so no other member of
         the group can reach a Pareto frontier.
         """
-        _, _, k = min(zip(self.edp_js, self.columns.indices,
-                          range(len(self))))
-        return self[k]
+        return self[argmin(self.edp_js, self.columns.indices)]
 
 
 def batch_score(app, base_run, machines, indices=None):
@@ -334,30 +348,28 @@ def batch_score(app, base_run, machines, indices=None):
     partition guarantees it; nothing here re-checks.  ``machines`` is
     a machine list (``indices`` optionally carries each machine's
     campaign config index) or a prebuilt :class:`ConfigColumns`.
-    Returns a :class:`GroupScores`: one score per machine, in order,
-    each float bit-identical to :func:`_assemble`'s (same operations,
-    same order).
+    Returns a :class:`GroupScores`: one score per machine, in order.
+    The columns go through the batch kernel
+    (:func:`~repro.metrics.kernels.batch_active_energy`) and then
+    :func:`_assemble`'s tail as column arithmetic
+    (:func:`~repro.metrics.kernels.score_tail`: same operations, same
+    order), so each float is bit-identical to :func:`_assemble`'s over
+    the same kernel totals.
     """
     columns = (machines if isinstance(machines, ConfigColumns)
                else ConfigColumns(machines, indices))
+    power, exponents, *factors_and_watts = columns.kernel_inputs()
     entries = sorted((base_run.activity or {}).items())
     t_us = [us for _, us in entries]
     class_idx = [_CLASS_COLUMN[cls] for (cls, _), _ in entries]
     factors = [factor for (_, factor), _ in entries]
-    active_ref = batch_active_energy(t_us, class_idx, factors,
-                                     *columns.kernel_inputs())
+    active_ref = batch_active_energy(t_us, class_idx, factors, power,
+                                     exponents)
     duration_us = base_run.duration_us
     busy_fraction = min(1.0, base_run.gpu_busy_us / max(1, duration_us))
-    wall_s = [duration_us * scale / 1e6 for scale in columns.time_scale]
-    energy_j = [
-        active * node * scale + idle * wall + (span * busy_fraction
-                                               + gpu_idle) * wall
-        for active, node, scale, idle, wall, span, gpu_idle in zip(
-            active_ref, columns.node_scale, columns.time_scale,
-            columns.cpu_idle_w, wall_s, columns.gpu_span_w,
-            columns.gpu_idle_w)
-    ]
-    edp_js = [energy * wall for energy, wall in zip(energy_j, wall_s)]
+    wall_s, energy_j, edp_js = score_tail(active_ref, duration_us,
+                                          busy_fraction,
+                                          *factors_and_watts)
     return GroupScores(app, columns, base_run.tlp.tlp, wall_s, energy_j,
                        edp_js)
 

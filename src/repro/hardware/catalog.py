@@ -278,12 +278,14 @@ class MachineGrid(Sequence):
     """The configs of :func:`generate_machines`, one column per draw.
 
     Row ``i`` is machine ``i``: its tech node, DVFS ratio, core count,
-    SMT ways, per-class active watts (a row in ``power_classes``
-    order), CPU idle watts and clock exponent; ``gpu`` is shared by
-    every row.  The grid reads like the machine list it stands for —
-    ``len``, indexes, slices, iteration, ``==`` and ``+`` against a
-    list — and ``grid[i]`` builds the
-    :class:`~repro.hardware.specs.ParametricMachine` on first read,
+    SMT ways, CPU idle watts and clock exponent are entry ``i`` of the
+    column of that name, and its active watts are entry ``i`` of each
+    ``power_w`` column, one column per work class in ``power_classes``
+    order; ``gpu`` is shared by every row.  So a grid holds a fixed
+    number of lists, however many configs it has.  The grid reads like
+    the machine list it stands for — ``len``, indexes, slices,
+    iteration, ``==`` and ``+`` against a list — and ``grid[i]`` builds
+    the :class:`~repro.hardware.specs.ParametricMachine` on first read,
     returning that same object on every later one.  Code that only
     needs the draws reads the columns instead, so a campaign builds
     just the machines it simulates or prints.
@@ -317,8 +319,8 @@ class MachineGrid(Sequence):
                 dvfs_ratio=self.dvfs_ratio[i],
                 gpu=self.gpu,
                 coefficients=EnergyCoefficients(
-                    active_power_w=dict(zip(self.power_classes,
-                                            self.power_w[i])),
+                    active_power_w={cls: column[i] for cls, column in
+                                    zip(self.power_classes, self.power_w)},
                     cpu_idle_w=self.cpu_idle_w[i],
                     clock_exponent=self.clock_exponent[i]),
             )
@@ -348,15 +350,25 @@ def generate_machines(count, seed=0, cores=GENERATOR_CORES,
     ``±coefficient_jitter`` (the exponent by ``±0.2``) —
     trace-invariant; the core count and SMT ways — trace-changing; and
     a DVFS point uniform inside the node's admissible band —
-    trace-rescaling.  The axes are checked once, before any draw: each
-    tech node's :func:`dvfs_bounds` and every (cores, SMT ways) pair
-    (:func:`~repro.hardware.specs.check_core_counts`), so a bad axis
-    raises even when ``count`` is 0; each drawn DVFS point is checked
-    against its node's band as it is drawn, with
+    trace-rescaling.  The axes are checked once, before any draw: none
+    may be empty, and each tech node's :func:`dvfs_bounds` and every
+    (cores, SMT ways) pair
+    (:func:`~repro.hardware.specs.check_core_counts`) must hold, so a
+    bad axis raises ``ValueError`` even when ``count`` is 0; each drawn
+    DVFS point is checked against its node's band as it is drawn, with
     :func:`check_grid_point`'s message.  The same ``(count, seed,
     axes)`` always yields the same grid, so a DSE campaign is
     reproducible end to end.
+
+    The draws are those of ``random.Random``'s ``choice`` and
+    ``uniform``, made inline so that no draw costs a Python call
+    frame, and each config appends to the grid's columns, so the grid
+    holds a fixed number of lists whatever ``count`` is.
     """
+    for name, axis in (("cores", cores), ("smt_ways", smt_ways),
+                       ("tech_nodes", tech_nodes)):
+        if not len(axis):
+            raise ValueError(f"{name} axis is empty")
     # Each ``uniform(a, b)`` draw is inlined as ``a + (b - a) *
     # random()``, the way ``random.uniform`` computes it, with each
     # width taken once: per node for the DVFS band (floor, width,
@@ -368,27 +380,47 @@ def generate_machines(count, seed=0, cores=GENERATOR_CORES,
     for n_cores in cores:
         for n_ways in smt_ways:
             check_core_counts(n_cores, n_ways)
+    # Each ``choice(axis)`` is inlined as the loop ``choice`` runs
+    # (``Random._randbelow_with_getrandbits``): ``k`` fresh bits, with
+    # ``k`` the axis length's bit length, redrawn while they index past
+    # the axis.  Same words of the stream, in the same order.  An empty
+    # axis would never leave that loop (``getrandbits(0)`` is 0), which
+    # is why the axes are checked above.
+    n_tech, k_tech = len(tech_nodes), len(tech_nodes).bit_length()
+    n_core, k_core = len(cores), len(cores).bit_length()
+    n_way, k_way = len(smt_ways), len(smt_ways).bit_length()
     rng = random.Random(f"dse-machines:{seed}")
     rand = rng.random
-    choice = rng.choice
+    bits = rng.getrandbits
     base = default_coefficients()
     classes = tuple(base.active_power_w)
-    watts = tuple(base.active_power_w.values())
+    power = [[] for _ in classes]
+    class_watts = list(zip(power, base.active_power_w.values()))
     idle_w, exponent = base.cpu_idle_w, base.clock_exponent
     low, high = -coefficient_jitter, coefficient_jitter
     width = high - low
     ex_low, ex_high = -0.2, 0.2
     ex_width = ex_high - ex_low
-    techs, dvfs, core_counts, ways, power, idle, exponents = (
-        [], [], [], [], [], [], [])
+    techs, dvfs, core_counts, ways, idle, exponents = (
+        [], [], [], [], [], [])
     for _ in range(count):
-        tech = choice(tech_nodes)
+        r = bits(k_tech)
+        while r >= n_tech:
+            r = bits(k_tech)
+        tech = tech_nodes[r]
         lo, span, hi = bands[tech]
-        power.append([w * (1.0 + (low + width * rand())) for w in watts])
+        for column, watts in class_watts:
+            column.append(watts * (1.0 + (low + width * rand())))
         idle.append(idle_w * (1.0 + (low + width * rand())))
         exponents.append(exponent + (ex_low + ex_width * rand()))
-        core_counts.append(choice(cores))
-        ways.append(choice(smt_ways))
+        r = bits(k_core)
+        while r >= n_core:
+            r = bits(k_core)
+        core_counts.append(cores[r])
+        r = bits(k_way)
+        while r >= n_way:
+            r = bits(k_way)
+        ways.append(smt_ways[r])
         ratio = lo + span * rand()
         if not lo <= ratio <= hi:
             raise _outside_band(tech, ratio, lo, hi)

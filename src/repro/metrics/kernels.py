@@ -1,23 +1,33 @@
-"""Batched sweep kernels over whole event buffers.
+"""Batched sweep kernels over whole event buffers, and the DSE
+scoring kernels over config columns.
 
 The WPA tables (:mod:`repro.trace.wpa`) hand the metric folds parallel
 ``(times, deltas)`` buffers born from the columnar ``array('q')``
 trace stores (:mod:`repro.trace.columns`), and the kernels here sweep
 them wholesale instead of boxing one ``(time, +1/-1)`` tuple per
-event.
+event.  The DSE scorer (:mod:`repro.analysis.dse.score`) hands them a
+config group's columns the same way: :func:`batch_active_energy`
+prices one activity histogram under every config, :func:`score_tail`
+turns those joules into wall, energy and EDP columns, and
+:func:`argmin` finds a group's lowest-EDP member.
 
 Two backends implement the same kernels, chosen by whether numpy
 imports (the package's runtime dependencies are empty, so a plain
 install takes the second):
 
 * ``numpy``: clip/diff/cumsum/bincount over int64 views of the
-  buffers — no per-event Python bytecode at all.
+  buffers, and element-wise float64 arithmetic over the config
+  columns — no per-event or per-config Python bytecode at all.
 * pure Python: the scalar sweep loop of :mod:`repro.metrics.intervals`
-  run over the zipped buffers.
+  run over the zipped buffers, and list arithmetic over the config
+  columns.
 
 The integer sweeps agree bit for bit with
 :func:`repro.metrics.intervals.fused_sweep`, the reference the
-property suite compares both backends against.
+property suite compares both backends against.  The scoring tail and
+the argmin agree bit for bit too (numpy rounds each ``+``, ``*`` and
+``/`` as Python does, and the operations run in the same order);
+only :func:`batch_active_energy`'s ``**`` may round differently.
 """
 
 from array import array
@@ -187,20 +197,21 @@ def clipped_busy_sum(starts, stops, window_start, window_stop):
     return int(spans[spans > 0].sum())
 
 
-def config_table(active_power_w, exponents):
-    """The config axis of :func:`batch_active_energy` in the backend's
-    layout: float64 arrays on the numpy backend, the inputs themselves
-    on the pure-Python one.
+def config_table(*columns):
+    """A config group's columns in the backend's layout: float64
+    arrays on the numpy backend, the inputs themselves on the
+    pure-Python one.
 
-    ``batch_active_energy`` converts its config axis on every call;
-    converted once here, one table prices any number of histograms
-    with no further copy (``numpy.asarray`` returns a float64 array as
-    it is), and every total comes out as it would from the lists.
+    The kernels below convert their config columns on every call;
+    converted once here, one table prices and scores any number of
+    histograms with no further copy (``numpy.asarray`` returns a
+    float64 array as it is), and every value comes out as it would
+    from the lists.
     """
     if _np is None:
-        return active_power_w, exponents
-    return (_np.asarray(active_power_w, dtype=_np.float64),
-            _np.asarray(exponents, dtype=_np.float64))
+        return columns
+    return tuple(_np.asarray(column, dtype=_np.float64)
+                 for column in columns)
 
 
 def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
@@ -210,13 +221,15 @@ def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
 
     The histogram (see :meth:`repro.os.energy.EnergyModel.activity`)
     arrives flattened into K parallel entries: ``t_us[k]`` integer
-    microseconds, ``class_idx[k]`` a column index into the per-config
-    power table, ``clock_factors[k]`` the turbo multiplier.  Configs
-    are the other axis: ``active_power_w[n][c]`` watts for config ``n``
-    and class column ``c``, ``exponents[n]`` the dynamic-power
-    exponent.  Returns a list of N joule totals, each
+    microseconds, ``class_idx[k]`` a class column of the power table,
+    ``clock_factors[k]`` the turbo multiplier.  Configs are the other
+    axis, laid out class-major: ``active_power_w[c][n]`` watts of
+    class column ``c`` for config ``n`` (one column per work class, as
+    a config group keeps them), ``exponents[n]`` the dynamic-power
+    exponent.  Returns the N joule totals, a float64 array on the
+    numpy backend and a list on the pure-Python one, each
 
-    ``sum_k  active_power_w[n][class_idx[k]]
+    ``sum_k  active_power_w[class_idx[k]][n]
              * clock_factors[k] ** exponents[n] * t_us[k] / 1e6``
 
     accumulated in ``k`` order on both backends.  The numpy backend
@@ -234,18 +247,79 @@ def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
         alpha = _np.asarray(exponents, dtype=_np.float64)
         totals = _np.zeros(n_configs, dtype=_np.float64)
         for k, wall_us in enumerate(t_us):
-            totals += (power[:, class_idx[k]]
+            totals += (power[class_idx[k]]
                        * clock_factors[k] ** alpha
                        * wall_us / 1e6)
-        return totals.tolist()
+        return totals
     totals = [0.0] * n_configs
     for k, wall_us in enumerate(t_us):
-        col = class_idx[k]
+        column = active_power_w[class_idx[k]]
         factor = clock_factors[k]
         for n in range(n_configs):
-            totals[n] += (active_power_w[n][col]
-                          * factor ** exponents[n] * wall_us / 1e6)
+            totals[n] += (column[n] * factor ** exponents[n]
+                          * wall_us / 1e6)
     return totals
+
+
+def score_tail(active_ref_j, duration_us, busy_fraction, time_scale,
+               node_scale, cpu_idle_w, gpu_span_w, gpu_idle_w):
+    """``(wall_s, energy_j, edp_js)`` columns of N configs that share
+    one base run — the DSE scoring tail.
+
+    Per config ``n``, from its reference-time active joules
+    ``active_ref_j[n]`` (:func:`batch_active_energy`), its time and
+    power factors and its idle and GPU watts, with the base run's
+    ``duration_us`` and GPU ``busy_fraction``::
+
+        wall   = duration_us * time_scale[n] / 1e6
+        energy = active_ref_j[n] * node_scale[n] * time_scale[n]
+                 + cpu_idle_w[n] * wall
+                 + (gpu_span_w[n] * busy_fraction + gpu_idle_w[n]) * wall
+        edp    = energy * wall
+
+    in this operation order, which is the order of
+    ``analysis.dse.score._assemble``.  numpy applies each operation per
+    element and rounds it as Python does, so both backends return the
+    same floats: float64 arrays on the numpy backend, lists on the
+    pure-Python one.
+    """
+    if _np is None:
+        wall = [duration_us * scale / 1e6 for scale in time_scale]
+        energy = [
+            active * node * scale + idle * wall_s
+            + (span * busy_fraction + gpu_idle) * wall_s
+            for active, node, scale, idle, wall_s, span, gpu_idle in zip(
+                active_ref_j, node_scale, time_scale, cpu_idle_w, wall,
+                gpu_span_w, gpu_idle_w)
+        ]
+        edp = [energy_j * wall_s for energy_j, wall_s in zip(energy, wall)]
+        return wall, energy, edp
+    active_ref_j, time_scale, node_scale, cpu_idle_w, gpu_span_w, \
+        gpu_idle_w = config_table(active_ref_j, time_scale, node_scale,
+                                  cpu_idle_w, gpu_span_w, gpu_idle_w)
+    wall = duration_us * time_scale / 1e6
+    energy = (active_ref_j * node_scale * time_scale + cpu_idle_w * wall
+              + (gpu_span_w * busy_fraction + gpu_idle_w) * wall)
+    return wall, energy, energy * wall
+
+
+def argmin(values, keys):
+    """Position of the least of ``values``, ties going to the least
+    ``keys`` entry and then to the first position — the order of
+    ``min(zip(values, keys, positions))``, the pure-Python backend.
+
+    On the numpy backend one argmin finds the least value, and only
+    when it is tied are the tied positions' keys compared; the two
+    backends agree on every NaN-free ``values``.
+    """
+    if _np is None:
+        return min(zip(values, keys, range(len(values))))[2]
+    values = _np.asarray(values, dtype=_np.float64)
+    k = int(values.argmin())
+    ties = _np.flatnonzero(values == values[k])
+    if len(ties) > 1:
+        k = min(ties.tolist(), key=lambda j: (keys[j], j))
+    return k
 
 
 def interned_mask(ids, name_table, processes):

@@ -31,8 +31,6 @@ class Environment:
         self._queue = []
         self._eid = 0
         self._timeout_pool = []
-        #: The process currently being resumed (None between steps).
-        self.active_process = None
         #: Callbacks of the event being stepped that have not run yet.
         #: Together with the queue head this defines :meth:`quiescent`.
         self._cb_pending = 0

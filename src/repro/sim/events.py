@@ -195,7 +195,7 @@ class Process(Event):
     for each other simply by yielding the :class:`Process` object.
     """
 
-    __slots__ = ("generator", "name", "target")
+    __slots__ = ("generator", "name")
 
     def __init__(self, env, generator, name=None):
         if not hasattr(generator, "send"):
@@ -203,9 +203,6 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None if just
-        #: started or already finished).
-        self.target = None
         init = Event(env)
         init._ok = True
         init._value = None
@@ -235,12 +232,10 @@ class Process(Event):
     def _resume(self, event):
         # The single most-executed function of a run (every event with
         # a waiting process lands here): slot reads replace the
-        # ``triggered``/``processed`` properties and ``env`` is bound
-        # once — same semantics, fewer dispatches.
+        # ``triggered``/``processed`` properties — same semantics,
+        # fewer dispatches.
         if self._value is not PENDING:
             return
-        env = self.env
-        env.active_process = self
         try:
             if event._ok:
                 next_target = self.generator.send(event._value)
@@ -248,23 +243,20 @@ class Process(Event):
                 event.defused = True
                 next_target = self.generator.throw(event._value)
         except StopIteration as stop:
-            env.active_process = None
+            env = self.env
             self._ok = True
             self._value = stop.value
             env._eid += 1
             heappush(env._queue, (env._now, _NORMAL, env._eid, self))
             return
         except BaseException as error:
-            env.active_process = None
             self._fail_with(error)
             return
-        env.active_process = None
         if not isinstance(next_target, Event):
             error = SimulationError(
                 f"process {self.name!r} yielded a non-event: {next_target!r}")
             self.generator.throw(error)
             return
-        self.target = next_target
         if next_target.callbacks is None:
             # Already-processed events resume the process on the next
             # scheduling step to preserve FIFO ordering.

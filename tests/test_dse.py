@@ -102,7 +102,8 @@ class TestBatchKernel:
         t_us = [1000, 2500, 40, 999999]
         class_idx = [0, 2, 1, 0]
         factors = [1.0, 1.27, 1.1, 1.0054]
-        power = [[10.0, 20.0, 5.0], [8.0, 16.0, 4.0]]
+        # Class-major: one column per class, one entry per config.
+        power = [[10.0, 8.0], [20.0, 16.0], [5.0, 4.0]]
         exponents = [2.0, 1.8]
         vec = batch_active_energy(t_us, class_idx, factors, power,
                                   exponents)

@@ -11,6 +11,7 @@ DVFS point and energy coefficients; base runs are memoized per
 signature so each example costs one simulation, not two.
 """
 
+import gc
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -49,13 +50,14 @@ from repro.hardware.catalog import (
     paper_machine,
     parametric_machine,
 )
-from repro.metrics.kernels import batch_active_energy
+from repro.metrics.kernels import argmin, batch_active_energy, score_tail
 from repro.os.energy import EnergyCoefficients, default_coefficients
 from repro.os.memmodel import MemoryModel
 from repro.os.scheduler import build_topology, compute_clock_factor
 from repro.os.work import WorkClass
 from repro.sim import SECOND
 from repro.validate import GOLDEN_CONFIGS, golden_machine
+from tests.test_kernels import each_backend
 
 SHORT = SECOND // 10
 
@@ -147,7 +149,7 @@ class TestBatchKernelProperties:
         t_us = [t for t, _, _ in histogram]
         class_idx = [c for _, c, _ in histogram]
         factors = [f for _, _, f in histogram]
-        power = [row for row, _ in configs]
+        power = [list(column) for column in zip(*(row for row, _ in configs))]
         exponents = [e for _, e in configs]
         vec = batch_active_energy(t_us, class_idx, factors, power,
                                   exponents)
@@ -301,8 +303,8 @@ def assembled(app, run, machines, indices):
         [us for _, us in entries],
         [WORK_CLASSES.index(cls) for (cls, _), _ in entries],
         [factor for (_, factor), _ in entries],
-        [[c.active_power_w.get(cls, 0.0) for cls in WORK_CLASSES]
-         for c in coeffs],
+        [[c.active_power_w.get(cls, 0.0) for c in coeffs]
+         for cls in WORK_CLASSES],
         [c.clock_exponent for c in coeffs])
     return [_assemble(app, index, machine, run.tlp.tlp, run.duration_us,
                       active[k], run.gpu_busy_us, analytic=True)
@@ -310,26 +312,84 @@ def assembled(app, run, machines, indices):
 
 
 class TestColumnarScoring:
+    """Each scoring backend of :mod:`repro.metrics.kernels` against
+    ``_assemble`` over its own kernel totals."""
+
     @settings(max_examples=60, deadline=None)
     @given(run_strategy, st.lists(machine_strategy(), min_size=1,
                                   max_size=10))
     def test_batch_score_equals_assemble_exactly(self, run, machines):
         machines.append(paper_machine())
         indices = [3 * k + 1 for k in range(len(machines))]
-        scores = batch_score("excel", run, machines, indices=indices)
-        expected = assembled("excel", run, machines, indices)
-        assert len(scores) == len(expected)
-        for k, want in enumerate(expected):
-            got = scores[k]
-            assert got == want      # every field, floats under ==
-            assert got is scores[k]     # built once, then reused
-        assert list(scores) == expected
+        for name, context in each_backend():
+            with context:
+                scores = batch_score("excel", run, machines,
+                                     indices=indices)
+                expected = assembled("excel", run, machines, indices)
+            assert len(scores) == len(expected), name
+            for k, want in enumerate(expected):
+                got = scores[k]
+                assert got == want, name    # every field, floats under ==
+                assert got is scores[k], name   # built once, then reused
+                assert {type(got.wall_s), type(got.energy_j),
+                        type(got.edp_js)} == {float}, name
+            assert list(scores) == expected, name
 
     def test_real_base_run_scores_exactly(self):
         run = base_run("handbrake", 4, 2)
         machines = generate_machines(40, seed=3) + [paper_machine()]
-        assert list(batch_score("handbrake", run, machines)) == \
-            assembled("handbrake", run, machines, range(len(machines)))
+        for name, context in each_backend():
+            with context:
+                assert list(batch_score("handbrake", run, machines)) == \
+                    assembled("handbrake", run, machines,
+                              range(len(machines))), name
+
+
+def columns_of(length, elements):
+    """``length``-long lists of ``elements``, one per scoring column."""
+    return st.lists(elements, min_size=length, max_size=length)
+
+
+#: One group's scoring-tail inputs: active joules, base-run duration
+#: and GPU busy fraction, then the five per-config factor and watt
+#: columns.
+tail_strategy = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    columns_of(n, st.floats(0.0, 1e4)),
+    st.integers(0, 10_000_000),
+    st.floats(0.0, 1.0),
+    *[columns_of(n, st.floats(1e-3, 300.0))] * 5))
+
+#: EDP columns drawn from three values, so ties are common, with
+#: distinct config indices in any order.
+edp_strategy = st.lists(st.sampled_from([0.5, 2.0, 3.25]), min_size=1,
+                        max_size=20).flatmap(
+    lambda edps: st.tuples(st.just(edps),
+                           st.permutations(range(len(edps)))))
+
+
+class TestScoringKernels:
+    """The numpy scoring tail and argmin against the pure-Python ones,
+    which are the reference: every operation rounds the same per
+    element, so the results are equal, not just close."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tail_strategy)
+    def test_tail_equals_the_pure_tail(self, drawn):
+        results = {}
+        for name, context in each_backend():
+            with context:
+                results[name] = [float_hexes(column)
+                                 for column in score_tail(*drawn)]
+        assert all(got == results["python"] for got in results.values())
+
+    @settings(max_examples=120, deadline=None)
+    @given(edp_strategy)
+    def test_argmin_equals_the_tuple_minimum(self, drawn):
+        edps, keys = drawn
+        want = min(zip(edps, keys, range(len(edps))))[2]
+        for name, context in each_backend():
+            with context:
+                assert argmin(edps, keys) == want, name
 
 
 class TestKernelTable:
@@ -378,19 +438,24 @@ class TestGroupMinimumFrontier:
         groups = {}
         for index, (label, _) in enumerate(campaign):
             groups.setdefault(label, []).append(index)
-        blocks = [
-            None if label in failed else batch_score(
-                "excel",
-                fake_run(histogram, 1_000_000, 250_000, tlps[label]),
-                [_POOL[campaign[i][1]] for i in members], indices=members)
-            for label, members in groups.items()
-        ]
-        frontier = frontier_from_groups(blocks)
-        everything = pareto_frontier(
-            [score for block in blocks if block is not None
-             for score in block])
-        assert frontier == everything
-        assert [id(s) for s in frontier] == [id(s) for s in everything]
+        for name, context in each_backend():
+            with context:
+                blocks = [
+                    None if label in failed else batch_score(
+                        "excel",
+                        fake_run(histogram, 1_000_000, 250_000,
+                                 tlps[label]),
+                        [_POOL[campaign[i][1]] for i in members],
+                        indices=members)
+                    for label, members in groups.items()
+                ]
+                frontier = frontier_from_groups(blocks)
+            everything = pareto_frontier(
+                [score for block in blocks if block is not None
+                 for score in block])
+            assert frontier == everything, name
+            assert [id(s) for s in frontier] == \
+                [id(s) for s in everything], name
 
 
 # -- the arithmetic signature against a real topology --------------------------
@@ -577,12 +642,12 @@ class TestMachineGrid:
                        for k, index in enumerate(members))
 
     def test_columns_of_a_grid_in_another_class_order(self):
-        # Rows in the kernel's class order are shared; any other order
-        # is copied into it.
+        # Power columns are gathered by class name, so a grid in any
+        # class order reads into the kernel's order.
         grid = generate_machines(40, seed=2)
         flipped = MachineGrid(
             grid.tech_nm, grid.dvfs_ratio, grid.cores, grid.smt_ways,
-            [row[::-1] for row in grid.power_w], grid.cpu_idle_w,
+            grid.power_w[::-1], grid.cpu_idle_w,
             grid.clock_exponent, grid.power_classes[::-1], grid.gpu)
         assert list(flipped) == list(grid)
         members = list(range(0, 40, 3))
@@ -618,13 +683,34 @@ class TestMachineGrid:
         ({"cores": (4, 0)}, "^physical_cores must be >= 1$"),
         ({"smt_ways": (0,)}, "^smt_ways must be >= 1$"),
         ({"tech_nodes": (22, 7)}, "^unknown tech node 7 nm"),
-    ], ids=["cores", "smt_ways", "tech_nodes"])
+        ({"cores": ()}, "^cores axis is empty$"),
+        ({"smt_ways": ()}, "^smt_ways axis is empty$"),
+        ({"tech_nodes": ()}, "^tech_nodes axis is empty$"),
+    ], ids=["cores", "smt_ways", "tech_nodes", "empty-cores",
+            "empty-smt_ways", "empty-tech_nodes"])
     def test_bad_axis_raises_at_generation(self, axes, message):
         # The axes are checked before the first draw, so a grid of no
         # configs rejects them too.
         for count in (0, 50):
             with pytest.raises(ValueError, match=message):
                 generate_machines(count, seed=0, **axes)
+
+    def test_generation_adds_no_object_per_config(self):
+        # The grid is a fixed set of columns of untracked floats and
+        # ints: 20,000 configs add a handful of GC-tracked objects
+        # (a per-config row list would add 20,000).
+        generate_machines(10, seed=1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            grid = generate_machines(20_000, seed=1)
+            added = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(grid) == 20_000
+        assert added < 100
 
     def test_empty_dvfs_band_raises_at_generation(self, monkeypatch):
         # A threshold above the overclock ceiling leaves no DVFS point.
