@@ -40,7 +40,6 @@ from repro.metrics.timeseries import (
 )
 from repro.metrics.tlp import (
     TlpResult,
-    busy_intervals_by_cpu,
     measure_tlp,
     tlp_from_fractions,
     tlp_result_from_profile,
@@ -62,7 +61,6 @@ __all__ = [
     "Summary",
     "TimeSeries",
     "TlpResult",
-    "busy_intervals_by_cpu",
     "clip",
     "concurrency_profile",
     "cross_validate",

@@ -47,7 +47,7 @@ def numpy_available():
 
 def _as_int64(buffer):
     """int64 view of a buffer — zero-copy for ``array('q')``/ndarray,
-    a conversion for plain sequences (the row-list fallback path)."""
+    a conversion for any other sequence of integers."""
     if isinstance(buffer, _np.ndarray):
         return buffer
     if isinstance(buffer, array) and buffer.itemsize == 8:
@@ -324,11 +324,14 @@ def argmin(values, keys):
 
 def interned_mask(ids, name_table, processes):
     """Row mask selecting rows whose interned ``ids`` name one of
-    ``processes`` (numpy backend only; returns ``None`` otherwise)."""
-    if _np is None:
-        return None
+    ``processes``: a bool ndarray on the numpy backend, a list of 0/1
+    flags on the pure-Python one (both as :func:`build_event_arrays`
+    takes a ``mask``)."""
     wanted = [name_table._ids[name] for name in processes
               if name in name_table._ids]
+    if _np is None:
+        wanted = set(wanted)
+        return [index in wanted for index in ids]
     if not wanted:
         return _np.zeros(len(ids), dtype=bool)
     return _np.isin(_as_int64(ids), _np.asarray(wanted, dtype=_np.int64))

@@ -60,15 +60,6 @@ def tlp_from_fractions(fractions):
     return min(weighted / (1.0 - c0), float(len(fractions) - 1))
 
 
-def busy_intervals_by_cpu(cpu_table, processes=None):
-    """Per-CPU run intervals of the selected processes.
-
-    Intervals on one CPU never overlap (a CPU runs one thread at a
-    time), so concurrency across the resulting set counts busy CPUs.
-    """
-    return list(cpu_table.busy_intervals(processes=processes))
-
-
 def tlp_result_from_profile(profile, peak, n_logical, total):
     """Build a :class:`TlpResult` from a concurrency profile.
 

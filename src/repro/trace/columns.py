@@ -9,12 +9,14 @@ tables: an append is a handful of integer pushes, and a million
 context-switch records retain ~48 MB of dataclasses but only ~8 bytes
 per column here.
 
-Emitters (scheduler, GPU engines) construct records whose time columns
-are consistent by construction, so appends skip the dataclass
-validation; :meth:`records` materializes real dataclass instances —
-re-running that validation — for the existing ``EtlTrace`` record-list
-API, and :meth:`rows` yields the plain tuples the WPA tables consume
-without building dataclasses at all.
+These stores are the one form a trace is held in: a session records
+into them, and an ``EtlTrace`` or WPA table built from records or row
+tuples appends those into a store first.  Emitters (scheduler, GPU
+engines) construct records whose time columns are consistent by
+construction, so appends skip the dataclass validation; ``rows()``
+yields plain tuples in ``append``'s argument order, and ``records()``
+materializes dataclass instances from them, re-running that
+validation.
 """
 
 from array import array
@@ -51,9 +53,28 @@ class NameTable:
 
 
 class _ColumnStore:
-    """Shared sizing/accounting helpers of the four stores."""
+    """Shared construction, materialization and sizing of the four
+    stores."""
 
     __slots__ = ()
+
+    #: The record dataclass whose fields, in order, are the store's
+    #: columns: ``append``'s arguments and the tuples ``rows`` yields.
+    RECORD = None
+
+    @classmethod
+    def from_rows(cls, rows):
+        """A new store holding ``rows``, tuples in ``append`` order."""
+        store = cls()
+        append = store.append
+        for row in rows:
+            append(*row)
+        return store
+
+    def records(self):
+        """Dataclass records of the rows, validated as they are built."""
+        record = self.RECORD
+        return [record(*row) for row in self.rows()]
 
     def __len__(self):
         raise NotImplementedError
@@ -76,6 +97,7 @@ class _ColumnStore:
 class CswitchColumns(_ColumnStore):
     """CPU Usage (Precise) rows as columns."""
 
+    RECORD = ContextSwitchRecord
     __slots__ = ("process_names", "thread_names", "_process", "_pid",
                  "_tid", "_thread", "_cpu", "_ready", "_in", "_out")
 
@@ -127,13 +149,11 @@ class CswitchColumns(_ColumnStore):
                 in zip(self._process, self._pid, self._tid, self._thread,
                        self._cpu, self._ready, self._in, self._out)]
 
-    def records(self):
-        return [ContextSwitchRecord(*row) for row in self.rows()]
-
 
 class GpuPacketColumns(_ColumnStore):
     """GPU Utilization (FM) rows as columns."""
 
+    RECORD = GpuPacketRecord
     __slots__ = ("process_names", "engine_names", "packet_types",
                  "_process", "_pid", "_engine", "_type", "_submit",
                  "_start", "_finished")
@@ -175,13 +195,11 @@ class GpuPacketColumns(_ColumnStore):
                 in zip(self._process, self._pid, self._engine, self._type,
                        self._submit, self._start, self._finished)]
 
-    def records(self):
-        return [GpuPacketRecord(*row) for row in self.rows()]
-
 
 class FrameColumns(_ColumnStore):
     """Frame-present records as columns."""
 
+    RECORD = FramePresentRecord
     __slots__ = ("process_names", "_process", "_pid", "_present",
                  "_target_fps", "_reprojected")
 
@@ -206,9 +224,9 @@ class FrameColumns(_ColumnStore):
     def used_processes(self):
         return set(self.process_names.names)
 
-    def records(self):
+    def rows(self):
         processes = self.process_names.names
-        return [FramePresentRecord(processes[p], pid, present, fps, bool(re))
+        return [(processes[p], pid, present, fps, bool(re))
                 for p, pid, present, fps, re
                 in zip(self._process, self._pid, self._present,
                        self._target_fps, self._reprojected)]
@@ -217,6 +235,7 @@ class FrameColumns(_ColumnStore):
 class MarkColumns(_ColumnStore):
     """Application mark records as columns."""
 
+    RECORD = MarkRecord
     __slots__ = ("process_names", "labels", "_process", "_pid", "_time",
                  "_label")
 
@@ -240,9 +259,9 @@ class MarkColumns(_ColumnStore):
     def used_processes(self):
         return set(self.process_names.names)
 
-    def records(self):
+    def rows(self):
         processes = self.process_names.names
         labels = self.labels.names
-        return [MarkRecord(processes[p], pid, time, labels[lab])
+        return [(processes[p], pid, time, labels[lab])
                 for p, pid, time, lab
                 in zip(self._process, self._pid, self._time, self._label)]

@@ -4,31 +4,46 @@ A finished trace holds every record emitted between ``start_time`` and
 ``stop_time`` and can be saved to / loaded from a JSON-lines file, the
 role the binary ``.etl`` files play in the paper's workflow.
 
-Each record group may be backed either by a plain list of dataclass
-records (the historical form, still used by tests and ``load``) or by
-a columnar store from :mod:`repro.trace.columns`.  Columnar groups are
-materialized into dataclass lists lazily on first attribute access;
-the WPA extraction path never materializes at all — it reads the raw
-tuples via :meth:`cswitch_rows` / :meth:`gpu_rows`.
+Each record group is held in one columnar store from
+:mod:`repro.trace.columns`, whatever the trace was built from: the
+session hands over the stores it recorded into, and record lists given
+to the constructor are appended into fresh stores there.  The record
+lists (``cswitches``, ``frames``, ...) are read views materialized on
+first access; the WPA tables never build them, they read the stores.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from operator import attrgetter
 
-from repro.trace.records import (
-    ContextSwitchRecord,
-    FramePresentRecord,
-    GpuPacketRecord,
-    MarkRecord,
+from repro.trace.columns import (
+    CswitchColumns,
+    FrameColumns,
+    GpuPacketColumns,
+    MarkColumns,
 )
 
-_RECORD_TYPES = {
-    "cswitch": ContextSwitchRecord,
-    "gpu_packet": GpuPacketRecord,
-    "frame": FramePresentRecord,
-    "mark": MarkRecord,
-}
-_KIND_BY_TYPE = {cls: kind for kind, cls in _RECORD_TYPES.items()}
+#: Per record group: its ``EtlTrace`` attribute, its ``kind`` in a
+#: saved file, and the column store that holds it.
+_GROUPS = (
+    ("cswitches", "cswitch", CswitchColumns),
+    ("gpu_packets", "gpu_packet", GpuPacketColumns),
+    ("frames", "frame", FrameColumns),
+    ("marks", "mark", MarkColumns),
+)
+
+#: A record's fields as a row, in the order its store's ``append``
+#: takes them.
+_ROW_OF = {store: attrgetter(*(field.name for field in fields(store.RECORD)))
+           for _group, _kind, store in _GROUPS}
+
+
+def _as_store(source, store_type):
+    """``source`` itself when it is a ``store_type`` store, else its
+    records appended into a new one."""
+    if isinstance(source, store_type):
+        return source
+    return store_type.from_rows(map(_ROW_OF[store_type], source))
 
 
 class EtlTrace:
@@ -40,23 +55,19 @@ class EtlTrace:
             raise ValueError("stop_time before start_time")
         self.start_time = start_time
         self.stop_time = stop_time
-        self._sources = {
-            "cswitches": cswitches,
-            "gpu_packets": gpu_packets,
-            "frames": frames,
-            "marks": marks,
+        self._stores = {
+            "cswitches": _as_store(cswitches, CswitchColumns),
+            "gpu_packets": _as_store(gpu_packets, GpuPacketColumns),
+            "frames": _as_store(frames, FrameColumns),
+            "marks": _as_store(marks, MarkColumns),
         }
         self._materialized = {}
         self.machine_name = machine_name
-        self._processes = None
 
     def _group(self, name):
         records = self._materialized.get(name)
         if records is None:
-            source = self._sources[name]
-            records = (source.records() if hasattr(source, "records")
-                       else list(source))
-            self._materialized[name] = records
+            records = self._materialized[name] = self._stores[name].records()
         return records
 
     @property
@@ -82,65 +93,34 @@ class EtlTrace:
 
     @property
     def processes(self):
-        """Sorted names of every process appearing in the trace.
-
-        Memoized on first access (metric and report code reads this
-        repeatedly); columnar groups answer from their interned name
-        tables without materializing records.  Code that mutates the
-        record lists in place — against the immutable-by-convention
-        contract — must reset ``_processes`` to ``None``;
-        ``filter_processes`` returns a fresh trace, so the convention
-        holds there.
-        """
-        if self._processes is None:
-            names = set()
-            for group in ("cswitches", "gpu_packets"):
-                records = self._materialized.get(group)
-                if records is not None:
-                    names.update(r.process for r in records)
-                    continue
-                source = self._sources[group]
-                if hasattr(source, "used_processes"):
-                    names.update(source.used_processes())
-                else:
-                    names.update(r.process for r in source)
-            self._processes = tuple(sorted(names))
-        return list(self._processes)
+        """Sorted names of every process with a context switch or GPU
+        packet in the trace, read from the stores' interned name
+        tables without materializing records."""
+        return sorted(self._stores["cswitches"].used_processes()
+                      | self._stores["gpu_packets"].used_processes())
 
     def cswitch_store(self):
-        """The columnar cswitch store backing this trace, or ``None``
-        when the group is a plain record list.  The batched metric
-        kernels (:mod:`repro.metrics.kernels`) sweep its ``array('q')``
-        buffers directly, skipping tuple materialization entirely."""
-        source = self._sources["cswitches"]
-        return source if hasattr(source, "rows") else None
+        """The :class:`~repro.trace.columns.CswitchColumns` store of
+        this trace.  The batched metric kernels
+        (:mod:`repro.metrics.kernels`) sweep its ``array('q')`` buffers
+        directly, skipping tuple materialization entirely."""
+        return self._stores["cswitches"]
 
     def gpu_store(self):
-        """The columnar GPU-packet store, or ``None`` (see
+        """The :class:`~repro.trace.columns.GpuPacketColumns` store (see
         :meth:`cswitch_store`)."""
-        source = self._sources["gpu_packets"]
-        return source if hasattr(source, "rows") else None
+        return self._stores["gpu_packets"]
 
     def cswitch_rows(self):
         """CPU Usage (Precise) tuples ``(process, pid, tid, thread_name,
-        cpu, ready, switch_in, switch_out)`` — columnar fast path avoids
-        dataclass materialization."""
-        source = self._sources["cswitches"]
-        if "cswitches" not in self._materialized and hasattr(source, "rows"):
-            return source.rows()
-        return [(r.process, r.pid, r.tid, r.thread_name, r.cpu,
-                 r.ready_time, r.switch_in_time, r.switch_out_time)
-                for r in self.cswitches]
+        cpu, ready, switch_in, switch_out)``, built without dataclass
+        materialization."""
+        return self._stores["cswitches"].rows()
 
     def gpu_rows(self):
         """GPU Utilization (FM) tuples ``(process, pid, engine,
         packet_type, submit, start_execution, finished)``."""
-        source = self._sources["gpu_packets"]
-        if "gpu_packets" not in self._materialized and hasattr(source, "rows"):
-            return source.rows()
-        return [(r.process, r.pid, r.engine, r.packet_type,
-                 r.submit_time, r.start_execution, r.finished)
-                for r in self.gpu_packets]
+        return self._stores["gpu_packets"].rows()
 
     def filter_processes(self, predicate):
         """A new trace keeping only records whose process satisfies
@@ -166,33 +146,58 @@ class EtlTrace:
                 "machine_name": self.machine_name,
             }
             fh.write(json.dumps(header) + "\n")
-            for group in (self.cswitches, self.gpu_packets, self.frames, self.marks):
-                for record in group:
-                    row = {"kind": _KIND_BY_TYPE[type(record)]}
+            for group, kind, _store in _GROUPS:
+                for record in self._group(group):
+                    row = {"kind": kind}
                     row.update(asdict(record))
                     fh.write(json.dumps(row) + "\n")
 
     @classmethod
     def load(cls, path):
-        """Read a trace previously written by :meth:`save`."""
-        groups = {kind: [] for kind in _RECORD_TYPES}
+        """Read a trace previously written by :meth:`save`.
+
+        Every record is validated as its dataclass before it joins its
+        store; a malformed file raises ``ValueError`` naming the file
+        and, for a bad record line, the line number.
+        """
+        stores = {kind: store() for _group, kind, store in _GROUPS}
         header = None
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
+            for number, line in enumerate(fh, 1):
+                where = f"{path}:{number}"
+                try:
+                    row = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: not JSON ({exc})") from None
+                if not isinstance(row, dict) or "kind" not in row:
+                    raise ValueError(f"{where}: not a trace record object")
                 kind = row.pop("kind")
                 if kind == "header":
                     header = row
-                else:
-                    groups[kind].append(_RECORD_TYPES[kind](**row))
+                    continue
+                try:
+                    store = stores[kind]
+                except (KeyError, TypeError):
+                    raise ValueError(
+                        f"{where}: unknown record kind {kind!r}") from None
+                try:
+                    record = store.RECORD(**row)
+                    store.append(*_ROW_OF[type(store)](record))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(
+                        f"{where}: bad {kind} record ({exc})") from None
         if header is None:
             raise ValueError(f"{path} has no trace header line")
+        try:
+            start_time, stop_time = header["start_time"], header["stop_time"]
+        except KeyError as exc:
+            raise ValueError(f"{path}: trace header lacks {exc}") from None
         return cls(
-            header["start_time"],
-            header["stop_time"],
-            cswitches=groups["cswitch"],
-            gpu_packets=groups["gpu_packet"],
-            frames=groups["frame"],
-            marks=groups["mark"],
+            start_time,
+            stop_time,
+            cswitches=stores["cswitch"],
+            gpu_packets=stores["gpu_packet"],
+            frames=stores["frame"],
+            marks=stores["mark"],
             machine_name=header.get("machine_name", ""),
         )

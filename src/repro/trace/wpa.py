@@ -14,72 +14,85 @@ numbers.  This module is that entire middle of the pipeline.
 
 import csv
 
-
-def _freeze_processes(processes):
-    """Hashable cache key for an optional process-name set."""
-    return None if processes is None else frozenset(processes)
+from repro.trace.columns import CswitchColumns, GpuPacketColumns
 
 
-class CpuUsagePreciseTable:
-    """Rows of the CPU Usage (Precise) analysis.
+class _WpaTable:
+    """One WPA table over one column store of its trace.
 
-    Rows are immutable by convention (like the trace they come from);
-    the per-process-set event and interval extractions below are
-    memoized on that assumption, so every windowed query over the same
-    table — ``measure_tlp`` plus hundreds of ``instantaneous_tlp``
-    windows — shares one sorted array instead of re-extracting and
-    re-sorting the records each time.
+    ``rows`` tuples are a read view built from the store on first use;
+    the per-process-set event buffers the metric folds sweep come from
+    the store's ``array('q')`` columns and are memoized, so every
+    windowed query over the same table — ``measure_tlp`` plus hundreds
+    of ``instantaneous_tlp`` windows — shares one sorted array instead
+    of re-extracting and re-sorting the records each time.  Like the
+    trace it comes from, a table is immutable by convention.
     """
 
-    COLUMNS = ("process", "pid", "tid", "thread_name", "cpu",
-               "ready_time", "switch_in_time", "switch_out_time")
+    #: The column store type, and the two columns ``rows`` sorts by.
+    STORE = None
+    ORDER = ()
 
-    def __init__(self, rows, trace_start, trace_stop, store=None):
-        self._rows = None if rows is None else list(rows)
-        #: Columnar backing store (``trace.columns.CswitchColumns``)
-        #: when the table was extracted from a columnar trace; the
-        #: batched kernels read its buffers, and row materialization
-        #: is deferred until someone actually needs tuples.
-        self._store = store
-        if rows is None and store is None:
-            raise ValueError("need rows or a columnar store")
+    def __init__(self, rows, trace_start, trace_stop):
+        """``rows`` is the table's :attr:`STORE` store, or row tuples
+        in :attr:`COLUMNS` order, appended into a new one."""
+        if not isinstance(rows, self.STORE):
+            rows = self.STORE.from_rows(rows)
+        self._store = rows
+        self._rows = None
         self.trace_start = trace_start
         self.trace_stop = trace_stop
         self._arrays_cache = {}
-        self._by_cpu_cache = {}
 
     @property
     def rows(self):
-        """Row tuples, sorted by (switch-in, cpu) — materialized
-        lazily from the columnar store when first needed."""
+        """Row tuples sorted by the :attr:`ORDER` columns, built from
+        the store when first needed."""
         if self._rows is None:
+            first, second = self.ORDER
             self._rows = sorted(self._store.rows(),
-                                key=lambda row: (row[6], row[4]))
+                                key=lambda row: (row[first], row[second]))
         return self._rows
+
+    def _event_arrays(self, processes, opens, closes):
+        """Sorted parallel ``(times, deltas)`` buffers of the intervals
+        the store columns ``opens``/``closes`` bound, memoized per
+        process set (see :func:`repro.metrics.kernels.
+        build_event_arrays`)."""
+        from repro.metrics.kernels import build_event_arrays, interned_mask
+
+        key = None if processes is None else frozenset(processes)
+        arrays = self._arrays_cache.get(key)
+        if arrays is None:
+            store = self._store
+            mask = None
+            if processes is not None:
+                mask = interned_mask(store._process, store.process_names,
+                                     processes)
+            arrays = build_event_arrays(opens, closes, mask=mask)
+            self._arrays_cache[key] = arrays
+        return arrays
+
+    def process_names(self):
+        """Sorted distinct process names in the table."""
+        return sorted(self._store.used_processes())
+
+
+class CpuUsagePreciseTable(_WpaTable):
+    """Rows of the CPU Usage (Precise) analysis, sorted by (switch-in,
+    cpu)."""
+
+    COLUMNS = ("process", "pid", "tid", "thread_name", "cpu",
+               "ready_time", "switch_in_time", "switch_out_time")
+    STORE = CswitchColumns
+    ORDER = (6, 4)
 
     @classmethod
     def from_trace(cls, trace):
-        """Extract the table from an :class:`~repro.trace.etl.EtlTrace`.
-
-        Uses the trace's tuple fast path (``cswitch_rows``), which for
-        columnar traces skips dataclass materialization entirely; a
-        still-columnar group is carried as the backing store so the
-        batched kernels can sweep its buffers without ever building
-        row tuples.
-        """
-        store = (trace.cswitch_store()
-                 if hasattr(trace, "cswitch_store") else None)
-        if store is not None:
-            return cls(None, trace.start_time, trace.stop_time,
-                       store=store)
-        if hasattr(trace, "cswitch_rows"):
-            raw = trace.cswitch_rows()
-        else:
-            raw = [(r.process, r.pid, r.tid, r.thread_name, r.cpu,
-                    r.ready_time, r.switch_in_time, r.switch_out_time)
-                   for r in trace.cswitches]
-        rows = sorted(raw, key=lambda row: (row[6], row[4]))
-        return cls(rows, trace.start_time, trace.stop_time)
+        """Extract the table from an :class:`~repro.trace.etl.EtlTrace`:
+        it reads the trace's cswitch store, so no record or row tuple
+        is built until someone asks for ``rows``."""
+        return cls(trace.cswitch_store(), trace.start_time, trace.stop_time)
 
     def busy_intervals(self, processes=None):
         """Yield ``(cpu, start, stop)`` run intervals, optionally
@@ -89,95 +102,24 @@ class CpuUsagePreciseTable:
                 yield row[4], row[6], row[7]
 
     def busy_event_arrays(self, processes=None):
-        """Sorted parallel ``(times, deltas)`` buffers of the
-        switch-in/out events, memoized per process set — what
-        ``measure_tlp`` sweeps (:mod:`repro.metrics.kernels`).
-
-        Backed directly by the columnar store's ``array('q')`` buffers
-        when the table has one (no row tuples are ever built); built
-        from the row list otherwise.
-        """
-        from repro.metrics.kernels import build_event_arrays, interned_mask
-
-        key = _freeze_processes(processes)
-        arrays = self._arrays_cache.get(key)
-        if arrays is None:
-            store = self._store
-            if store is not None:
-                mask = None
-                if processes is not None:
-                    mask = interned_mask(store._process,
-                                         store.process_names, processes)
-                if processes is None or mask is not None:
-                    arrays = build_event_arrays(store._in, store._out,
-                                                mask=mask)
-            if arrays is None:
-                keep = [row for row in self.rows
-                        if processes is None or row[0] in processes]
-                arrays = build_event_arrays(
-                    [row[6] for row in keep], [row[7] for row in keep])
-            self._arrays_cache[key] = arrays
-        return arrays
-
-    def intervals_by_cpu(self, processes=None):
-        """``{cpu: [(start, stop), ...]}`` sorted per CPU, memoized."""
-        key = _freeze_processes(processes)
-        by_cpu = self._by_cpu_cache.get(key)
-        if by_cpu is None:
-            by_cpu = {}
-            for row in self.rows:
-                if processes is None or row[0] in processes:
-                    by_cpu.setdefault(row[4], []).append((row[6], row[7]))
-            for intervals in by_cpu.values():
-                intervals.sort()
-            self._by_cpu_cache[key] = by_cpu
-        return by_cpu
-
-    def process_names(self):
-        """Sorted distinct process names in the table."""
-        if self._rows is None:
-            return sorted(self._store.used_processes())
-        return sorted({row[0] for row in self.rows})
+        """The switch-in/out event buffers ``measure_tlp`` sweeps."""
+        return self._event_arrays(processes, self._store._in,
+                                  self._store._out)
 
 
-class GpuUtilizationTable:
-    """Rows of the GPU Utilization (FM) analysis."""
+class GpuUtilizationTable(_WpaTable):
+    """Rows of the GPU Utilization (FM) analysis, sorted by
+    (start-execution, engine)."""
 
     COLUMNS = ("process", "pid", "engine", "packet_type",
                "submit_time", "start_execution", "finished")
-
-    def __init__(self, rows, trace_start, trace_stop, store=None):
-        self._rows = None if rows is None else list(rows)
-        self._store = store
-        if rows is None and store is None:
-            raise ValueError("need rows or a columnar store")
-        self.trace_start = trace_start
-        self.trace_stop = trace_stop
-        self._arrays_cache = {}
-
-    @property
-    def rows(self):
-        """Row tuples, sorted by (start-execution, engine) —
-        materialized lazily from the columnar store."""
-        if self._rows is None:
-            self._rows = sorted(self._store.rows(),
-                                key=lambda row: (row[5], row[2]))
-        return self._rows
+    STORE = GpuPacketColumns
+    ORDER = (5, 2)
 
     @classmethod
     def from_trace(cls, trace):
-        store = trace.gpu_store() if hasattr(trace, "gpu_store") else None
-        if store is not None:
-            return cls(None, trace.start_time, trace.stop_time,
-                       store=store)
-        if hasattr(trace, "gpu_rows"):
-            raw = trace.gpu_rows()
-        else:
-            raw = [(r.process, r.pid, r.engine, r.packet_type,
-                    r.submit_time, r.start_execution, r.finished)
-                   for r in trace.gpu_packets]
-        rows = sorted(raw, key=lambda row: (row[5], row[2]))
-        return cls(rows, trace.start_time, trace.stop_time)
+        """Extract the table from a trace's GPU-packet store."""
+        return cls(trace.gpu_store(), trace.start_time, trace.stop_time)
 
     def packet_intervals(self, processes=None):
         """Yield ``(engine, start_execution, finished)`` per packet."""
@@ -186,36 +128,10 @@ class GpuUtilizationTable:
                 yield row[2], row[5], row[6]
 
     def packet_event_arrays(self, processes=None):
-        """Sorted parallel ``(times, deltas)`` buffers of the packet
-        start/finish events (see ``CpuUsagePreciseTable.
-        busy_event_arrays``), memoized per process set — what
+        """The packet start/finish event buffers
         ``measure_gpu_utilization`` sweeps."""
-        from repro.metrics.kernels import build_event_arrays, interned_mask
-
-        key = _freeze_processes(processes)
-        arrays = self._arrays_cache.get(key)
-        if arrays is None:
-            store = self._store
-            if store is not None:
-                mask = None
-                if processes is not None:
-                    mask = interned_mask(store._process,
-                                         store.process_names, processes)
-                if processes is None or mask is not None:
-                    arrays = build_event_arrays(store._start,
-                                                store._finished, mask=mask)
-            if arrays is None:
-                keep = [row for row in self.rows
-                        if processes is None or row[0] in processes]
-                arrays = build_event_arrays(
-                    [row[5] for row in keep], [row[6] for row in keep])
-            self._arrays_cache[key] = arrays
-        return arrays
-
-    def process_names(self):
-        if self._rows is None:
-            return sorted(self._store.used_processes())
-        return sorted({row[0] for row in self.rows})
+        return self._event_arrays(processes, self._store._start,
+                                  self._store._finished)
 
 
 def export_csv(table, path):
@@ -234,11 +150,11 @@ def export_csv(table, path):
 def _load_rows(path, expected_columns):
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        meta = next(reader)
-        if meta[0] != "#trace":
+        meta = next(reader, [])
+        if meta[:1] != ["#trace"] or len(meta) < 3:
             raise ValueError(f"{path} is not a wpaexporter CSV")
         trace_start, trace_stop = int(meta[1]), int(meta[2])
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != expected_columns:
             raise ValueError(
                 f"unexpected columns in {path}: {header} != {expected_columns}")

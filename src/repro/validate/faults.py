@@ -9,7 +9,8 @@ invariant it must trip (``violates``); the property suite asserts the
 :class:`~repro.validate.invariants.TraceValidator` names that invariant
 for every seed — zero silent mutations.
 
-Mutated traces are rebuilt on columnar buffers
+Injectors work on the trace's raw row tuples (``cswitch_rows`` /
+``gpu_rows``), and the mutated rows go back into fresh column stores
 (:mod:`repro.trace.columns`), which append without per-record
 validation — exactly like the simulator's hot path, and the only way
 to represent corruptions (e.g. ``switch_out < switch_in``) that the
@@ -44,15 +45,11 @@ class FaultSpec:
 
 
 def _rebuild(trace, cswitches, gpu, start, stop):
-    """A columnar trace with mutated CPU/GPU rows (frames/marks kept)."""
-    cs = CswitchColumns()
-    for row in cswitches:
-        cs.append(*row)
-    gp = GpuPacketColumns()
-    for row in gpu:
-        gp.append(*row)
-    return EtlTrace(start, stop, cswitches=cs, gpu_packets=gp,
-                    frames=list(trace.frames), marks=list(trace.marks),
+    """A trace with mutated CPU/GPU rows (frames/marks kept)."""
+    return EtlTrace(start, stop,
+                    cswitches=CswitchColumns.from_rows(cswitches),
+                    gpu_packets=GpuPacketColumns.from_rows(gpu),
+                    frames=trace.frames, marks=trace.marks,
                     machine_name=trace.machine_name)
 
 
@@ -264,16 +261,7 @@ def inject_fault(trace, fault, seed=0):
     """
     spec = FAULTS[fault] if isinstance(fault, str) else fault
     rng = random.Random(seed)
-    cswitches = [tuple(row) for row in (
-        trace.cswitch_rows() if hasattr(trace, "cswitch_rows")
-        else [(r.process, r.pid, r.tid, r.thread_name, r.cpu,
-               r.ready_time, r.switch_in_time, r.switch_out_time)
-              for r in trace.cswitches])]
-    gpu = [tuple(row) for row in (
-        trace.gpu_rows() if hasattr(trace, "gpu_rows")
-        else [(r.process, r.pid, r.engine, r.packet_type,
-               r.submit_time, r.start_execution, r.finished)
-              for r in trace.gpu_packets])]
     cswitches, gpu, start, stop = spec.inject(
-        cswitches, gpu, trace.start_time, trace.stop_time, rng)
+        trace.cswitch_rows(), trace.gpu_rows(), trace.start_time,
+        trace.stop_time, rng)
     return _rebuild(trace, cswitches, gpu, start, stop)

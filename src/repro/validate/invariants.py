@@ -1,10 +1,9 @@
 """Trace invariants — what a well-formed ETW-substitute trace obeys.
 
-The checker reads the raw row tuples (``cswitch_rows`` / ``gpu_rows``),
-not the dataclass records: columnar buffers append without
-``__post_init__`` validation, so a scheduler or buffer regression can
-only be caught at this level.  The same code path therefore validates
-both columnar and record-list backed traces.
+The checker reads the raw row tuples of the trace's column stores
+(``cswitch_rows`` / ``gpu_rows``), not the dataclass records: the
+stores append without ``__post_init__`` validation, so a scheduler or
+buffer regression can only be caught at this level.
 
 Invariant catalogue (names are stable — tests, fault specs and docs
 refer to them):
@@ -95,22 +94,6 @@ class TraceValidationError(RuntimeError):
         self.report = report
 
 
-def _cswitch_rows(trace):
-    if hasattr(trace, "cswitch_rows"):
-        return trace.cswitch_rows()
-    return [(r.process, r.pid, r.tid, r.thread_name, r.cpu,
-             r.ready_time, r.switch_in_time, r.switch_out_time)
-            for r in trace.cswitches]
-
-
-def _gpu_rows(trace):
-    if hasattr(trace, "gpu_rows"):
-        return trace.gpu_rows()
-    return [(r.process, r.pid, r.engine, r.packet_type,
-             r.submit_time, r.start_execution, r.finished)
-            for r in trace.gpu_packets]
-
-
 class TraceValidator:
     """Composable post-hoc invariant checker for finished traces.
 
@@ -132,8 +115,8 @@ class TraceValidator:
     def validate(self, trace):
         """Run every selected invariant; returns a
         :class:`ValidationReport` (never raises on violations)."""
-        cswitches = _cswitch_rows(trace)
-        gpu = _gpu_rows(trace)
+        cswitches = trace.cswitch_rows()
+        gpu = trace.gpu_rows()
         violations = []
         for name in self.invariants:
             found = list(_CHECKS[name](self, trace, cswitches, gpu))

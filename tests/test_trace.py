@@ -15,6 +15,7 @@ from repro.trace import (
     load_cpu_csv,
     load_gpu_csv,
 )
+from tests.test_kernels import each_backend
 
 
 def make_trace():
@@ -88,6 +89,35 @@ class TestEtlTrace:
             EtlTrace.load(path)
 
 
+HEADER = '{"kind": "header", "start_time": 0, "stop_time": 100}\n'
+
+
+@pytest.mark.parametrize("load, name, text, line", [
+    (EtlTrace.load, "t.etl", HEADER + '{"kind": "bogus"}\n', 2),
+    (EtlTrace.load, "t.etl", HEADER + '{"process": "p"}\n', 2),
+    (EtlTrace.load, "t.etl", HEADER + '{"kind": "mark", "pid": 1}\n', 2),
+    (EtlTrace.load, "t.etl", HEADER + "[1, 2]\n", 2),
+    (EtlTrace.load, "t.etl", HEADER + '{"kind": "cswitch", "process": "p", '
+     '"pid": 1, "tid": 2, "thread_name": "t", "cpu": 0, "ready_time": 10, '
+     '"switch_in_time": 5, "switch_out_time": 20}\n', 2),
+    (EtlTrace.load, "t.etl", '{"kind": "header", "stop_time": 100}\n', None),
+    (load_cpu_csv, "cpu.csv", "", None),
+    (load_cpu_csv, "cpu.csv", "#trace,0,100\n", None),
+    (load_gpu_csv, "gpu.csv", "", None),
+    (load_gpu_csv, "gpu.csv", "#trace,0,100\n", None),
+], ids=["unknown-kind", "no-kind", "missing-fields", "not-an-object",
+        "switch-in-before-ready", "header-without-start", "empty-cpu-csv",
+        "cpu-csv-meta-only", "empty-gpu-csv", "gpu-csv-meta-only"])
+def test_malformed_file_raises_value_error_naming_it(tmp_path, load, name,
+                                                     text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as caught:
+        load(path)
+    where = str(path) if line is None else f"{path}:{line}:"
+    assert where in str(caught.value)
+
+
 class TestTraceSession:
     def test_records_only_while_recording(self):
         env = Environment()
@@ -142,6 +172,13 @@ class TestWpaTables:
         switch_ins = [row[6] for row in table.rows]
         assert switch_ins == sorted(switch_ins)
 
+    def test_tables_from_row_tuples_come_back_sorted(self):
+        cpu = CpuUsagePreciseTable.from_trace(make_trace())
+        assert CpuUsagePreciseTable(
+            cpu.rows[::-1], 0, 100).rows == cpu.rows
+        gpu = GpuUtilizationTable.from_trace(make_trace())
+        assert GpuUtilizationTable(gpu.rows[::-1], 0, 100).rows == gpu.rows
+
     def test_cpu_table_process_filtering(self):
         table = CpuUsagePreciseTable.from_trace(make_trace())
         intervals = list(table.busy_intervals(processes={"app.exe"}))
@@ -179,38 +216,45 @@ class TestWpaTables:
 
 
 class TestMemoizedExtractions:
+    """Each test runs on both kernel backends, so the event buffers are
+    built through both ``interned_mask`` paths."""
+
     def test_busy_events_sorted_and_cached(self):
-        table = CpuUsagePreciseTable.from_trace(make_trace())
-        arrays = table.busy_event_arrays(processes={"app.exe"})
-        times, deltas = arrays
-        assert list(times) == sorted(times)
-        assert sum(deltas) == 0
-        # Same process set (any set form) returns the same cached buffers.
-        assert table.busy_event_arrays(
-            processes=frozenset({"app.exe"})) is arrays
-        assert table.busy_event_arrays() is table.busy_event_arrays()
+        for name, context in each_backend():
+            with context:
+                table = CpuUsagePreciseTable.from_trace(make_trace())
+                arrays = table.busy_event_arrays(processes={"app.exe"})
+                times, deltas = arrays
+                assert list(times) == sorted(times), name
+                assert sum(deltas) == 0, name
+                # Same process set (any set form) returns the same
+                # cached buffers.
+                assert table.busy_event_arrays(
+                    processes=frozenset({"app.exe"})) is arrays, name
+                assert (table.busy_event_arrays()
+                        is table.busy_event_arrays()), name
 
     def test_busy_events_match_busy_intervals(self):
-        table = CpuUsagePreciseTable.from_trace(make_trace())
-        expected = []
-        for _cpu, start, stop in table.busy_intervals():
-            expected += [(start, 1), (stop, -1)]
-        assert list(zip(*table.busy_event_arrays())) == sorted(expected)
-
-    def test_intervals_by_cpu_grouped_and_sorted(self):
-        table = CpuUsagePreciseTable.from_trace(make_trace())
-        by_cpu = table.intervals_by_cpu()
-        assert set(by_cpu) == {0, 1, 2}
-        assert by_cpu[0] == [(10, 50)]
-        assert table.intervals_by_cpu() is by_cpu
+        for name, context in each_backend():
+            with context:
+                table = CpuUsagePreciseTable.from_trace(make_trace())
+                for processes in (None, {"app.exe", "absent.exe"}):
+                    expected = []
+                    for _cpu, start, stop in table.busy_intervals(processes):
+                        expected += [(start, 1), (stop, -1)]
+                    assert list(zip(*table.busy_event_arrays(processes))) \
+                        == sorted(expected), name
 
     def test_packet_event_arrays_cached(self):
-        table = GpuUtilizationTable.from_trace(make_trace())
-        assert list(zip(*table.packet_event_arrays(
-            processes={"app.exe"}))) == [(2, 1), (30, -1)]
-        arrays = table.packet_event_arrays()
-        assert list(zip(*arrays)) == [(2, 1), (30, -1), (30, 1), (60, -1)]
-        assert table.packet_event_arrays() is arrays
+        for name, context in each_backend():
+            with context:
+                table = GpuUtilizationTable.from_trace(make_trace())
+                assert list(zip(*table.packet_event_arrays(
+                    processes={"app.exe"}))) == [(2, 1), (30, -1)], name
+                arrays = table.packet_event_arrays()
+                assert list(zip(*arrays)) == \
+                    [(2, 1), (30, -1), (30, 1), (60, -1)], name
+                assert table.packet_event_arrays() is arrays, name
 
     def test_etl_processes_memoized(self):
         trace = make_trace()

@@ -1,4 +1,5 @@
-"""Columnar trace buffers: equivalence with record-list traces."""
+"""Columnar trace buffers: equivalence with traces built from records,
+and the one storage form every trace is held in."""
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.trace import (
     NameTable,
     TraceSession,
 )
+from repro.validate.faults import inject_fault
 
 
 def _emit_sample_events(session):
@@ -38,8 +40,8 @@ def _run_session():
 
 
 def _record_trace():
-    """The capture of :func:`_run_session` as a record-list trace,
-    built by hand from dataclass records."""
+    """The capture of :func:`_run_session`, built by hand from
+    dataclass records."""
     return EtlTrace(
         0, 100,
         cswitches=[
@@ -126,6 +128,23 @@ class TestColumnarEquivalence:
             store.append("app.exe", 4, "3D", "dma", k, k + 1, k + 2)
         assert store.nbytes() > 0
         assert len(store) == 1000
+
+
+class TestOneStorageForm:
+    def test_every_trace_holds_column_stores(self, tmp_path):
+        built = _record_trace()
+        path = tmp_path / "trace.etl.jsonl"
+        built.save(path)
+        traces = {
+            "records": built,
+            "load": EtlTrace.load(path),
+            "filter_processes": built.filter_processes(
+                lambda name: name == "app.exe"),
+            "inject_fault": inject_fault(built, "duplicated-gpu-packet"),
+        }
+        for name, trace in traces.items():
+            assert isinstance(trace.cswitch_store(), CswitchColumns), name
+            assert isinstance(trace.gpu_store(), GpuPacketColumns), name
 
 
 class TestSessionBufferDetachment:
