@@ -15,13 +15,12 @@ must:
 3. **Score** every config of every group analytically from its
    group's base run (:func:`~repro.analysis.dse.score.batch_score`),
    one group at a time: the group's scoring inputs are extracted once
-   as columns (gathered from a
-   :class:`~repro.hardware.catalog.MachineGrid`'s draw columns, so a
-   generated config's machine is built only if it is simulated or
-   reported), converted once to the scoring kernels' layout (float64
-   arrays when numpy imports), and scored for every app from that one
-   conversion, which is dropped before the next group; a score object
-   is built only when read.  The frontier is taken over each group's
+   as columns, already in the scoring kernels' layout (a
+   :class:`~repro.hardware.catalog.MachineGrid`'s typed draw columns
+   are gathered into float64 arrays when numpy imports, so a generated
+   config's machine is built only if it is simulated or reported), and
+   scored for every app from those columns; a score object is built
+   only when read.  The frontier is taken over each group's
    lowest-EDP member (:func:`frontier_from_groups`).
 4. **Verify**: the sampled re-simulations are scored through the slow
    path and compared — exact on TLP (integer-derived), relative
@@ -35,6 +34,7 @@ configs-scored/s and the speedup over naive re-simulate-everything.
 
 import math
 import random
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -255,24 +255,25 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     base_runs = results[:len(plan)]
     check_runs = results[len(plan):]
 
-    owner = [0] * len(machines)
-    position = [0] * len(machines)
+    owner = array("q", [0]) * len(machines)
+    position = array("q", [0]) * len(machines)
+    # Stored through memoryviews, as generate_machines stores its draws.
+    put_owner, put_position = memoryview(owner), memoryview(position)
     blocks = {app: [None] * len(group_list) for app in apps}
     failed = 0
     for group, members in enumerate(group_list):
         for k, index in enumerate(members):
-            owner[index] = group
-            position[index] = k
+            put_owner[index] = group
+            put_position[index] = k
         columns = ConfigColumns(machines if grid
                                 else [machines[i] for i in members], members)
         # The plan is app-major, so the group's base runs are every
         # len(group_list)-th result, in app order.
-        with columns.kernel_table():
-            for app, run in zip(apps, base_runs[group::len(group_list)]):
-                if not _is_run(run):
-                    failed += 1
-                    continue
-                blocks[app][group] = batch_score(app, run, columns)
+        for app, run in zip(apps, base_runs[group::len(group_list)]):
+            if not _is_run(run):
+                failed += 1
+                continue
+            blocks[app][group] = batch_score(app, run, columns)
     scores = {app: CampaignScores(blocks[app], owner, position)
               for app in apps}
 

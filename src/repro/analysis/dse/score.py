@@ -35,14 +35,15 @@ f ~ V).
 """
 
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.hardware import catalog
 from repro.metrics.kernels import (
     argmin,
     batch_active_energy,
-    config_table,
+    full,
+    gather,
+    node_factors,
     score_tail,
 )
 from repro.os.energy import default_coefficients, gpu_tdp_for
@@ -180,20 +181,19 @@ class ConfigColumns:
     computed once per config with the same operations, in the same
     order, as the scalar functions :func:`_assemble` calls, so a
     campaign extracts them once per config rather than once per (app,
-    config).  Each column is a list with one entry per config; the
-    group holds a fixed number of lists, not an object per config.
+    config).  The group holds a fixed number of columns, not an object
+    per config.
 
     ``machines`` is a machine list, with ``indices`` the configs'
     campaign indices (default ``0..N-1``), or a
     :class:`~repro.hardware.catalog.MachineGrid`, with ``indices`` the
     grid rows of the group (default every row): a config's campaign
-    index is its grid row.  A grid's columns are gathered at those
-    rows, the power columns by class name, so no machine is built
-    until :meth:`machine` asks for one, and each tech node's clock
-    and power factors are looked up once per group.
-
-    :meth:`kernel_table` holds every column converted to the scoring
-    kernels' layout while a group is scored for several base runs.
+    index is its grid row.  A grid's typed columns are gathered at
+    those rows (:func:`~repro.metrics.kernels.gather`), the power
+    columns by class name, straight into the scoring kernels' layout:
+    float64 arrays, one index operation per column, when numpy
+    imports, lists otherwise.  No machine is built until
+    :meth:`machine` asks for one.
     """
 
     def __init__(self, machines, indices=None):
@@ -202,7 +202,6 @@ class ConfigColumns:
         self.indices = list(indices if indices is not None
                             else range(len(self._machines)))
         self._rows = self.indices if grid else range(len(self._machines))
-        self._table = None
         if grid:
             self._read_grid(machines)
         else:
@@ -229,59 +228,32 @@ class ConfigColumns:
         fields, so the GPU columns are one value for the whole grid.
         The time and power factors are :func:`time_scale_at` and
         :func:`node_power_scale_at` with each node's constants taken
-        once: ``REF / ((REF * FREQ[t]) * d)`` and ``POWER[t] * d ** 3``.
+        once: ``REF / ((REF * FREQ[t]) * d)`` and ``POWER[t] * d ** 3``
+        (:func:`~repro.metrics.kernels.node_factors`).
         """
         rows = self.indices
-
-        def gather(column):
-            return [column[i] for i in rows]
-
         by_class = dict(zip(grid.power_classes, grid.power_w))
-        self.power = [gather(by_class[cls]) for cls in WORK_CLASSES]
-        self.exponents = gather(grid.clock_exponent)
-        self.cpu_idle_w = gather(grid.cpu_idle_w)
+        *self.power, self.exponents, self.cpu_idle_w, techs, dvfs = gather(
+            rows, *[by_class[cls] for cls in WORK_CLASSES],
+            grid.clock_exponent, grid.cpu_idle_w, grid.tech_nm,
+            grid.dvfs_ratio)
         base = default_coefficients()
         span = gpu_tdp_for(base, grid.gpu) - base.gpu_idle_w
-        self.gpu_idle_w = [base.gpu_idle_w] * len(rows)
-        self.gpu_span_w = [span] * len(rows)
+        self.gpu_idle_w = full(len(rows), base.gpu_idle_w)
+        self.gpu_span_w = full(len(rows), span)
         ref = catalog.REF_BASE_CLOCK_GHZ
         node_clock = {tech: ref * freq
                       for tech, freq in catalog.FREQ_SCALE.items()}
-        node_power = catalog.POWER_SCALE
-        techs, dvfs = gather(grid.tech_nm), gather(grid.dvfs_ratio)
-        self.time_scale = [ref / (node_clock[tech] * d)
-                           for tech, d in zip(techs, dvfs)]
-        self.node_scale = [node_power[tech] * d ** 3
-                           for tech, d in zip(techs, dvfs)]
+        self.time_scale, self.node_scale = node_factors(
+            techs, dvfs, ref, node_clock, catalog.POWER_SCALE)
 
-    def _columns(self):
-        """Every column, in :func:`kernel_inputs`' order."""
+    def kernel_inputs(self):
+        """Every column, in the scoring kernels' argument order:
+        ``(power, exponents, time_scale, node_scale, cpu_idle_w,
+        gpu_span_w, gpu_idle_w)``."""
         return (self.power, self.exponents, self.time_scale,
                 self.node_scale, self.cpu_idle_w, self.gpu_span_w,
                 self.gpu_idle_w)
-
-    @contextmanager
-    def kernel_table(self):
-        """Convert every column to the scoring kernels' layout
-        (:func:`~repro.metrics.kernels.config_table`) once, for the
-        ``with`` block: every :func:`batch_score` over these columns
-        inside it prices and scores from that one conversion, which is
-        dropped on exit, so the converted arrays live no longer than
-        the group's scoring."""
-        self._table = config_table(*self._columns())
-        try:
-            yield self
-        finally:
-            self._table = None
-
-    def kernel_inputs(self):
-        """The columns in the kernels' layout — ``(power, exponents,
-        time_scale, node_scale, cpu_idle_w, gpu_span_w, gpu_idle_w)``
-        — the ones held by :meth:`kernel_table`, else a fresh
-        conversion."""
-        if self._table is not None:
-            return self._table
-        return config_table(*self._columns())
 
     def machine(self, k):
         """The machine of the group's ``k``-th config."""
@@ -294,7 +266,8 @@ class GroupScores(Sequence):
     Holds the score columns in the scoring kernels' layout (float64
     arrays on the numpy backend, lists otherwise); ``scores[k]`` builds
     the k-th :class:`ConfigScore`, with Python floats, on first access
-    and returns that same object on every later read.
+    and returns that same object on every later read (kept in a dict,
+    so an unread group holds no per-config container).
     """
 
     def __init__(self, app, columns, tlp, wall_s, energy_j, edp_js):
@@ -304,15 +277,16 @@ class GroupScores(Sequence):
         self.wall_s = wall_s
         self.energy_j = energy_j
         self.edp_js = edp_js
-        self._built = [None] * len(wall_s)
+        self._built = {}
 
     def __len__(self):
-        return len(self._built)
+        return len(self.wall_s)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        score = self._built[k]
+        k = range(len(self))[k]     # negative indexes; IndexError
+        score = self._built.get(k)
         if score is None:
             machine = self.columns.machine(k)
             score = ConfigScore(

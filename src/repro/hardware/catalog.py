@@ -9,6 +9,7 @@ convention (ITRS projections normalized to a 45 nm reference point).
 """
 
 import random
+from array import array
 from collections.abc import Sequence
 
 from repro.hardware.specs import (
@@ -281,8 +282,11 @@ class MachineGrid(Sequence):
     SMT ways, CPU idle watts and clock exponent are entry ``i`` of the
     column of that name, and its active watts are entry ``i`` of each
     ``power_w`` column, one column per work class in ``power_classes``
-    order; ``gpu`` is shared by every row.  So a grid holds a fixed
-    number of lists, however many configs it has.  The grid reads like
+    order; ``gpu`` is shared by every row.  The tech node, core and
+    SMT columns are ``array('q')`` and the rest ``array('d')``
+    buffers, so a grid holds no Python number per config, and the
+    scoring kernels view the columns without a copy
+    (:func:`repro.metrics.kernels.gather`).  The grid reads like
     the machine list it stands for — ``len``, indexes, slices,
     iteration, ``==`` and ``+`` against a list — and ``grid[i]`` builds
     the :class:`~repro.hardware.specs.ParametricMachine` on first read,
@@ -362,8 +366,8 @@ def generate_machines(count, seed=0, cores=GENERATOR_CORES,
 
     The draws are those of ``random.Random``'s ``choice`` and
     ``uniform``, made inline so that no draw costs a Python call
-    frame, and each config appends to the grid's columns, so the grid
-    holds a fixed number of lists whatever ``count`` is.
+    frame, and each is stored straight into the grid's typed columns,
+    so no Python float outlives its draw.
     """
     for name, axis in (("cores", cores), ("smt_ways", smt_ways),
                        ("tech_nodes", tech_nodes)):
@@ -394,37 +398,43 @@ def generate_machines(count, seed=0, cores=GENERATOR_CORES,
     bits = rng.getrandbits
     base = default_coefficients()
     classes = tuple(base.active_power_w)
-    power = [[] for _ in classes]
-    class_watts = list(zip(power, base.active_power_w.values()))
+    # Each column is allocated at its final length (appending grows an
+    # ``array`` a sixteenth at a time) and each draw is stored in place
+    # through a memoryview, whose item store converts a number directly
+    # where an ``array``'s parses a format string.
+    columns = [array(code, [0]) * count
+               for code in "qqqddd" + "d" * len(classes)]
+    techs, core_counts, ways, dvfs, idle, exponents, *power = columns
+    (put_tech, put_cores, put_ways, put_dvfs, put_idle, put_exponent,
+     *put_power) = map(memoryview, columns)
+    class_watts = list(zip(put_power, base.active_power_w.values()))
     idle_w, exponent = base.cpu_idle_w, base.clock_exponent
     low, high = -coefficient_jitter, coefficient_jitter
     width = high - low
     ex_low, ex_high = -0.2, 0.2
     ex_width = ex_high - ex_low
-    techs, dvfs, core_counts, ways, idle, exponents = (
-        [], [], [], [], [], [])
-    for _ in range(count):
+    for n in range(count):
         r = bits(k_tech)
         while r >= n_tech:
             r = bits(k_tech)
         tech = tech_nodes[r]
         lo, span, hi = bands[tech]
         for column, watts in class_watts:
-            column.append(watts * (1.0 + (low + width * rand())))
-        idle.append(idle_w * (1.0 + (low + width * rand())))
-        exponents.append(exponent + (ex_low + ex_width * rand()))
+            column[n] = watts * (1.0 + (low + width * rand()))
+        put_idle[n] = idle_w * (1.0 + (low + width * rand()))
+        put_exponent[n] = exponent + (ex_low + ex_width * rand())
         r = bits(k_core)
         while r >= n_core:
             r = bits(k_core)
-        core_counts.append(cores[r])
+        put_cores[n] = cores[r]
         r = bits(k_way)
         while r >= n_way:
             r = bits(k_way)
-        ways.append(smt_ways[r])
+        put_ways[n] = smt_ways[r]
         ratio = lo + span * rand()
         if not lo <= ratio <= hi:
             raise _outside_band(tech, ratio, lo, hi)
-        techs.append(tech)
-        dvfs.append(ratio)
+        put_tech[n] = tech
+        put_dvfs[n] = ratio
     return MachineGrid(techs, dvfs, core_counts, ways, power, idle,
                        exponents, power_classes=classes, gpu=gpu)

@@ -5,29 +5,33 @@ The WPA tables (:mod:`repro.trace.wpa`) hand the metric folds parallel
 ``(times, deltas)`` buffers born from the columnar ``array('q')``
 trace stores (:mod:`repro.trace.columns`), and the kernels here sweep
 them wholesale instead of boxing one ``(time, +1/-1)`` tuple per
-event.  The DSE scorer (:mod:`repro.analysis.dse.score`) hands them a
-config group's columns the same way: :func:`batch_active_energy`
-prices one activity histogram under every config, :func:`score_tail`
-turns those joules into wall, energy and EDP columns, and
-:func:`argmin` finds a group's lowest-EDP member.
+event.  The DSE scorer (:mod:`repro.analysis.dse.score`) works on a
+config group's columns the same way: :func:`gather` takes the group's
+rows out of the machine grid's typed columns, :func:`node_factors`
+turns tech nodes and DVFS ratios into time and power factors,
+:func:`batch_active_energy` prices one activity histogram under every
+config, :func:`score_tail` turns those joules into wall, energy and
+EDP columns, and :func:`argmin` finds a group's lowest-EDP member.
 
 Two backends implement the same kernels, chosen by whether numpy
 imports (the package's runtime dependencies are empty, so a plain
 install takes the second):
 
 * ``numpy``: clip/diff/cumsum/bincount over int64 views of the
-  buffers, and element-wise float64 arithmetic over the config
-  columns — no per-event or per-config Python bytecode at all.
+  buffers, and indexing and element-wise float64 arithmetic over views
+  of the config columns — no per-event or per-config Python bytecode
+  but the ``d ** 3`` of :func:`node_factors`.
 * pure Python: the scalar sweep loop of :mod:`repro.metrics.intervals`
   run over the zipped buffers, and list arithmetic over the config
   columns.
 
 The integer sweeps agree bit for bit with
 :func:`repro.metrics.intervals.fused_sweep`, the reference the
-property suite compares both backends against.  The scoring tail and
-the argmin agree bit for bit too (numpy rounds each ``+``, ``*`` and
-``/`` as Python does, and the operations run in the same order);
-only :func:`batch_active_energy`'s ``**`` may round differently.
+property suite compares both backends against.  The gather, the node
+factors, the scoring tail and the argmin agree bit for bit too (numpy
+rounds each ``+``, ``*`` and ``/`` as Python does, and the operations
+run in the same order); only :func:`batch_active_energy`'s ``**`` may
+round differently.
 """
 
 from array import array
@@ -197,21 +201,45 @@ def clipped_busy_sum(starts, stops, window_start, window_stop):
     return int(spans[spans > 0].sum())
 
 
-def config_table(*columns):
-    """A config group's columns in the backend's layout: float64
-    arrays on the numpy backend, the inputs themselves on the
-    pure-Python one.
+def gather(rows, *columns):
+    """Entries ``rows`` of each typed column (an ``array('q')`` or
+    ``array('d')``), in the scoring kernels' layout: on the numpy
+    backend one int64 or float64 array per column, taken by one index
+    operation on a zero-copy view of the column's buffer; on the
+    pure-Python one a list per column."""
+    if _np is None:
+        return [[column[i] for i in rows] for column in columns]
+    rows = _np.asarray(rows, dtype=_np.intp)
+    return [_np.frombuffer(column, dtype=column.typecode)[rows]
+            for column in columns]
 
-    The kernels below convert their config columns on every call;
-    converted once here, one table prices and scores any number of
-    histograms with no further copy (``numpy.asarray`` returns a
-    float64 array as it is), and every value comes out as it would
-    from the lists.
+
+def full(n, value):
+    """A column of ``n`` copies of ``value``, in the kernels' layout."""
+    if _np is None:
+        return [value] * n
+    return _np.full(n, value, dtype=_np.float64)
+
+
+def node_factors(techs, dvfs, ref, node_clock, node_power):
+    """``(time_scale, node_scale)`` columns of configs at tech nodes
+    ``techs`` and DVFS ratios ``dvfs`` (as :func:`gather` returns
+    them): ``ref / (node_clock[t] * d)`` and ``node_power[t] * d ** 3``.
+
+    On the numpy backend each mapping becomes a lookup table indexed
+    by the tech column (NaN at nodes it lacks) and each ``*`` and
+    ``/`` one element-wise operation, rounded as Python rounds it;
+    ``d ** 3`` stays a Python ``**`` per config, as numpy's ``power``
+    may round differently.  Both backends return the same floats.
     """
     if _np is None:
-        return columns
-    return tuple(_np.asarray(column, dtype=_np.float64)
-                 for column in columns)
+        return ([ref / (node_clock[t] * d) for t, d in zip(techs, dvfs)],
+                [node_power[t] * d ** 3 for t, d in zip(techs, dvfs)])
+    clock, power = (_np.array([table.get(t, _np.nan)
+                               for t in range(max(table) + 1)])
+                    for table in (node_clock, node_power))
+    cube = _np.array([d ** 3 for d in dvfs.tolist()], dtype=_np.float64)
+    return ref / (clock[techs] * dvfs), power[techs] * cube
 
 
 def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
@@ -243,7 +271,7 @@ def batch_active_energy(t_us, class_idx, clock_factors, active_power_w,
     """
     n_configs = len(exponents)
     if _np is not None and n_configs:
-        power = _np.asarray(active_power_w, dtype=_np.float64)
+        power = [_np.asarray(c, dtype=_np.float64) for c in active_power_w]
         alpha = _np.asarray(exponents, dtype=_np.float64)
         totals = _np.zeros(n_configs, dtype=_np.float64)
         for k, wall_us in enumerate(t_us):
@@ -295,8 +323,9 @@ def score_tail(active_ref_j, duration_us, busy_fraction, time_scale,
         edp = [energy_j * wall_s for energy_j, wall_s in zip(energy, wall)]
         return wall, energy, edp
     active_ref_j, time_scale, node_scale, cpu_idle_w, gpu_span_w, \
-        gpu_idle_w = config_table(active_ref_j, time_scale, node_scale,
-                                  cpu_idle_w, gpu_span_w, gpu_idle_w)
+        gpu_idle_w = (_np.asarray(column, dtype=_np.float64) for column in (
+            active_ref_j, time_scale, node_scale, cpu_idle_w, gpu_span_w,
+            gpu_idle_w))
     wall = duration_us * time_scale / 1e6
     energy = (active_ref_j * node_scale * time_scale + cpu_idle_w * wall
               + (gpu_span_w * busy_fraction + gpu_idle_w) * wall)

@@ -147,32 +147,38 @@ def export_csv(table, path):
         writer.writerows(table.rows)
 
 
-def _load_rows(path, expected_columns):
+def _load_table(path, table, types):
+    """A ``table`` class read from an :func:`export_csv` file, each row
+    converted by ``types`` (one callable per column) into its store as
+    read; a malformed file raises ``ValueError`` naming it (and the line)."""
+    store = table.STORE()
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         meta = next(reader, [])
         if meta[:1] != ["#trace"] or len(meta) < 3:
             raise ValueError(f"{path} is not a wpaexporter CSV")
-        trace_start, trace_stop = int(meta[1]), int(meta[2])
-        header = tuple(next(reader, ()))
-        if header != expected_columns:
-            raise ValueError(
-                f"unexpected columns in {path}: {header} != {expected_columns}")
-        rows = [tuple(row) for row in reader]
-    return rows, trace_start, trace_stop
+        try:
+            trace_start, trace_stop = int(meta[1]), int(meta[2])
+            header = tuple(next(reader, ()))
+            if header != table.COLUMNS:
+                raise ValueError(
+                    f"unexpected columns {header} != {table.COLUMNS}")
+            for row in reader:
+                if len(row) != len(types):
+                    raise ValueError(f"{len(row)} fields, not {len(types)}")
+                store.append(*(convert(x) for convert, x in zip(types, row)))
+        except (ValueError, OverflowError, csv.Error) as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return table(store, trace_start, trace_stop)
 
 
 def load_cpu_csv(path):
     """Load a CSV written from a :class:`CpuUsagePreciseTable`."""
-    raw, start, stop = _load_rows(path, CpuUsagePreciseTable.COLUMNS)
-    rows = [(p, int(pid), int(tid), tname, int(cpu), int(rt), int(si), int(so))
-            for p, pid, tid, tname, cpu, rt, si, so in raw]
-    return CpuUsagePreciseTable(rows, start, stop)
+    return _load_table(path, CpuUsagePreciseTable,
+                       (str, int, int, str, int, int, int, int))
 
 
 def load_gpu_csv(path):
     """Load a CSV written from a :class:`GpuUtilizationTable`."""
-    raw, start, stop = _load_rows(path, GpuUtilizationTable.COLUMNS)
-    rows = [(p, int(pid), engine, ptype, int(sub), int(se), int(fin))
-            for p, pid, engine, ptype, sub, se, fin in raw]
-    return GpuUtilizationTable(rows, start, stop)
+    return _load_table(path, GpuUtilizationTable,
+                       (str, int, str, str, int, int, int))

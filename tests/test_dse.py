@@ -25,7 +25,7 @@ from repro.analysis.dse import (
     score_from_simulation,
     sim_signature,
 )
-from repro.analysis.dse.engine import _check_equivalence
+from repro.analysis.dse.engine import EQUIVALENCE_RTOL, _check_equivalence
 from repro.analysis.dse.pareto import dominates, pareto_frontier
 from repro.analysis.dse.score import ConfigScore, node_power_scale, time_scale
 from repro.harness.cache import machine_digest, spec_key
@@ -49,6 +49,7 @@ from repro.hardware.catalog import (
 from repro.metrics.kernels import batch_active_energy
 from repro.os.energy import EnergyCoefficients, default_coefficients
 from repro.sim import SECOND
+from tests.test_kernels import each_backend
 
 SHORT = SECOND // 5
 
@@ -236,6 +237,33 @@ class TestCampaign:
                               generate_machines(2000, seed=1), seed=1)
         assert result.equivalence.samples == 8
         assert result.equivalence.max_rel_err == 0.0
+
+    def test_backends_agree_on_a_campaign(self):
+        # The kernels may differ only by numpy's ``**`` rounding: the
+        # frontiers are equal and every score is within the
+        # equivalence tolerance of the pure-Python reference.
+        machines = generate_machines(300, seed=2)
+        results = {}
+        for name, context in each_backend():
+            with context:
+                results[name] = run_campaign(["excel"], machines,
+                                             duration_us=SHORT,
+                                             equivalence_samples=0)
+        want = results.pop("python")
+        for name, got in results.items():
+            assert [(s.config_index, s.tlp)
+                    for s in got.frontiers["excel"]] == \
+                [(s.config_index, s.tlp)
+                 for s in want.frontiers["excel"]], name
+            pairs = list(zip(got.scores["excel"], want.scores["excel"]))
+            assert len(pairs) == 300
+            for fast, reference in pairs:
+                assert (fast.config_index, fast.tlp) == \
+                    (reference.config_index, reference.tlp), name
+                for attr in ("wall_s", "energy_j", "edp_js"):
+                    assert math.isclose(getattr(fast, attr),
+                                        getattr(reference, attr),
+                                        rel_tol=EQUIVALENCE_RTOL), name
 
     def test_failed_base_run_leaves_its_group_unscored(self):
         class FirstBaseRunFails:

@@ -90,6 +90,8 @@ class TestEtlTrace:
 
 
 HEADER = '{"kind": "header", "start_time": 0, "stop_time": 100}\n'
+CPU_CSV = "#trace,0,100\n" + ",".join(CpuUsagePreciseTable.COLUMNS) + "\n"
+GPU_CSV = "#trace,0,100\n" + ",".join(GpuUtilizationTable.COLUMNS) + "\n"
 
 
 @pytest.mark.parametrize("load, name, text, line", [
@@ -105,9 +107,21 @@ HEADER = '{"kind": "header", "start_time": 0, "stop_time": 100}\n'
     (load_cpu_csv, "cpu.csv", "#trace,0,100\n", None),
     (load_gpu_csv, "gpu.csv", "", None),
     (load_gpu_csv, "gpu.csv", "#trace,0,100\n", None),
+    (load_cpu_csv, "cpu.csv", CPU_CSV + "a,b\n", 3),
+    (load_gpu_csv, "gpu.csv", GPU_CSV + "p,1,3D,frame,0,1,2,3\n", 3),
+    (load_cpu_csv, "cpu.csv", CPU_CSV + "p,1,2,t,0,0,1,5\np,x,2,t,0,0,1,5\n",
+     4),
+    (load_cpu_csv, "cpu.csv",
+     CPU_CSV.replace("#trace,0,", "#trace,zero,"), 1),
+    (load_cpu_csv, "cpu.csv",
+     CPU_CSV + "p,1,2,t,0,0,1,99999999999999999999999\n", 3),
+    (load_gpu_csv, "gpu.csv", GPU_CSV + "p" * 200_000 + ",1,3D,f,0,1,2\n", 3),
 ], ids=["unknown-kind", "no-kind", "missing-fields", "not-an-object",
         "switch-in-before-ready", "header-without-start", "empty-cpu-csv",
-        "cpu-csv-meta-only", "empty-gpu-csv", "gpu-csv-meta-only"])
+        "cpu-csv-meta-only", "empty-gpu-csv", "gpu-csv-meta-only",
+        "short-cpu-row", "long-gpu-row", "non-integer-pid",
+        "non-integer-trace-bound", "switch-out-beyond-int64",
+        "field-over-csv-limit"])
 def test_malformed_file_raises_value_error_naming_it(tmp_path, load, name,
                                                      text, line):
     path = tmp_path / name
