@@ -304,7 +304,7 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
         frontiers=frontiers,
         stats=stats,
         equivalence=equivalence,
-        failures=list(getattr(executor, "failures", [])),
+        failures=list(executor.failures),
     )
 
 

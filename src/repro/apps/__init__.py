@@ -27,6 +27,7 @@ from repro.apps.vr_gaming import (
     SeriousSamVR,
     SpacePirateTrainer,
 )
+from repro.data.historical import PAPER_TABLE2
 
 _ALL_MODELS = (
     # Image authoring
@@ -51,6 +52,10 @@ _ALL_MODELS = (
 )
 
 REGISTRY = {cls.name: cls for cls in _ALL_MODELS}
+
+# Table II's paper values live once, in repro.data.historical.
+for _cls in _ALL_MODELS:
+    _cls.paper_tlp, _cls.paper_gpu_util = PAPER_TABLE2[_cls.name]
 
 #: Table II row order.
 SUITE = tuple(cls.name for cls in _ALL_MODELS)

@@ -90,8 +90,6 @@ class Cortana(_Assistant):
     display_name = "Cortana"
     version = "Windows 10 1803"
     process_name = "Cortana.exe"
-    paper_tlp = 1.4
-    paper_gpu_util = 2.7
     local_nlp_us = 700 * MS
     nlp_threads = 3
     render_us = 500 * MS
@@ -110,8 +108,6 @@ class Braina(_Assistant):
     display_name = "Braina"
     version = "1.43"
     process_name = "Braina.exe"
-    paper_tlp = 1.1
-    paper_gpu_util = 0.0
     local_nlp_us = 900 * MS
     nlp_threads = 1
     render_us = 350 * MS

@@ -86,8 +86,9 @@ class AppModel:
     display_name = "Application"
     version = ""
     category = Category.OFFICE
-    #: Paper-reported Table II values (used for validation/reporting;
-    #: None for applications missing a column in the paper).
+    #: Paper-reported Table II values (used for validation/reporting),
+    #: set on every suite model from ``PAPER_TABLE2`` by registry key;
+    #: None for models outside the suite.
     paper_tlp = None
     paper_gpu_util = None
 

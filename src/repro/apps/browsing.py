@@ -257,8 +257,6 @@ class Chrome(_Browser):
     version = "v66"
     exe = "chrome.exe"
     category = Category.WEB_BROWSING
-    paper_tlp = 2.2
-    paper_gpu_util = 5.1
     process_per_site = True
     iframe_processes = True
     gpu_weight = 0.027
@@ -274,8 +272,6 @@ class Firefox(_Browser):
     display_name = "Firefox"
     version = "v60"
     exe = "firefox.exe"
-    paper_tlp = 2.2
-    paper_gpu_util = 8.6
     process_per_site = False
     iframe_processes = False
     gpu_weight = 0.058
@@ -290,8 +286,6 @@ class Edge(_Browser):
     display_name = "Edge"
     version = "42.17134"
     exe = "MicrosoftEdge.exe"
-    paper_tlp = 2.0
-    paper_gpu_util = 4.0
     process_per_site = False
     iframe_processes = False
     gpu_weight = 0.017

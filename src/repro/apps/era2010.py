@@ -31,29 +31,10 @@ from repro.apps.blocks import (
     ui_pump,
 )
 from repro.automation import InputScript
+from repro.data.historical import BLAKE_2010_GPU, BLAKE_2010_TLP
 from repro.gpu.device import ENGINE_3D
 from repro.os.work import WorkClass
 from repro.sim import MS, SECOND
-
-#: Blake et al. 2010 values these models are validated against:
-#: name -> (TLP, GPU util % or None).
-ERA2010_REFERENCE = {
-    "crysis": (2.0, 83.0),
-    "cod4": (1.8, 71.0),
-    "bioshock": (1.7, 75.0),
-    "photoshop-cs4": (1.9, 7.4),
-    "maya-2010": (2.4, 23.0),
-    "acrobat-9": (1.6, 3.0),
-    "powerpoint-2007": (1.4, 5.5),
-    "word-2007": (1.3, 4.0),
-    "excel-2007": (1.4, 4.5),
-    "street-trips-2010": (1.5, 16.0),
-    "quicktime-76": (1.8, 27.0),
-    "wmp-2010": (1.9, 29.0),
-    "powerdirector-v7": (3.2, 12.0),
-    "handbrake-09": (5.1, 1.5),
-    "firefox-35": (1.8, 12.0),
-}
 
 
 class _Era2010App(AppModel):
@@ -545,3 +526,11 @@ ERA2010_REGISTRY = {cls.name: cls for cls in (
     PowerDirectorV7, HandBrake09,
     Firefox35,
 )}
+
+#: Blake et al. 2010 values these models are validated against, read
+#: from the one copy in :mod:`repro.data.historical` by each model's
+#: display name: name -> (TLP, GPU util %).
+ERA2010_REFERENCE = {
+    name: (BLAKE_2010_TLP[cls.display_name],
+           BLAKE_2010_GPU[cls.display_name])
+    for name, cls in ERA2010_REGISTRY.items()}

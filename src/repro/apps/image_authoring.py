@@ -44,8 +44,6 @@ class Photoshop(AppModel):
     display_name = "Adobe Photoshop CC"
     version = "CC 2018"
     category = Category.IMAGE_AUTHORING
-    paper_tlp = 8.6
-    paper_gpu_util = 1.6
     #: Nominal CPU work per filter render, split across all cores.
     filter_work_us = 24 * SECOND
     #: Serial pre/post processing around each parallel render.
@@ -114,8 +112,6 @@ class Maya3D(AppModel):
     display_name = "Autodesk Maya 3D"
     version = "2019"
     category = Category.IMAGE_AUTHORING
-    paper_tlp = 2.7
-    paper_gpu_util = 9.9
     raytrace_work_us = 12 * SECOND
     smooth_work_us = 4 * SECOND
 
@@ -172,8 +168,6 @@ class AutoCad(AppModel):
     display_name = "Autodesk AutoCAD LT"
     version = "LT 2019"
     category = Category.IMAGE_AUTHORING
-    paper_tlp = 1.2
-    paper_gpu_util = 9.0
 
     def build(self, rt):
         process = rt.spawn_process("acad.exe")

@@ -100,8 +100,6 @@ class BitcoinMiner(_Miner):
     display_name = "Bitcoin Miner"
     version = "1.54.0"
     process_name = "BitcoinMiner.exe"
-    paper_tlp = 5.4
-    paper_gpu_util = 98.9
     algorithm = "sha256d"
     cpu_threads = 6
     cpu_thread_duty = 0.90
@@ -115,8 +113,6 @@ class EasyMiner(_Miner):
     display_name = "EasyMiner"
     version = "v0.87"
     process_name = "EasyMiner.exe"
-    paper_tlp = 11.9
-    paper_gpu_util = 96.1
     algorithm = "sha256d"
     cpu_threads = -1
     submit_gap_us = 4 * MS
@@ -135,8 +131,6 @@ class PhoenixMiner(_Miner):
     display_name = "PhoenixMiner"
     version = "3.0c"
     process_name = "PhoenixMiner.exe"
-    paper_tlp = 1.0
-    paper_gpu_util = 100.0
     algorithm = "ethash"
     cpu_threads = 0
     batch_streams = 2
@@ -162,8 +156,6 @@ class WindowsEthereumMiner(_Miner):
     display_name = "Windows Ethereum Miner"
     version = "1.5.27"
     process_name = "WinEth.exe"
-    paper_tlp = 1.0
-    paper_gpu_util = 99.7
     algorithm = "ethash"
     cpu_threads = 0
     submit_gap_us = 1 * MS

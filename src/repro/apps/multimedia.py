@@ -128,8 +128,6 @@ class QuickTime(_MediaPlayer):
     display_name = "QuickTime Player"
     version = "7.7.9"
     process_name = "QuickTimePlayer.exe"
-    paper_tlp = 1.1
-    paper_gpu_util = 16.4
     decode_480p_us = int(3.4 * MS)
     decode_1080p_us = int(7.0 * MS)
     ui_duty = 0.01
@@ -143,8 +141,6 @@ class WindowsMediaPlayer(_MediaPlayer):
     display_name = "Windows Media Player"
     version = "12.0"
     process_name = "wmplayer.exe"
-    paper_tlp = 1.3
-    paper_gpu_util = 16.1
     decode_480p_us = int(3.3 * MS)
     decode_1080p_us = int(6.9 * MS)
     ui_duty = 0.03
@@ -159,8 +155,6 @@ class VlcMediaPlayer(_MediaPlayer):
     display_name = "VLC Media Player"
     version = "3.0.3"
     process_name = "vlc.exe"
-    paper_tlp = 1.8
-    paper_gpu_util = 15.7
     decode_480p_us = int(3.2 * MS)
     decode_1080p_us = int(6.7 * MS)
     demux_frame_us = int(1.1 * MS)

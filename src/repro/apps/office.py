@@ -96,8 +96,6 @@ class AcrobatPro(_OfficeApp):
     display_name = "Adobe Acrobat Pro DC"
     version = "DC 2018"
     process_name = "Acrobat.exe"
-    paper_tlp = 1.3
-    paper_gpu_util = 0.0
     operations = (
         ("scan-document", 500 * MS, 0),
         ("combine-files", 700 * MS, 0),
@@ -124,8 +122,6 @@ class Excel(_OfficeApp):
     display_name = "Microsoft Excel"
     version = "2016"
     process_name = "EXCEL.EXE"
-    paper_tlp = 2.1
-    paper_gpu_util = 2.1
     render_overlap = 0.75
     operations = (
         ("open-sheet", 600 * MS, 0),
@@ -149,8 +145,6 @@ class PowerPoint(_OfficeApp):
     display_name = "Microsoft PowerPoint"
     version = "2016"
     process_name = "POWERPNT.EXE"
-    paper_tlp = 1.2
-    paper_gpu_util = 4.0
     render_overlap = 0.12
     operations = (
         ("open-template", 500 * MS, 0),
@@ -172,8 +166,6 @@ class Word(_OfficeApp):
     display_name = "Microsoft Word"
     version = "2016"
     process_name = "WINWORD.EXE"
-    paper_tlp = 1.3
-    paper_gpu_util = 1.7
     operations = (
         ("new-document", 300 * MS, 0),
         ("type-paragraph", 200 * MS, 0),
@@ -196,8 +188,6 @@ class Outlook(_OfficeApp):
     display_name = "Microsoft Outlook"
     version = "2016"
     process_name = "OUTLOOK.EXE"
-    paper_tlp = 1.3
-    paper_gpu_util = 2.5
     operations = (
         ("compose-email", 350 * MS, 0),
         ("save-draft", 150 * MS, 0),

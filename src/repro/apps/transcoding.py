@@ -127,8 +127,6 @@ class HandBrake(_TranscoderBase):
     display_name = "HandBrake"
     version = "1.1.0"
     process_name = "HandBrake.exe"
-    paper_tlp = 9.4
-    paper_gpu_util = 0.4
     frame_cost_us = 158 * MS
     batch_frames = 40
     mux_us = 260 * MS
@@ -147,8 +145,6 @@ class WinXVideoConverter(_TranscoderBase):
     display_name = "WinX HD Video Converter"
     version = "5.12.1"
     process_name = "WinXVideoConverter.exe"
-    paper_tlp = 9.2
-    paper_gpu_util = 13.6
     frame_cost_us = 201 * MS
     batch_frames = 48
     #: The pure-CPU path of WinX is barely serialized (Table III shows

@@ -104,8 +104,6 @@ class PowerDirector(_VideoEditor):
     display_name = "CyberLink PowerDirector"
     version = "v16"
     process_name = "PowerDirector.exe"
-    paper_tlp = 4.3
-    paper_gpu_util = 6.3
     edit_fraction = 0.45
     export_workers = 8
     segment_work_us = int(4.6 * SECOND)
@@ -127,8 +125,6 @@ class PremierePro(_VideoEditor):
     display_name = "Adobe Premiere Pro CC"
     version = "CC 2018"
     process_name = "PremierePro.exe"
-    paper_tlp = 1.8
-    paper_gpu_util = 0.6
     edit_fraction = 0.55
     export_workers = 2
     segment_work_us = int(3.8 * SECOND)

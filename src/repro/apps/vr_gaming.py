@@ -155,8 +155,6 @@ class ArizonaSunshine(_VrGame):
     display_name = "Arizona Sunshine"
     version = "1.5.11046"
     process_name = "ArizonaSunshine.exe"
-    paper_tlp = 3.4
-    paper_gpu_util = 68.2
     main_us = 3800
     render_us = 3600
     n_jobs = 5
@@ -176,8 +174,6 @@ class Fallout4VR(_VrGame):
     display_name = "Fallout 4 VR"
     version = "1.2"
     process_name = "Fallout4VR.exe"
-    paper_tlp = 4.0
-    paper_gpu_util = 84.9
     main_us = 5200
     render_us = 4200
     n_jobs = 6
@@ -193,8 +189,6 @@ class RawData(_VrGame):
     display_name = "RAW Data"
     version = "1.1.0"
     process_name = "RawData.exe"
-    paper_tlp = 2.6
-    paper_gpu_util = 90.9
     main_us = 3100
     render_us = 3100
     n_jobs = 3
@@ -209,8 +203,6 @@ class SeriousSamVR(_VrGame):
     display_name = "Serious Sam VR BFE"
     version = "341433"
     process_name = "SeriousSamVR.exe"
-    paper_tlp = 2.4
-    paper_gpu_util = 72.2
     main_us = 3000
     render_us = 2600
     n_jobs = 4
@@ -225,8 +217,6 @@ class SpacePirateTrainer(_VrGame):
     display_name = "Space Pirate Trainer"
     version = "1.01"
     process_name = "SpacePirateTrainer.exe"
-    paper_tlp = 2.7
-    paper_gpu_util = 61.6
     main_us = 3000
     render_us = 3000
     n_jobs = 3
@@ -241,8 +231,6 @@ class ProjectCars2(_VrGame):
     display_name = "Project CARS 2"
     version = "1.7.1.0"
     process_name = "ProjectCars2.exe"
-    paper_tlp = 3.8
-    paper_gpu_util = 80.2
     main_us = 6200
     render_us = 5400
     n_jobs = 6

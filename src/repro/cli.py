@@ -112,26 +112,19 @@ def _check_exec_args(args, out):
     return 0
 
 
-def _executor_from_args(args, cache):
-    """A SupervisedExecutor when ``--retries`` or ``--deadline-us`` is
-    set, else None."""
-    if not (args.retries or args.deadline_us):
-        return None
-    from repro.harness import SupervisedExecutor
+def _executor_from_args(args):
+    """The verb's one executor: supervised, with the ``--jobs``,
+    ``--cache``, ``--retries`` and ``--deadline-us`` it has.  A run
+    that raises is quarantined as ``crash``, never a traceback."""
+    from repro.harness import ResultCache, SupervisedExecutor
 
+    cache = getattr(args, "cache", None)
+    deadline_us = getattr(args, "deadline_us", None)
     return SupervisedExecutor(
         jobs=args.jobs,
-        cache=cache,
-        retries=args.retries or 0,
-        deadline_s=args.deadline_us / 1e6 if args.deadline_us else None)
-
-
-def _cache_from_args(args):
-    if getattr(args, "cache", None) is None:
-        return None
-    from repro.harness import ResultCache
-
-    return ResultCache(args.cache)
+        cache=ResultCache(cache) if cache is not None else None,
+        retries=getattr(args, "retries", None) or 0,
+        deadline_s=deadline_us / 1e6 if deadline_us else None)
 
 
 def _machine_from_args(args):
@@ -184,27 +177,24 @@ def cmd_run(args, out):
         app = create_app(args.app)
     machine = _machine_from_args(args)
     driver = MANUAL if args.manual else AUTOIT
-    cache = _cache_from_args(args)
-    executor = _executor_from_args(args, cache)
+    executor = _executor_from_args(args)
     try:
         result = run_app(app,
                          machine=machine,
                          duration_us=int(args.duration * SECOND),
                          iterations=args.iterations,
                          driver_mode=driver,
-                         jobs=None if executor is not None else args.jobs,
                          executor=executor,
-                         cache=None if executor is not None else cache,
                          streaming=args.streaming,
                          validate=args.validate)
     except RuntimeError as exc:
-        if executor is not None and executor.failures:
-            from repro.reporting import render_failures
+        if not executor.failures:
+            raise
+        from repro.reporting import render_failures
 
-            out(render_failures(executor.failures))
-            out(f"error: {exc}")
-            return 1
-        raise
+        out(render_failures(executor.failures))
+        out(f"error: {exc}")
+        return 1
     out(f"{result.display_name} on {machine.cpu.name} "
         f"({machine.logical_cpus} LCPUs, SMT "
         f"{'on' if machine.smt_enabled else 'off'}, {machine.gpu.name})")
@@ -219,7 +209,7 @@ def cmd_run(args, out):
         out(f"  outputs         : {printable}")
     if result.partial:
         out("  NOTE: partial result — some iterations were quarantined")
-    if executor is not None and executor.failures:
+    if executor.failures:
         from repro.reporting import render_failures
 
         out(render_failures(executor.failures))
@@ -235,15 +225,11 @@ def cmd_suite(args, out):
     if unknown:
         out(f"error: unknown applications: {', '.join(unknown)}")
         return 2
-    cache = _cache_from_args(args)
-    executor = _executor_from_args(args, cache)
     suite = run_suite(names=names,
                       machine=_machine_from_args(args),
                       duration_us=int(args.duration * SECOND),
                       iterations=args.iterations,
-                      jobs=None if executor is not None else args.jobs,
-                      executor=executor,
-                      cache=None if executor is not None else cache,
+                      executor=_executor_from_args(args),
                       streaming=args.streaming,
                       validate=args.validate)
     out(render_table2(suite))
@@ -267,7 +253,7 @@ def cmd_suite(args, out):
 
 
 def cmd_validate(args, out):
-    from repro.harness.executor import resolve_executor
+    from repro.harness import RunFailure
     from repro.validate import (
         GOLDEN_CONFIGS,
         TraceValidator,
@@ -302,13 +288,18 @@ def cmd_validate(args, out):
     specs = [golden_spec(name, cores, smt) for name, cores, smt in grid]
     for spec in specs:
         spec.kwargs["keep_trace"] = True  # invariants need the trace
-    runs = resolve_executor(jobs=args.jobs).map(specs)
+    executor = _executor_from_args(args)
 
     failures = 0
     fingerprints = {}
     static_bounds = {}
-    for (name, cores, smt), run in zip(grid, runs):
+    for (name, cores, smt), run in zip(grid, executor.map(specs)):
         cid = config_id(cores, smt)
+        if isinstance(run, RunFailure):
+            failures += 1
+            out(f"FAIL {name} [{cid}] quarantined as {run.kind}: "
+                f"{run.detail}")
+            continue
         report = TraceValidator(
             golden_machine(cores, smt).logical_cpus).validate(run.trace)
         problems = [str(v) for v in report.violations]
@@ -345,10 +336,15 @@ def cmd_validate(args, out):
         for spec in streaming_specs:
             spec.kwargs["validate"] = True  # online edge-stream checks
         for (name, cores, smt), run in zip(
-                grid, resolve_executor(jobs=args.jobs).map(streaming_specs)):
+                grid, executor.map(streaming_specs)):
             cid = config_id(cores, smt)
-            mismatches = compare_fingerprints(
-                fingerprints[name][cid], fingerprint_run(run))
+            expected = fingerprints.get(name, {}).get(cid)
+            if expected is None:
+                continue        # its post-hoc run was quarantined
+            mismatches = (
+                [f"quarantined as {run.kind}: {run.detail}"]
+                if isinstance(run, RunFailure)
+                else compare_fingerprints(expected, fingerprint_run(run)))
             if mismatches:
                 failures += 1
                 out(f"FAIL {name} [{cid}] streaming != post-hoc")
@@ -436,16 +432,12 @@ def cmd_dse(args, out):
         out(f"error: duplicate applications: {', '.join(repeated)}")
         return 2
     machines = generate_machines(args.configs, seed=args.seed)
-    deadline_us = getattr(args, "deadline_us", None)
     result = run_campaign(
         names, machines,
         duration_us=int(args.duration * SECOND),
         seed=args.seed,
-        jobs=args.jobs,
-        cache=_cache_from_args(args),
-        retries=args.retries or 0,
-        deadline_s=deadline_us / 1e6 if deadline_us else None,
-        equivalence_samples=args.equivalence)
+        equivalence_samples=args.equivalence,
+        executor=_executor_from_args(args))
     from repro.reporting import render_dse_frontiers
 
     out(render_dse_frontiers(result, top=args.top))
@@ -516,8 +508,15 @@ def cmd_compare(args, out):
     from repro.analysis import compare_suites, render_comparison
     from repro.harness.persistence import load_suite
 
-    comparison = compare_suites(load_suite(args.before),
-                                load_suite(args.after))
+    try:
+        before, after = load_suite(args.before), load_suite(args.after)
+    except OSError as exc:
+        out(f"error: cannot read {exc.filename}: {exc.strerror}")
+        return 2
+    except ValueError as exc:
+        out(f"error: {exc}")
+        return 2
+    comparison = compare_suites(before, after)
     out(render_comparison(comparison,
                           title=f"{args.before} -> {args.after}"))
     improved = comparison.improved(0.2)
@@ -566,8 +565,8 @@ def build_parser():
                             "trace)")
         p.add_argument("--retries", type=int, default=None, metavar="N",
                        help="retry a failed run up to N times, each "
-                            "retry at once (implies the supervised "
-                            "executor)")
+                            "retry at once (default 0: a failed run is "
+                            "quarantined)")
         p.add_argument("--deadline-us", type=int, default=None,
                        metavar="US",
                        help="wall-clock budget per run attempt, in "

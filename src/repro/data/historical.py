@@ -36,6 +36,7 @@ BLAKE_2010_TLP = {
     "PowerPoint 2007": 1.4,
     "Word 2007": 1.3,
     "Excel 2007": 1.4,
+    "Street & Trips 2010": 1.5,
     "Quicktime 7.6": 1.8,
     "Win Media Player (2010)": 1.9,
     "PowerDirector v7": 3.2,

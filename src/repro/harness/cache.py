@@ -29,7 +29,7 @@ Design points:
 * **Corruption fallback.**  An entry failing the frame check (or the
   unpickling after it) counts as a miss; the bad file is removed and
   the result recomputed, surfacing as a ``cache-corrupt`` incident
-  under the supervised executor.
+  on the executor.
 * **Atomic writes.**  Entries are written to a temp file and
   ``os.replace``d so concurrent writers (parallel executors of two
   campaigns) never expose half-written results.
@@ -144,23 +144,15 @@ class ResultCache:
     def _path(self, key):
         return self.root / key[:2] / f"{key}.pkl"
 
-    def load(self, key):
-        """``(result,)`` on a hit, ``None`` on a miss.
-
-        The one-tuple wrapper keeps a legitimately-``None`` payload
-        distinguishable from a miss.
-        """
-        return self.load_classified(key)[1]
-
     def load_classified(self, key):
-        """Like :meth:`load`, but says *why* there was no payload.
+        """Load one entry and say *why* there was no payload.
 
         Returns ``("hit", (result,))``, ``("miss", None)``, or
         ``("corrupt", None)`` when the entry existed but could not be
-        unpickled — the bad file is deleted either way, but the
-        supervised executor records the corruption as a
-        ``cache-corrupt`` incident instead of treating it as an
-        ordinary cold miss.
+        unpickled.  The one-tuple wrapper keeps a legitimately-``None``
+        payload distinguishable from a miss.  A corrupt file is
+        deleted, and the executor records it as a ``cache-corrupt``
+        incident instead of treating it as an ordinary cold miss.
         """
         path = self._path(key)
         try:

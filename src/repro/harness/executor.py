@@ -12,27 +12,35 @@ This module is the single submission path for those grid points:
 
 * :class:`RunSpec` — a picklable description of one simulation
   (application, machine, seed, scheduler knobs);
+* ``_CachingExecutor.map`` — the one ``map`` every executor inherits:
+  cache lookup, plausibility check, store-as-it-lands and the
+  :class:`RunFailure` bookkeeping.  A backend supplies only
+  ``_execute``, which yields each pending slot as it resolves;
 * :class:`SerialExecutor` — runs specs in submission order in the
   current process (the seed behaviour);
 * :class:`ParallelExecutor` — fans specs out over a
   ``concurrent.futures.ProcessPoolExecutor``; specs that cannot be
   pickled (e.g. an application instance carrying a lambda) fall back
   to in-process execution instead of failing;
-* :func:`resolve_executor` — maps the user-facing ``jobs=N`` /
+* :class:`~repro.harness.supervisor.SupervisedExecutor` — the third
+  backend, with deadlines, retries and quarantine (every CLI verb
+  runs on it);
+* :func:`resolve_executor` — maps the library's ``jobs=N`` /
   ``executor=`` / ``cache=`` keyword surface onto a backend.
 
-Both executors consult an optional
-:class:`~repro.harness.cache.ResultCache` before simulating and store
-each fresh result as soon as it lands, so re-running a benchmark suite
-skips already-computed grid points, and a sweep that dies keeps every
-run it finished.  ``keep_trace=True`` runs bypass the cache entirely:
-traces are large, and callers who keep them want the live artifacts.
+With a :class:`~repro.harness.cache.ResultCache`, ``map`` restores
+every cached grid point it can and stores each fresh result as soon
+as it lands, so re-running a benchmark suite skips already-computed
+grid points, and a sweep that dies keeps every run it finished.  A
+quarantined slot is never stored.  ``keep_trace=True`` runs bypass
+the cache entirely: traces are large, and callers who keep them want
+the live artifacts.
 """
 
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.automation import AUTOIT
 from repro.hardware import paper_machine
@@ -122,22 +130,74 @@ def default_jobs():
         return os.cpu_count() or 1
 
 
-class _CachingExecutor:
-    """Shared map-with-cache logic of both backends.
+#: The complete failure taxonomy, in the order the docs present it.
+FAILURE_KINDS = ("crash", "deadline", "invalid-trace", "cache-corrupt")
 
-    ``executed`` counts simulations actually run (cache hits excluded)
-    — the warm-cache acceptance check reads it.  ``rejected`` counts
-    cached entries that failed the reuse-time plausibility validation
-    and were recomputed instead.
+
+@dataclass(frozen=True)
+class RunFailure:
+    """One quarantined grid point.
+
+    Takes the failed run's slot in the executor's result list (callers
+    distinguish it from a run by type) and is collected on
+    ``executor.failures``; ``kind`` is one of :data:`FAILURE_KINDS`.
+    ``spec_key`` is the slot's cache key (``None`` without a cache).
+    """
+
+    index: int
+    app: str
+    seed: int
+    kind: str
+    attempts: int
+    detail: str
+    spec_key: str = None
+    remote_traceback: str = ""
+
+    def to_payload(self):
+        return {
+            "index": self.index,
+            "app": self.app,
+            "seed": self.seed,
+            "kind": self.kind,
+            "attempts": self.attempts,
+            "detail": self.detail,
+            "spec_key": self.spec_key,
+        }
+
+    @classmethod
+    def from_payload(cls, data):
+        return cls(
+            index=data["index"], app=data["app"], seed=data["seed"],
+            kind=data["kind"], attempts=data["attempts"],
+            detail=data["detail"], spec_key=data.get("spec_key"))
+
+
+class _CachingExecutor:
+    """The shared ``map`` of every backend, and its counters.
+
+    ``executed`` counts simulation attempts actually run (cache hits
+    excluded) — the warm-cache acceptance check reads it.
+    ``cache_hits`` counts grid points restored from the cache, and
+    ``rejected`` cached entries that failed the reuse-time
+    plausibility validation and were recomputed instead.  ``retried``
+    counts attempts that went again after a failure, ``failures``
+    holds the quarantined slots' :class:`RunFailure` records, and
+    ``incidents`` the non-fatal ``cache-corrupt`` recoveries.  Only
+    the supervised backend retries or quarantines.
     """
 
     def __init__(self, cache=None):
         self.cache = cache
         self.executed = 0
+        self.cache_hits = 0
         self.rejected = 0
+        self.retried = 0
+        self.failures = []
+        self.incidents = []
 
     def map(self, specs):
-        """Run every spec; returns results in submission order."""
+        """Run every spec; returns runs (or the :class:`RunFailure` of
+        a quarantined one) in submission order."""
         specs = list(specs)
         results = [None] * len(specs)
         keys = [None] * len(specs)
@@ -145,26 +205,38 @@ class _CachingExecutor:
         for i, spec in enumerate(specs):
             if self.cache is not None and not spec.kwargs.get("keep_trace"):
                 keys[i] = self.cache.key_for(spec)
-                if keys[i] is not None:
-                    hit = self.cache.load(keys[i])
-                    if hit is not None:
-                        if _cached_result_ok(hit[0], spec):
-                            results[i] = hit[0]
-                            continue
-                        # A corrupt or implausible entry (truncated
-                        # pickle survives unpickling, stale physics,
-                        # foreign payload): drop it and recompute.
-                        self.rejected += 1
-                        self.cache.invalidate(keys[i])
-            pending.append(i)
-        for i, result in self._execute(specs, pending):
-            results[i] = result
             if keys[i] is not None:
-                self.cache.store(keys[i], result)
+                status, hit = self.cache.load_classified(keys[i])
+                if status == "hit" and _cached_result_ok(hit[0], spec):
+                    results[i] = hit[0]
+                    self.cache_hits += 1
+                    continue
+                if status == "hit":
+                    # Implausible (stale physics, foreign payload): drop
+                    # it and recompute.
+                    self.rejected += 1
+                    self.cache.invalidate(keys[i])
+                elif status == "corrupt":
+                    # The classified load already deleted the bad file.
+                    self.incidents.append(RunFailure(
+                        index=i, app=_app_name(spec),
+                        seed=spec.kwargs.get("seed", 0),
+                        kind="cache-corrupt", attempts=0, spec_key=keys[i],
+                        detail="cache entry unreadable; deleted and "
+                               "recomputed"))
+            pending.append(i)
+        for i, outcome in self._execute(specs, pending):
+            if isinstance(outcome, RunFailure):
+                outcome = replace(outcome, spec_key=keys[i])
+                self.failures.append(outcome)
+            elif keys[i] is not None:
+                self.cache.store(keys[i], outcome)
+            results[i] = outcome
         return results
 
     def _execute(self, specs, pending):
-        """Yield ``(index, result)`` for every pending spec as it lands."""
+        """Yield ``(index, run or RunFailure)`` for every pending spec
+        as it resolves."""
         raise NotImplementedError
 
 
@@ -276,3 +348,7 @@ def resolve_executor(jobs=None, executor=None, cache=None):
         # explicit jobs=N pool is still honoured.
         return SerialExecutor(cache=cache)
     return ParallelExecutor(jobs=jobs, cache=cache)
+
+
+def _app_name(spec):
+    return spec.app if isinstance(spec.app, str) else spec.app.name

@@ -33,7 +33,7 @@ def app_result_to_dict(result):
         "fractions": list(result.fractions),
         "max_instantaneous": result.max_instantaneous,
         "gpu_capped": result.gpu_capped,
-        "partial": getattr(result, "partial", False),
+        "partial": result.partial,
         "iteration_tlp": [run.tlp.tlp for run in result.runs],
         "iteration_gpu": [run.gpu_util.utilization_pct
                           for run in result.runs],
@@ -78,20 +78,30 @@ def save_suite(suite_result, path, metadata=None):
 
 
 def load_suite(path):
-    """Load a stored suite; returns a SuiteResult over StoredAppResult."""
+    """Load a stored suite; returns a SuiteResult over StoredAppResult.
+
+    A file that is not JSON, not a suite result, or a suite result
+    missing a field raises ``ValueError`` naming the file.
+    """
+    from repro.harness.executor import RunFailure
     from repro.harness.suite import SuiteResult
     from repro.reporting.payloads import SUITE_FORMAT
 
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != SUITE_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # bad JSON or bad UTF-8
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != SUITE_FORMAT:
         raise ValueError(f"{path} is not a repro suite result file")
-    from repro.harness.supervisor import RunFailure
-
-    return SuiteResult(
-        results={
-            name: StoredAppResult(data)
-            for name, data in payload["results"].items()
-        },
-        failures=[RunFailure.from_payload(data)
-                  for data in payload.get("failures", ())])
+    try:
+        return SuiteResult(
+            results={name: StoredAppResult(data)
+                     for name, data in payload["results"].items()},
+            failures=[RunFailure.from_payload(data)
+                      for data in payload.get("failures", ())])
+    except KeyError as exc:
+        raise ValueError(f"{path}: suite result is missing field "
+                         f"{exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed suite result: {exc}") from None

@@ -38,11 +38,6 @@ class SuiteResult:
     results: dict                # app key -> AppResult
     failures: list = field(default_factory=list)
 
-    def partial_apps(self):
-        """App keys whose row is partial (iterations lost to quarantine)."""
-        return [name for name, result in self.results.items()
-                if getattr(result, "partial", False)]
-
     def category_averages(self):
         """{Category: (avg TLP, avg GPU util)} — Table II's last columns."""
         averages = {}
@@ -121,4 +116,4 @@ def run_suite(names=SUITE, machine=None, duration_us=DEFAULT_DURATION_US,
     runs = executor.map(specs)
     return SuiteResult(
         results=aggregate_results(spans, runs),
-        failures=list(getattr(executor, "failures", ())))
+        failures=list(executor.failures))

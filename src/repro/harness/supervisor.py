@@ -2,12 +2,14 @@
 
 The plain executors (:mod:`repro.harness.executor`) are one-shot: a
 single hung simulation stalls the sweep forever, and a single raising
-worker aborts it.  That is fine for a 90-run Table II pass; it is not
-fine for the campaign-scale sweeps of the core-scaling and SMT grids, where
+run aborts it.  That is fine for a library call; it is not fine for
+the campaign-scale sweeps of the core-scaling and SMT grids, where
 *supervision* — not speed — decides whether the sweep finishes (the
 same argument parallel GPU-simulator campaigns make for restartable
-fan-out).  This module wraps both backends in a supervisor that keeps
-the sweep alive through every failure mode the harness can encounter:
+fan-out).  :class:`SupervisedExecutor` is the third backend of the
+shared ``map``, beside the serial and the process-pool one, and every
+CLI verb runs on it.  It supplies only ``_execute``, which keeps the
+sweep alive through every failure mode the harness can encounter:
 
 * **Deadlines** — each run attempt gets a wall-clock budget; the
   supervisor terminates the worker that blows it and respawns a fresh
@@ -20,8 +22,10 @@ the sweep alive through every failure mode the harness can encounter:
   structured :class:`RunFailure` in the result list (taxonomy:
   ``crash | deadline | invalid-trace | cache-corrupt``) while every
   other grid point completes normally.
-* **Checkpoint** — completed runs go to the result cache as they
-  land, and a re-run over the same cache re-simulates only the rest.
+
+The cache half — restore, plausibility reject, ``cache-corrupt``
+incidents and store-as-it-lands, so a re-run over the same cache
+re-simulates only what never finished — is the shared ``map``'s.
 
 The process pool here is deliberately *not*
 ``concurrent.futures.ProcessPoolExecutor``: killing one hung worker
@@ -51,55 +55,17 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 
+from repro.harness.executor import FAILURE_KINDS  # noqa: F401 - re-exported
 from repro.harness.executor import (
-    _cached_result_ok,
+    RunFailure,
+    _CachingExecutor,
+    _app_name,
     _picklable,
     default_jobs,
     execute_spec,
 )
-
-#: The complete failure taxonomy, in the order the docs present it.
-FAILURE_KINDS = ("crash", "deadline", "invalid-trace", "cache-corrupt")
-
-
-@dataclass(frozen=True)
-class RunFailure:
-    """One quarantined grid point.
-
-    Takes the failed run's slot in the executor's result list (callers
-    distinguish it from a run by type) and is collected on
-    ``executor.failures``; ``kind`` is one of :data:`FAILURE_KINDS`.
-    """
-
-    index: int
-    app: str
-    seed: int
-    kind: str
-    attempts: int
-    detail: str
-    spec_key: str = None
-    remote_traceback: str = ""
-
-    def to_payload(self):
-        return {
-            "index": self.index,
-            "app": self.app,
-            "seed": self.seed,
-            "kind": self.kind,
-            "attempts": self.attempts,
-            "detail": self.detail,
-            "spec_key": self.spec_key,
-        }
-
-    @classmethod
-    def from_payload(cls, data):
-        return cls(
-            index=data["index"], app=data["app"], seed=data["seed"],
-            kind=data["kind"], attempts=data["attempts"],
-            detail=data["detail"], spec_key=data.get("spec_key"))
 
 
 def sweep_digest(keys):
@@ -297,25 +263,16 @@ class WorkerPool:
             worker.shutdown()
 
 
-@dataclass
-class _Sweep:
-    """One ``map`` call: its specs, their cache keys (``None`` when
-    uncacheable) and the result slots."""
+class SupervisedExecutor(_CachingExecutor):
+    """The deadline/retry/quarantine backend of the shared ``map``.
 
-    specs: list
-    keys: list
-    results: list
-
-
-class SupervisedExecutor:
-    """Deadline/retry/quarantine wrapper over both backends.
-
-    Drop-in for the plain executors' ``map`` contract, with one
-    extension: slots of runs that exhausted their attempts hold
-    :class:`RunFailure` records instead of results (also collected on
-    ``failures``; ``incidents`` holds non-fatal ``cache-corrupt``
-    recoveries).  ``jobs`` follows :func:`resolve_executor` semantics
-    — except that a ``deadline_s`` forces process isolation even for
+    A sibling of :class:`~repro.harness.executor.SerialExecutor` and
+    :class:`~repro.harness.executor.ParallelExecutor`: the inherited
+    ``map`` restores and stores cached runs and collects failures;
+    this class supplies only ``_execute``.  Slots of runs that
+    exhausted their attempts hold :class:`RunFailure` records instead
+    of results.  ``jobs`` follows :func:`resolve_executor` semantics —
+    except that a ``deadline_s`` forces process isolation even for
     ``jobs=1``, because an in-process run cannot be killed.
 
     A pooled worker holds one run at a time, so ``deadline_s`` is one
@@ -323,10 +280,6 @@ class SupervisedExecutor:
     the run it held one attempt.  A failed attempt is retried at once
     while ``retries`` allows — re-queued by the pool, re-run in place
     by the serial backend — and quarantined after that.
-
-    With a ``cache``, every completed run is stored as it lands and
-    every cached one is restored, so a re-run of a killed sweep over
-    the same cache re-simulates only what never finished.
 
     ``pool`` lends the executor a :class:`WorkerPool` to borrow its
     workers from and return them to, so they outlive this ``map``
@@ -342,82 +295,22 @@ class SupervisedExecutor:
             raise ValueError("deadline_s must be positive")
         if jobs is not None and jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = auto)")
+        super().__init__(cache)
         self.jobs = jobs
         self.retries = retries
         self.deadline_s = deadline_s
         self.pool = pool
-        self.cache = cache
-        self.executed = 0       # simulation attempts actually run
-        self.rejected = 0       # cached entries failing plausibility
-        self.retried = 0        # attempts re-queued after a failure
-        self.failures = []      # final RunFailure records
-        self.incidents = []     # non-fatal recoveries (cache-corrupt)
 
-    @property
-    def cache_hits(self):
-        """Grid points restored from the content-addressed cache —
-        the counter that proves a recovered sweep re-simulated nothing
-        it had already finished."""
-        return self.cache.hits if self.cache is not None else 0
-
-    # -- map -----------------------------------------------------------
-
-    def map(self, specs):
-        """Run every spec; result slots hold runs or RunFailures."""
-        specs = list(specs)
-        sweep = _Sweep(specs, [self._key_for(spec) for spec in specs],
-                       [None] * len(specs))
-        pending = [index for index in range(len(specs))
-                   if not self._restore_cached(sweep, index)]
-        if pending:
-            self._execute(sweep, pending)
-        return sweep.results
-
-    def _key_for(self, spec):
-        if self.cache is None or spec.kwargs.get("keep_trace"):
-            return None
-        return self.cache.key_for(spec)
-
-    def _restore_cached(self, sweep, index):
-        """Try to satisfy one grid point from the cache.
-
-        Returns True when restored.  A corrupt entry is recorded as a
-        non-fatal ``cache-corrupt`` incident (the classified load
-        already deleted the bad file) and the run recomputes; an
-        implausible entry is invalidated and recomputes.
-        """
-        key, spec = sweep.keys[index], sweep.specs[index]
-        if key is None:
-            return False
-        status, hit = self.cache.load_classified(key)
-        if status == "corrupt":
-            self.incidents.append(RunFailure(
-                index=index, app=_app_name(spec),
-                seed=spec.kwargs.get("seed", 0),
-                kind="cache-corrupt", attempts=0, spec_key=key,
-                detail="cache entry unreadable; deleted and recomputed"))
-            return False
-        if status != "hit":
-            return False
-        if not _cached_result_ok(hit[0], spec):
-            self.rejected += 1
-            self.cache.invalidate(key)
-            return False
-        sweep.results[index] = hit[0]
-        return True
-
-    # -- execution backends --------------------------------------------
-
-    def _execute(self, sweep, pending):
+    def _execute(self, specs, pending):
         pool_size = self._pool_size(len(pending))
         remote, local = [], []
         for index in pending:
-            picklable = pool_size and _picklable(sweep.specs[index])
+            picklable = pool_size and _picklable(specs[index])
             (remote if picklable else local).append(index)
         if remote:
-            self._run_pool(sweep, remote, min(pool_size, len(remote)))
-        if local:
-            self._run_serial(sweep, local)
+            yield from self._run_pool(specs, remote,
+                                      min(pool_size, len(remote)))
+        yield from self._run_serial(specs, local)
 
     def planned_backend(self, n_pending):
         """Human-readable backend a sweep of ``n_pending`` runs gets.
@@ -447,23 +340,25 @@ class SupervisedExecutor:
             return 1 if self.deadline_s is not None else 0
         return min(jobs, n_pending)
 
-    def _run_serial(self, sweep, items):
+    def _run_serial(self, specs, items):
         for index in items:
             for attempt in range(1, self.retries + 2):
                 self.executed += 1
                 try:
-                    result = execute_spec(sweep.specs[index])
+                    result = execute_spec(specs[index])
                 except Exception as exc:
                     name = type(exc).__name__
-                    if self._failed(sweep, index, attempt, _kind(name),
-                                    f"{name}: {exc}",
-                                    traceback.format_exc()):
+                    slot = self._failed(
+                        specs, index, attempt, _kind(name),
+                        f"{name}: {exc}", traceback.format_exc())
+                    if slot is not None:
+                        yield slot
                         break
                 else:
-                    self._complete(sweep, index, result)
+                    yield index, result
                     break
 
-    def _run_pool(self, sweep, items, n_workers):
+    def _run_pool(self, specs, items, n_workers):
         """Keep every worker busy with one run until all are resolved:
         sleep in ``wait`` until a reply arrives or the earliest deadline
         passes, then reap the replies and kill the overdue workers."""
@@ -473,7 +368,7 @@ class SupervisedExecutor:
         workers = pool.take(n_workers)
         try:
             while outstanding:
-                self._dispatch(sweep, workers, queue)
+                self._dispatch(specs, workers, queue)
                 busy = {w.conn: w for w in workers if w.job is not None}
                 if not busy:
                     # A worker found dead was respawned; hand its run
@@ -483,33 +378,36 @@ class SupervisedExecutor:
                 if self.deadline_s is not None:
                     earliest = min(w.job[2] for w in busy.values())
                     timeout = max(0.0, earliest - time.monotonic())
-                for conn in _mpconn.wait(list(busy), timeout):
-                    outstanding -= self._reap(sweep, busy[conn], queue)
+                resolved = [self._reap(specs, busy[conn], queue)
+                            for conn in _mpconn.wait(list(busy), timeout)]
                 now = time.monotonic()
                 for worker in busy.values():
                     job = worker.job
                     if job is not None and job[2] is not None \
                             and now >= job[2]:
                         worker.respawn()
-                        outstanding -= self._failed(
-                            sweep, job[0], job[1], "deadline",
+                        resolved.append(self._failed(
+                            specs, job[0], job[1], "deadline",
                             f"run exceeded its {self.deadline_s:g}s "
                             f"wall-clock deadline; worker terminated",
-                            queue=queue)
+                            queue=queue))
+                for slot in resolved:
+                    if slot is not None:
+                        outstanding -= 1
+                        yield slot
         finally:
             pool.give_back(workers)
             if pool is not self.pool:
                 pool.close()
 
-    def _dispatch(self, sweep, workers, queue):
+    def _dispatch(self, specs, workers, queue):
         """Hand every idle worker the next queued run."""
         for worker in workers:
             if worker.job is not None or not queue:
                 continue
             index, attempt = queue.popleft()
             try:
-                worker.assign(index, attempt, sweep.specs[index],
-                              self.deadline_s)
+                worker.assign(index, attempt, specs[index], self.deadline_s)
             except (OSError, ValueError):
                 # The worker died between runs; put the run back and
                 # bring up a replacement.
@@ -518,9 +416,10 @@ class SupervisedExecutor:
                 continue
             self.executed += 1
 
-    def _reap(self, sweep, worker, queue):
+    def _reap(self, specs, worker, queue):
         """Resolve the run of a worker whose pipe is ready: its outcome,
-        or the worker's death.  1 if resolved, 0 if re-queued."""
+        or the worker's death.  ``(index, run or RunFailure)``, or None
+        when the run was re-queued."""
         index, attempt, _ = worker.job
         try:
             outcome = worker.conn.recv()
@@ -529,49 +428,34 @@ class SupervisedExecutor:
             exitcode = worker.proc.exitcode
             worker.respawn()
             return self._failed(
-                sweep, index, attempt, "crash",
+                specs, index, attempt, "crash",
                 f"worker process died (exit code {exitcode})", queue=queue)
         worker.job = None
         if outcome[0] == "ok":
-            self._complete(sweep, index, outcome[1])
-            return 1
+            return index, outcome[1]
         _, name, message, remote_tb = outcome
-        return self._failed(sweep, index, attempt, _kind(name),
+        return self._failed(specs, index, attempt, _kind(name),
                             f"{name}: {message}", remote_tb, queue)
 
-    # -- bookkeeping ---------------------------------------------------
-
-    def _complete(self, sweep, index, result):
-        sweep.results[index] = result
-        key = sweep.keys[index]
-        if key is not None:
-            self.cache.store(key, result)
-
-    def _failed(self, sweep, index, attempt, kind, detail, tb="",
+    def _failed(self, specs, index, attempt, kind, detail, tb="",
                 queue=None):
-        """Charge one failed attempt of run ``index``: 0 when it goes
+        """Charge one failed attempt of run ``index``: None when it goes
         again at once (onto ``queue``, or in place by the serial backend,
-        which passes none), 1 when it is quarantined as a RunFailure."""
+        which passes none), ``(index, RunFailure)`` when it is
+        quarantined."""
         if attempt <= self.retries:
             self.retried += 1
             if queue is not None:
                 queue.append((index, attempt + 1))
-            return 0
-        spec, key = sweep.specs[index], sweep.keys[index]
-        failure = RunFailure(
+            return None
+        spec = specs[index]
+        return index, RunFailure(
             index=index, app=_app_name(spec),
             seed=spec.kwargs.get("seed", 0), kind=kind, attempts=attempt,
-            detail=detail, spec_key=key, remote_traceback=tb)
-        sweep.results[index] = failure
-        self.failures.append(failure)
-        return 1
+            detail=detail, remote_traceback=tb)
 
 
 def _kind(exc_name):
     """Failure kind of an attempt that raised ``exc_name`` (by name, so
     a pipe-serialized worker error classifies like an in-process one)."""
     return "invalid-trace" if exc_name == "TraceValidationError" else "crash"
-
-
-def _app_name(spec):
-    return spec.app if isinstance(spec.app, str) else spec.app.name

@@ -12,16 +12,11 @@ from repro.metrics.intervals import (
     concurrency_profile,
     fused_sweep,
     interval_events,
-    max_concurrency,
-    union_length,
 )
 from repro.metrics.kernels import (
     build_event_arrays,
-    clipped_busy_sum,
     fused_sweep_arrays,
-    max_concurrency_arrays,
     occupancy_sweep,
-    union_length_arrays,
 )
 from repro.metrics.online import FrameStats, OnlineMetricsEngine, OnlineSweep
 from repro.metrics.responsiveness import (
@@ -50,11 +45,8 @@ __all__ = [
     "FusedSweep",
     "GpuUtilResult",
     "build_event_arrays",
-    "clipped_busy_sum",
     "fused_sweep_arrays",
-    "max_concurrency_arrays",
     "occupancy_sweep",
-    "union_length_arrays",
     "OnlineMetricsEngine",
     "OnlineSweep",
     "ResponseLatency",
@@ -70,7 +62,6 @@ __all__ = [
     "instantaneous_gpu_utilization",
     "interval_events",
     "instantaneous_tlp",
-    "max_concurrency",
     "mean",
     "pair_marks",
     "percentile",
@@ -82,5 +73,4 @@ __all__ = [
     "tail_latency",
     "tlp_from_fractions",
     "tlp_result_from_profile",
-    "union_length",
 ]

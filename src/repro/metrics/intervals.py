@@ -128,65 +128,3 @@ def concurrency_profile(intervals, window_start, window_stop, *, events=None):
     """
     return fused_sweep(intervals, window_start, window_stop,
                        events=events).profile
-
-
-def union_length(intervals, window_start, window_stop, *, events=None):
-    """Length of the union of intervals within the window.
-
-    Single pass: accumulates covered time on every ``1 -> 0`` level
-    transition instead of materializing the full profile dict.  A
-    zero-width window covers nothing and returns 0.
-    """
-    if window_stop < window_start:
-        raise ValueError("window_stop before window_start")
-    if window_stop == window_start:
-        return 0
-    if events is None:
-        events = interval_events(intervals)
-    level = 0
-    covered = 0
-    open_since = 0
-    for time, delta in events:
-        if time < window_start:
-            time = window_start
-        elif time > window_stop:
-            time = window_stop
-        if delta > 0:
-            if level == 0:
-                open_since = time
-            level += 1
-        else:
-            level -= 1
-            if level == 0:
-                covered += time - open_since
-    return covered
-
-
-def max_concurrency(intervals, window_start, window_stop, *, events=None):
-    """Peak number of simultaneously active intervals in the window.
-
-    Single pass: tracks the running level, counting a level only once
-    it has persisted for a positive span inside the window (zero-width
-    boundary spikes from out-of-window intervals are ignored, matching
-    the clip-first definition).  A zero-width window has no positive
-    span, so its peak is 0.
-    """
-    if window_stop < window_start:
-        raise ValueError("window_stop before window_start")
-    if window_stop == window_start:
-        return 0
-    if events is None:
-        events = interval_events(intervals)
-    level = 0
-    peak = 0
-    prev = None
-    for time, delta in events:
-        if time < window_start:
-            time = window_start
-        elif time > window_stop:
-            time = window_stop
-        if prev is not None and time > prev and level > peak:
-            peak = level
-        prev = time
-        level += delta
-    return peak

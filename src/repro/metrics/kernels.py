@@ -167,40 +167,6 @@ def fused_sweep_arrays(times, deltas, window_start, window_stop):
     return occupancy_sweep(times, deltas, window_start, window_stop)[0]
 
 
-def union_length_arrays(times, deltas, window_start, window_stop):
-    """Union length over event buffers (see ``fused_sweep_arrays``)."""
-    return fused_sweep_arrays(times, deltas, window_start,
-                              window_stop).union_length
-
-
-def max_concurrency_arrays(times, deltas, window_start, window_stop):
-    """Peak concurrency over event buffers (see ``fused_sweep_arrays``)."""
-    return fused_sweep_arrays(times, deltas, window_start,
-                              window_stop).max_concurrency
-
-
-def clipped_busy_sum(starts, stops, window_start, window_stop):
-    """Sum of interval lengths clipped to the window — the GPU
-    occupancy numerator of the paper's sum-of-ratios utilization.
-
-    Bit-identical to ``sum(min(e, stop) - max(s, start))`` over the
-    spans with positive clipped length (integer arithmetic, order
-    independent).
-    """
-    if _np is None:
-        total = 0
-        for s, e in zip(starts, stops):
-            lo = s if s > window_start else window_start
-            hi = e if e < window_stop else window_stop
-            if hi > lo:
-                total += hi - lo
-        return total
-    lo = _np.maximum(_as_int64(starts), window_start)
-    hi = _np.minimum(_as_int64(stops), window_stop)
-    spans = hi - lo
-    return int(spans[spans > 0].sum())
-
-
 def gather(rows, *columns):
     """Entries ``rows`` of each typed column (an ``array('q')`` or
     ``array('d')``), in the scoring kernels' layout: on the numpy

@@ -264,7 +264,7 @@ class SweepJob:
             self.result_bytes = body
             self.failures = list(suite_result.failures)
             self.executed = self.executor.executed
-            self.cache_hits = getattr(self.executor, "cache_hits", 0)
+            self.cache_hits = self.executor.cache_hits
             self._events.append({
                 "event": "done",
                 "id": self.id,

@@ -229,3 +229,65 @@ class TestCommands:
         code, text = run_cli(["run", "handbrake", "--era", "2010",
                               "--duration", "5", "--iterations", "1"])
         assert code == 2
+
+
+@pytest.fixture
+def chrome_crashes_once(monkeypatch):
+    """Chrome's first build in this process raises; later ones run."""
+    from repro.apps import REGISTRY
+
+    cls = REGISTRY["chrome"]
+    build, calls = cls.build, []
+
+    def crash_once(self, rt):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("injected build failure")
+        return build(self, rt)
+
+    monkeypatch.setattr(cls, "build", crash_once)
+
+
+class TestQuarantine:
+    """Every verb runs supervised: a run that raises is quarantined as
+    ``crash`` (failure table, exit 1), with or without ``--retries``."""
+
+    def test_suite_quarantines_a_raising_run(self, chrome_crashes_once):
+        code, text = run_cli(["suite", "--apps", "excel,chrome",
+                              "--duration", "0.5", "--iterations", "2"])
+        assert code == 1
+        assert "Quarantined runs" in text
+        assert "1 quarantined: 1 crash" in text
+        assert "RuntimeError: injected build failure" in text
+        assert "Microsoft Excel" in text
+
+    def test_run_quarantines_a_raising_run(self, chrome_crashes_once):
+        code, text = run_cli(["run", "chrome", "--duration", "0.5",
+                              "--iterations", "2"])
+        assert code == 1
+        assert "NOTE: partial result" in text
+        assert "1 quarantined: 1 crash" in text
+
+
+class TestCompareBadInput:
+    """A file ``compare`` cannot read is one ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize("body, message", [
+        ('{"x": 1}', "is not a repro suite result file"),
+        ('{"format": "repro-suite-v1", "results": {"excel": {}}}',
+         "missing field 'app_name'"),
+        ("not json", "is not JSON"),
+    ], ids=["not-a-suite", "missing-field", "not-json"])
+    def test_bad_file_is_an_error(self, tmp_path, body, message):
+        path = tmp_path / "suite.json"
+        path.write_text(body)
+        code, text = run_cli(["compare", str(path), str(path)])
+        assert code == 2
+        assert text.startswith(f"error: {path}")
+        assert message in text
+
+    def test_missing_file_is_an_error(self, tmp_path):
+        path = tmp_path / "absent.json"
+        code, text = run_cli(["compare", str(path), str(path)])
+        assert code == 2
+        assert text == f"error: cannot read {path}: No such file or directory"

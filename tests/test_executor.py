@@ -17,9 +17,12 @@ from repro.harness import (
     run_suite,
     smt_sweep,
 )
-from repro.harness.executor import default_jobs, execute_spec
+from repro.harness.cache import ResultCache
+from repro.harness.executor import _CachingExecutor, default_jobs, execute_spec
+from repro.harness.supervisor import SupervisedExecutor
 from repro.hardware import GTX_1080_TI, paper_machine
 from repro.sim import SECOND
+from repro.validate import fingerprint_run
 
 SHORT = 3 * SECOND
 
@@ -136,3 +139,53 @@ class TestParallelBackend:
         assert set(serial) == set(parallel)
         for key in serial:
             assert serial[key].tlp.fractions == parallel[key].tlp.fractions
+
+
+#: The three backends of the one shared ``map``.
+EXECUTORS = {
+    "serial": lambda cache: SerialExecutor(cache=cache),
+    "parallel": lambda cache: ParallelExecutor(jobs=2, cache=cache),
+    "supervised": lambda cache: SupervisedExecutor(cache=cache),
+}
+
+
+class TestOneMap:
+    """Every executor is one ``_execute`` under the same ``map``."""
+
+    def test_no_executor_subclasses_another(self):
+        # perfbench wraps each class's ``map``; a wrapped class that
+        # inherited from another wrapped one would be counted twice.
+        classes = (SerialExecutor, ParallelExecutor, SupervisedExecutor)
+        for cls in classes:
+            assert not [other for other in classes
+                        if other is not cls and issubclass(cls, other)]
+            assert "map" not in vars(cls)
+            assert cls.map is _CachingExecutor.map
+
+    @pytest.mark.parametrize("make", EXECUTORS.values(), ids=EXECUTORS)
+    def test_every_executor_carries_the_same_counters(self, make):
+        executor = make(None)
+        counters = {name: getattr(executor, name) for name in (
+            "executed", "cache_hits", "rejected", "retried", "failures",
+            "incidents")}
+        assert counters == {"executed": 0, "cache_hits": 0, "rejected": 0,
+                            "retried": 0, "failures": [], "incidents": []}
+
+    @pytest.mark.parametrize("make", EXECUTORS.values(), ids=EXECUTORS)
+    def test_corrupt_entry_is_an_incident_and_recomputes(self, make,
+                                                         tmp_path):
+        specs = [make_spec("excel", duration_us=SHORT, seed=seed)
+                 for seed in (0, 1)]
+        cold = SerialExecutor(cache=ResultCache(tmp_path)).map(specs)
+        key = ResultCache(tmp_path).key_for(specs[1])
+        (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"not a pickle")
+
+        executor = make(ResultCache(tmp_path))
+        warm = executor.map(specs)
+        assert (executor.cache_hits, executor.executed) == (1, 1)
+        assert [(i.index, i.kind, i.attempts, i.spec_key)
+                for i in executor.incidents] == \
+            [(1, "cache-corrupt", 0, key)]
+        assert executor.failures == []
+        assert [fingerprint_run(run) for run in warm] == \
+            [fingerprint_run(run) for run in cold]

@@ -13,11 +13,9 @@ from repro.metrics import (
     concurrency_profile,
     fused_sweep,
     interval_events,
-    max_concurrency,
     measure_gpu_utilization,
     measure_tlp,
     tlp_result_from_profile,
-    union_length,
 )
 from repro.metrics.gpu import gpu_result_from_totals
 from repro.metrics.intervals import first_time_above
@@ -39,10 +37,11 @@ class TestZeroWidthWindow:
         assert fused_sweep((), 7, 7, events=events).union_length == 0
 
     def test_union_length(self):
-        assert union_length(INTERVALS, 7, 7) == 0
+        assert fused_sweep(INTERVALS, 7, 7).union_length == 0
 
     def test_max_concurrency(self):
-        assert max_concurrency(INTERVALS, 7, 7) == 0
+        events = interval_events(INTERVALS)
+        assert fused_sweep((), 7, 7, events=events).max_concurrency == 0
 
     def test_concurrency_profile(self):
         assert concurrency_profile(INTERVALS, 7, 7) == {0: 0}
@@ -79,11 +78,12 @@ class TestInvertedWindow:
 
     def test_union_length_raises(self):
         with pytest.raises(ValueError):
-            union_length(INTERVALS, 10, 5)
+            fused_sweep((), 10, 5, events=interval_events(INTERVALS))
 
     def test_max_concurrency_raises(self):
+        # A window inverted by one microsecond, over no intervals.
         with pytest.raises(ValueError):
-            max_concurrency(INTERVALS, 10, 5)
+            fused_sweep((), 6, 5)
 
 
 class TestEmptyMeasurementWindow:

@@ -1,11 +1,10 @@
 """Property tests: the fused single-pass sweep matches the reference.
 
-``fused_sweep`` (and the dedicated single-pass ``union_length`` /
-``max_concurrency``) replace the old build-events-clip-and-sort-per-
-query implementation.  The reference below *is* that old
-implementation; the properties assert exact equality on randomized
-interval sets, including intervals partially or entirely outside the
-measurement window.
+``fused_sweep`` replaces the old build-events-clip-and-sort-per-query
+implementation.  The reference below *is* that old implementation;
+the properties assert exact equality on randomized interval sets,
+including intervals partially or entirely outside the measurement
+window.
 """
 
 from hypothesis import given, strategies as st
@@ -14,8 +13,6 @@ from repro.metrics import (
     concurrency_profile,
     fused_sweep,
     interval_events,
-    max_concurrency,
-    union_length,
 )
 from repro.metrics.intervals import clip
 
@@ -75,21 +72,10 @@ def test_fused_union_and_max_match_reference(intervals):
 
 
 @given(intervals_strategy)
-def test_standalone_single_pass_helpers_match_fused(intervals):
-    sweep = fused_sweep(intervals, *WINDOW)
-    assert union_length(intervals, *WINDOW) == sweep.union_length
-    assert max_concurrency(intervals, *WINDOW) == sweep.max_concurrency
-
-
-@given(intervals_strategy)
 def test_presorted_events_path_is_equivalent(intervals):
     events = interval_events(intervals)
     assert fused_sweep(intervals, *WINDOW) == \
         fused_sweep((), *WINDOW, events=events)
-    assert union_length((), *WINDOW, events=events) == \
-        union_length(intervals, *WINDOW)
-    assert max_concurrency((), *WINDOW, events=events) == \
-        max_concurrency(intervals, *WINDOW)
 
 
 @given(intervals_strategy, st.integers(0, 20))
@@ -103,6 +89,4 @@ def test_windowed_queries_share_one_event_array(intervals, offset):
 
 
 def test_degenerate_window():
-    assert fused_sweep([(0, 10)], 5, 5).profile == {0: 0}
-    assert union_length([(0, 10)], 5, 5) == 0
-    assert max_concurrency([(0, 10)], 5, 5) == 0
+    assert fused_sweep([(0, 10)], 5, 5) == ({0: 0}, 0, 0)

@@ -23,11 +23,8 @@ import repro.metrics.kernels as kernels
 from repro.metrics import fused_sweep, interval_events
 from repro.metrics.kernels import (
     build_event_arrays,
-    clipped_busy_sum,
     fused_sweep_arrays,
-    max_concurrency_arrays,
     occupancy_sweep,
-    union_length_arrays,
 )
 
 WINDOW = (1_000, 21_000)
@@ -104,20 +101,7 @@ class TestVectorEqualsScalar:
             with context:
                 times, deltas = build_event_arrays(*to_columns(intervals))
                 sweep = fused_sweep_arrays(times, deltas, *WINDOW)
-                union = union_length_arrays(times, deltas, *WINDOW)
-                peak = max_concurrency_arrays(times, deltas, *WINDOW)
-            assert sweep.profile == expected.profile, name
-            assert union == expected.union_length, name
-            assert peak == expected.max_concurrency, name
-
-    @given(intervals_strategy)
-    def test_clipped_busy_sum_matches_loop(self, intervals):
-        starts, stops = to_columns(intervals)
-        _, expected_busy = scalar_reference(intervals, *WINDOW)
-        for name, context in each_backend():
-            with context:
-                busy = clipped_busy_sum(starts, stops, *WINDOW)
-            assert busy == expected_busy, name
+            assert sweep == expected, name
 
     @given(intervals_strategy, st.integers(0, 25_000_000))
     def test_zero_length_window(self, intervals, at):

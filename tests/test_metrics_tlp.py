@@ -4,10 +4,9 @@ import pytest
 
 from repro.metrics import (
     concurrency_profile,
-    max_concurrency,
+    fused_sweep,
     measure_tlp,
     tlp_from_fractions,
-    union_length,
 )
 from repro.trace import CpuUsagePreciseTable
 
@@ -39,11 +38,12 @@ class TestIntervals:
         assert profile[3] == 10
 
     def test_union_length(self):
-        assert union_length([(0, 10), (5, 20), (30, 40)], 0, 100) == 30
+        assert fused_sweep([(0, 10), (5, 20), (30, 40)],
+                           0, 100).union_length == 30
 
     def test_max_concurrency(self):
         intervals = [(0, 10), (2, 8), (4, 6), (50, 60)]
-        assert max_concurrency(intervals, 0, 100) == 3
+        assert fused_sweep(intervals, 0, 100).max_concurrency == 3
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     concurrency_profile,
-    max_concurrency,
+    fused_sweep,
     measure_gpu_utilization,
     tlp_from_fractions,
-    union_length,
 )
 from repro.sim import Environment, Store
 from repro.trace import GpuUtilizationTable
@@ -29,7 +28,7 @@ class TestIntervalProperties:
 
     @given(intervals_strategy)
     def test_union_bounded_by_window_and_sum(self, intervals):
-        union = union_length(intervals, 0, 20_000)
+        union = fused_sweep(intervals, 0, 20_000).union_length
         total = sum(min(e, 20_000) - max(s, 0)
                     for s, e in intervals if e > 0 and s < 20_000)
         assert 0 <= union <= 20_000
@@ -37,14 +36,14 @@ class TestIntervalProperties:
 
     @given(intervals_strategy)
     def test_max_concurrency_bounds(self, intervals):
-        peak = max_concurrency(intervals, 0, 20_000)
+        peak = fused_sweep(intervals, 0, 20_000).max_concurrency
         live = [i for i in intervals if i[1] > 0 and i[0] < 20_000]
         assert 0 <= peak <= len(live)
 
     @given(intervals_strategy, st.integers(1, 4))
     def test_duplicating_intervals_scales_concurrency(self, intervals, k):
-        base = max_concurrency(intervals, 0, 20_000)
-        stacked = max_concurrency(intervals * k, 0, 20_000)
+        base = fused_sweep(intervals, 0, 20_000).max_concurrency
+        stacked = fused_sweep(intervals * k, 0, 20_000).max_concurrency
         assert stacked == base * k
 
 

@@ -84,6 +84,32 @@ class TestValidateVerb:
             load_goldens(bad)
 
 
+    def test_a_quarantined_grid_point_fails_by_kind(self, monkeypatch):
+        # Word crashes on the 4-LCPU SMT point, post-hoc and streaming:
+        # one FAIL line names the kind, and the streaming cross-check
+        # skips the point it has no post-hoc fingerprint for.
+        from repro.apps import REGISTRY
+
+        cls = REGISTRY["word"]
+        build = cls.build
+
+        def crash_on_c04_smt(self, rt):
+            machine = rt.kernel.machine
+            if machine.logical_cpus == 4 and machine.smt_enabled:
+                raise RuntimeError("injected build failure")
+            return build(self, rt)
+
+        monkeypatch.setattr(cls, "build", crash_on_c04_smt)
+        status, output = run_cli(
+            ["validate", "--apps", "word", "--streaming", "--no-static"])
+        assert status == 1
+        assert [line for line in output.splitlines()
+                if line.startswith("FAIL")] == \
+            [f"FAIL word [{config_id(4, True)}] quarantined as crash: "
+             f"RuntimeError: injected build failure"]
+        assert f"1 of {2 * len(GOLDEN_CONFIGS)} checks FAILED" in output
+
+
 class TestRunValidateFlag:
     def test_run_with_validate_flag(self):
         status, output = run_cli(
