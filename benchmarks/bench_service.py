@@ -20,7 +20,9 @@ under the p99 ceiling while the queue is full.  Numbers land in
 ``BENCH_service.json``; the p99 gate is a generous ceiling that
 catches a pathological read path, not a tight SLO.
 
-``REPRO_BENCH_QUICK=1`` shrinks the request counts for smoke CI.
+``REPRO_BENCH_QUICK=1`` shrinks the request counts for smoke CI; it
+prints its numbers but writes neither the JSON nor the report, which
+hold full-mode numbers only.
 """
 
 import http.client
@@ -243,10 +245,6 @@ def test_perf_service(experiment, report):
         "saturated_warm_304": phase_stats(saturated_warm),
         "quick": QUICK,
     }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-
     c, w = payload["cold_full_body"], payload["warm_conditional_304"]
     r, sw = payload["saturated_rejects_429"], payload["saturated_warm_304"]
     lines = [
@@ -271,7 +269,13 @@ def test_perf_service(experiment, report):
         f"p50 {sw['p50_ms']:7.3f} ms   p99 {sw['p99_ms']:7.3f} ms "
         f"(304s while saturated)",
     ]
-    report("perf_service", "\n".join(lines))
+    if QUICK:
+        print("\n".join(lines))
+    else:
+        BENCH_JSON.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+        report("perf_service", "\n".join(lines))
 
     # The acceptance gate: reads — including under a saturated queue —
     # and rejections all stay under the p99 ceiling.

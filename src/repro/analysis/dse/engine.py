@@ -47,7 +47,7 @@ from repro.analysis.dse.score import (
 )
 from repro.hardware.catalog import MachineGrid
 from repro.harness.executor import make_spec
-from repro.harness.supervisor import SupervisedExecutor
+from repro.harness.supervisor import RunFailure, SupervisedExecutor
 from repro.sim import SECOND
 
 #: Relative tolerance of the float equivalence check.  The two paths
@@ -202,10 +202,8 @@ def _sample_equivalence(apps, groups, samples, seed):
                   for j in rng.sample(range(pool), samples))
 
 
-def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
-                 cache=None, retries=0, deadline_s=None,
-                 equivalence_samples=8, rtol=EQUIVALENCE_RTOL,
-                 executor=None):
+def run_campaign(apps, machines, duration_us=SECOND, seed=0,
+                 equivalence_samples=8, executor=None):
     """Score every (app, config) grid point; simulate only per signature.
 
     ``apps`` are distinct registry names (a repeat raises
@@ -214,13 +212,15 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     :class:`~repro.hardware.catalog.MachineGrid` from
     :func:`repro.hardware.catalog.generate_machines`, read through its
     columns so only the machines the campaign simulates or reports
-    are built, or any iterable of machines.  ``jobs``, ``cache``,
-    ``retries`` and ``deadline_s`` configure the supervised sweep
-    (``executor`` overrides them with a prebuilt one).
+    are built, or any iterable of machines.  Every run goes through
+    ``executor``: a fresh
+    :class:`~repro.harness.supervisor.SupervisedExecutor` (in process,
+    no cache) when none is given; build one with ``jobs``, a
+    ``cache``, ``retries`` or a ``deadline_s`` to get those.
     ``equivalence_samples`` configs are additionally re-simulated in
-    full and checked against their analytic scores (0 disables the
-    check).  Runs use streaming metrics — a campaign keeps aggregates,
-    not traces.
+    full and checked against their analytic scores within
+    :data:`EQUIVALENCE_RTOL` (0 disables the check).  Runs use
+    streaming metrics — a campaign keeps aggregates, not traces.
     """
     apps = list(apps)
     repeated = duplicate_apps(apps)
@@ -247,10 +247,7 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
                             streaming=True)
                   for app, index in checks]
 
-    if executor is None:
-        executor = SupervisedExecutor(jobs=jobs, cache=cache,
-                                      retries=retries,
-                                      deadline_s=deadline_s)
+    executor = executor or SupervisedExecutor()
     results = executor.map(specs)
     base_runs = results[:len(plan)]
     check_runs = results[len(plan):]
@@ -270,7 +267,7 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
         # The plan is app-major, so the group's base runs are every
         # len(group_list)-th result, in app order.
         for app, run in zip(apps, base_runs[group::len(group_list)]):
-            if not _is_run(run):
+            if isinstance(run, RunFailure):
                 failed += 1
                 continue
             blocks[app][group] = batch_score(app, run, columns)
@@ -280,8 +277,9 @@ def run_campaign(apps, machines, duration_us=SECOND, seed=0, jobs=None,
     equivalence = None
     if equivalence_samples > 0:
         equivalence = _check_equivalence(checks, check_runs, machines,
-                                         scores, rtol)
-        failed += sum(1 for run in check_runs if not _is_run(run))
+                                         scores)
+        failed += sum(1 for run in check_runs
+                      if isinstance(run, RunFailure))
 
     frontiers = {app: frontier_from_groups(blocks[app]) for app in apps}
     simulated = len({(app, group_list[group][0]) for app, group in plan}
@@ -313,12 +311,7 @@ def duplicate_apps(apps):
     return [app for app in dict.fromkeys(apps) if apps.count(app) > 1]
 
 
-def _is_run(result):
-    """True for a real run (vs a quarantined RunFailure slot)."""
-    return result is not None and hasattr(result, "tlp")
-
-
-def _check_equivalence(checks, check_runs, machines, scores, rtol):
+def _check_equivalence(checks, check_runs, machines, scores):
     """Compare sampled full re-simulations against analytic scores.
 
     A sample with a NaN or infinite TLP, wall time, energy or EDP on
@@ -330,7 +323,7 @@ def _check_equivalence(checks, check_runs, machines, scores, rtol):
     max_rel = 0.0
     for (app, index), run in zip(checks, check_runs):
         fast = scores[app][index]
-        if not _is_run(run) or fast is None:
+        if isinstance(run, RunFailure) or fast is None:
             continue
         slow = score_from_simulation(app, run, machines[index],
                                      config_index=index)
@@ -350,6 +343,6 @@ def _check_equivalence(checks, check_runs, machines, scores, rtol):
         samples=samples,
         tlp_exact=tlp_exact,
         max_rel_err=max_rel,
-        rtol=rtol,
-        ok=samples > 0 and tlp_exact and max_rel <= rtol,
+        rtol=EQUIVALENCE_RTOL,
+        ok=samples > 0 and tlp_exact and max_rel <= EQUIVALENCE_RTOL,
     )

@@ -5,8 +5,8 @@ from repro.harness.runner import (
     DEFAULT_ITERATIONS,
     AppResult,
     SingleRun,
-    run_app as _run_app_model,
-    run_app_once as _run_app_once_model,
+    run_app,
+    run_app_once,
 )
 from repro.harness.cache import ResultCache
 from repro.harness.colocate import ColocatedRun, run_colocated
@@ -15,7 +15,6 @@ from repro.harness.executor import (
     RunSpec,
     SerialExecutor,
     make_spec,
-    resolve_executor,
 )
 from repro.harness.suite import SuiteResult, run_suite
 from repro.harness.supervisor import (
@@ -24,27 +23,6 @@ from repro.harness.supervisor import (
     SupervisedExecutor,
 )
 from repro.harness.sweeps import core_scaling_sweep, gpu_swap_sweep, smt_sweep
-
-
-def _resolve(app, config):
-    if isinstance(app, str):
-        from repro.apps import create_app
-
-        return create_app(app, **config)
-    if config:
-        raise ValueError("config kwargs only apply when app is a name")
-    return app
-
-
-def run_app(app, *, config=None, **kwargs):
-    """Run an application (model instance or registry name) N times."""
-    return _run_app_model(_resolve(app, config or {}), **kwargs)
-
-
-def run_app_once(app, *, config=None, **kwargs):
-    """Run a single traced iteration (model instance or registry name)."""
-    return _run_app_once_model(_resolve(app, config or {}), **kwargs)
-
 
 __all__ = [
     "AppResult",
@@ -63,7 +41,6 @@ __all__ = [
     "core_scaling_sweep",
     "gpu_swap_sweep",
     "make_spec",
-    "resolve_executor",
     "run_app",
     "run_app_once",
     "run_colocated",

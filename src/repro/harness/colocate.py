@@ -36,11 +36,10 @@ class ColocatedRun:
     outputs: dict = field(default_factory=dict)
     #: Per-application trace marks (for responsiveness analysis).
     marks: dict = field(default_factory=dict)
-    cpu_table: object = None
 
 
 def run_colocated(apps, machine=None, duration_us=60_000_000, seed=0,
-                  driver_mode=AUTOIT, keep_tables=False):
+                  driver_mode=AUTOIT):
     """Run several app models simultaneously on one machine.
 
     ``apps`` is an iterable of model instances (each used once).
@@ -94,5 +93,4 @@ def run_colocated(apps, machine=None, duration_us=60_000_000, seed=0,
         system_tlp=measure_tlp(cpu_table, n),
         outputs=outputs,
         marks=marks,
-        cpu_table=cpu_table if keep_tables else None,
     )

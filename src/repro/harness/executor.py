@@ -18,15 +18,16 @@ This module is the single submission path for those grid points:
   ``_execute``, which yields each pending slot as it resolves;
 * :class:`SerialExecutor` — runs specs in submission order in the
   current process (the seed behaviour);
-* :class:`ParallelExecutor` — fans specs out over a
-  ``concurrent.futures.ProcessPoolExecutor``; specs that cannot be
-  pickled (e.g. an application instance carrying a lambda) fall back
-  to in-process execution instead of failing;
+* :class:`ParallelExecutor` — the library's futures-pool backend:
+  fans specs out over a ``concurrent.futures.ProcessPoolExecutor``;
+  specs that cannot be pickled (e.g. an application instance carrying
+  a lambda) fall back to in-process execution instead of failing;
 * :class:`~repro.harness.supervisor.SupervisedExecutor` — the third
   backend, with deadlines, retries and quarantine (every CLI verb
-  runs on it);
-* :func:`resolve_executor` — maps the library's ``jobs=N`` /
-  ``executor=`` / ``cache=`` keyword surface onto a backend.
+  runs on it).
+
+A library call takes its backend as one ``executor=`` argument (a
+fresh :class:`SerialExecutor` without one).
 
 With a :class:`~repro.harness.cache.ResultCache`, ``map`` restores
 every cached grid point it can and stores each fresh result as soon
@@ -44,23 +45,25 @@ from dataclasses import dataclass, field, replace
 
 from repro.automation import AUTOIT
 from repro.hardware import paper_machine
+from repro.harness.cache import spec_key
 from repro.sim import SECOND
+
+#: Default testbench length (simulated).  The paper traces runs of a
+#: few minutes; 60 simulated seconds keeps every behavioural phase
+#: while staying fast to simulate.
+DEFAULT_DURATION_US = 60 * SECOND
 
 #: Default values of every :func:`repro.harness.runner.run_app_once`
 #: knob.  Specs are normalized against these so the same grid point
 #: hashes to the same cache key regardless of which keywords the
-#: caller spelled out.  (The 60-second duration mirrors
-#: ``runner.DEFAULT_DURATION_US``; it lives here to keep the import
-#: graph acyclic — runner imports this module.)
+#: caller spelled out; ``tests/test_executor.py`` pins them equal to
+#: ``run_app_once``'s keyword defaults.
 RUN_DEFAULTS = {
     "machine": None,
-    "duration_us": 60 * SECOND,
+    "duration_us": DEFAULT_DURATION_US,
     "seed": 0,
     "driver_mode": AUTOIT,
     "keep_trace": False,
-    "gpu_method": "sum",
-    "background_services": True,
-    "turbo": True,
     "dispatch_policy": "spread",
     "quantum": None,
     "streaming": False,
@@ -111,15 +114,9 @@ def execute_spec(spec):
     the heavyweight imports stay inside to keep executor importable
     without dragging in the whole harness.
     """
-    from repro.apps import create_app
     from repro.harness.runner import run_app_once
 
-    app = spec.app
-    if isinstance(app, str):
-        app = create_app(app, **spec.config)
-    elif spec.config:
-        raise ValueError("config kwargs only apply when app is a name")
-    return run_app_once(app, **spec.kwargs)
+    return run_app_once(spec.app, config=spec.config, **spec.kwargs)
 
 
 def default_jobs():
@@ -141,7 +138,8 @@ class RunFailure:
     Takes the failed run's slot in the executor's result list (callers
     distinguish it from a run by type) and is collected on
     ``executor.failures``; ``kind`` is one of :data:`FAILURE_KINDS`.
-    ``spec_key`` is the slot's cache key (``None`` without a cache).
+    ``spec_key`` is the slot's cache key (``None`` only for a spec
+    without a canonical form).
     """
 
     index: int
@@ -227,7 +225,8 @@ class _CachingExecutor:
             pending.append(i)
         for i, outcome in self._execute(specs, pending):
             if isinstance(outcome, RunFailure):
-                outcome = replace(outcome, spec_key=keys[i])
+                outcome = replace(outcome,
+                                  spec_key=keys[i] or spec_key(specs[i]))
                 self.failures.append(outcome)
             elif keys[i] is not None:
                 self.cache.store(keys[i], outcome)
@@ -258,8 +257,6 @@ def _cached_result_ok(run, spec):
 class SerialExecutor(_CachingExecutor):
     """Run specs one after another in the current process."""
 
-    jobs = 1
-
     def _execute(self, specs, pending):
         for i in pending:
             result = execute_spec(specs[i])
@@ -268,12 +265,14 @@ class SerialExecutor(_CachingExecutor):
 
 
 class ParallelExecutor(_CachingExecutor):
-    """Fan specs out over a process pool.
+    """The library's futures-pool backend, passed as ``executor=``.
 
-    Results are bit-identical to :class:`SerialExecutor` because each
-    grid point is fully seed-determined and owns its environment; the
-    determinism regression test in ``tests/test_executor.py`` asserts
-    it.  Unpicklable specs run in-process rather than failing.
+    ``jobs=0`` sizes the pool to the usable CPUs (one CPU: every spec
+    runs in process).  Results are bit-identical to
+    :class:`SerialExecutor` because each grid point is fully
+    seed-determined and owns its environment; the determinism
+    regression test in ``tests/test_executor.py`` asserts it.
+    Unpicklable specs run in-process rather than failing.
     """
 
     def __init__(self, jobs=0, cache=None):
@@ -327,27 +326,6 @@ def _picklable(spec):
         return True
     except Exception:
         return False
-
-
-def resolve_executor(jobs=None, executor=None, cache=None):
-    """Map the harness keyword surface onto an executor backend.
-
-    ``executor`` wins when given (``jobs`` must then be unset);
-    ``jobs=None`` or ``1`` selects the serial backend, ``jobs=0``
-    auto-sizes a process pool, ``jobs>1`` pins its worker count.
-    """
-    if executor is not None:
-        if jobs is not None:
-            raise ValueError("pass either jobs or executor, not both")
-        return executor
-    if jobs is None or jobs == 1:
-        return SerialExecutor(cache=cache)
-    if jobs == 0 and default_jobs() == 1:
-        # Auto mode on a single usable CPU: a process pool is pure
-        # IPC/startup overhead, so auto degrades to serial.  An
-        # explicit jobs=N pool is still honoured.
-        return SerialExecutor(cache=cache)
-    return ParallelExecutor(jobs=jobs, cache=cache)
 
 
 def _app_name(spec):

@@ -10,10 +10,11 @@ the three-iteration protocol behind Table II.
 from dataclasses import dataclass, field
 
 from repro.automation import AUTOIT, InputDriver
+from repro.apps import create_app
 from repro.apps.base import AppRuntime
 from repro.gpu import GpuDevice
 from repro.hardware import paper_machine
-from repro.harness.executor import make_spec, resolve_executor
+from repro.harness.executor import DEFAULT_DURATION_US, SerialExecutor, make_spec
 from repro.metrics import (
     FrameStats,
     OnlineMetricsEngine,
@@ -23,13 +24,9 @@ from repro.metrics import (
     summarize,
 )
 from repro.os import Kernel
-from repro.sim import SECOND, Environment
+from repro.sim import Environment
 from repro.trace import CpuUsagePreciseTable, GpuUtilizationTable, TraceSession
 
-#: Default testbench length (simulated).  The paper traces runs of a
-#: few minutes; 60 simulated seconds keeps every behavioural phase
-#: while staying fast to simulate.
-DEFAULT_DURATION_US = 60 * SECOND
 #: Iterations per measurement, as in the paper.
 DEFAULT_ITERATIONS = 3
 
@@ -85,12 +82,27 @@ class AppResult:
         return self.runs[0].outputs
 
 
-def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
-                 seed=0, driver_mode=AUTOIT, keep_trace=False,
-                 gpu_method="sum", background_services=True, turbo=True,
+def _resolve(app, config):
+    """The model ``app`` names, built with ``config``; or ``app``
+    itself when it already is a model."""
+    if isinstance(app, str):
+        return create_app(app, **(config or {}))
+    if config:
+        raise ValueError("config kwargs only apply when app is a name")
+    return app
+
+
+def run_app_once(app, *, config=None, machine=None,
+                 duration_us=DEFAULT_DURATION_US, seed=0,
+                 driver_mode=AUTOIT, keep_trace=False,
                  dispatch_policy="spread", quantum=None, streaming=False,
                  validate=False, fault=None, fault_seed=0):
     """Run one traced iteration of ``app`` and measure it.
+
+    ``app`` is a registry name (built with the ``create_app`` keyword
+    arguments in ``config``) or a model instance.  Every run follows
+    the paper's protocol: turbo on, the background services booted,
+    and GPU utilization as §III-B's sum of packet-time ratios.
 
     ``streaming=True`` computes TLP / GPU utilization / frame stats
     with the in-simulation :class:`OnlineMetricsEngine` instead of
@@ -118,6 +130,7 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
     if streaming and keep_trace:
         raise ValueError("streaming=True does not retain a trace; "
                          "drop keep_trace")
+    app = _resolve(app, config)
     machine = machine or paper_machine()
     exec_fault = False
     if fault is not None:
@@ -133,10 +146,9 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
     env = Environment()
     session = TraceSession(env, machine_name=machine.cpu.name,
                            retain_records=not streaming)
-    kernel = Kernel(env, machine, session=session, seed=seed, turbo=turbo,
+    kernel = Kernel(env, machine, session=session, seed=seed,
                     dispatch_policy=dispatch_policy, quantum=quantum)
-    if background_services:
-        kernel.start_background_services()
+    kernel.start_background_services()
     gpu = GpuDevice(env, machine.gpu, session)
     driver = InputDriver(kernel, mode=driver_mode, seed=seed + 7)
     runtime = AppRuntime(kernel, gpu, driver, duration_us, seed=seed)
@@ -177,7 +189,7 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
 
     if streaming:
         tlp = engine.tlp_result()
-        gpu_util = engine.gpu_result(method=gpu_method)
+        gpu_util = engine.gpu_result()
         frame_stats = engine.frame_stats()
         cpu_table = gpu_table = None
         frames = []
@@ -187,8 +199,7 @@ def run_app_once(app, machine=None, duration_us=DEFAULT_DURATION_US,
         gpu_table = GpuUtilizationTable.from_trace(trace)
         tlp = measure_tlp(cpu_table, machine.logical_cpus,
                           processes=processes)
-        gpu_util = measure_gpu_utilization(gpu_table, processes=processes,
-                                           method=gpu_method)
+        gpu_util = measure_gpu_utilization(gpu_table, processes=processes)
         frames = [f for f in trace.frames if f.process in processes]
         marks = [m for m in trace.marks if m.process in processes]
         frame_stats = FrameStats.from_records(frames)
@@ -242,24 +253,17 @@ def _aggregate_counters(memory_model, processes):
     return merged
 
 
-def iteration_specs(app, machine=None, duration_us=DEFAULT_DURATION_US,
-                    iterations=DEFAULT_ITERATIONS, base_seed=100,
-                    driver_mode=AUTOIT, keep_trace=False, gpu_method="sum",
-                    turbo=True, dispatch_policy="spread", quantum=None,
-                    streaming=False, validate=False, fault=None,
-                    fault_seed=0):
-    """The N seed-derived grid points of one ``run_app`` measurement."""
+def iteration_specs(app, iterations=DEFAULT_ITERATIONS, base_seed=100,
+                    **knobs):
+    """The N seed-derived grid points of one ``run_app`` measurement.
+
+    ``knobs`` are :func:`run_app_once`'s (every one but ``seed``);
+    :func:`~repro.harness.executor.make_spec` rejects any other name.
+    """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    return [
-        make_spec(app, machine=machine, duration_us=duration_us,
-                  seed=base_seed + 17 * k, driver_mode=driver_mode,
-                  keep_trace=keep_trace, gpu_method=gpu_method,
-                  turbo=turbo, dispatch_policy=dispatch_policy,
-                  quantum=quantum, streaming=streaming, validate=validate,
-                  fault=fault, fault_seed=fault_seed)
-        for k in range(iterations)
-    ]
+    return [make_spec(app, seed=base_seed + 17 * k, **knobs)
+            for k in range(iterations)]
 
 
 def summarize_runs(app, runs):
@@ -295,27 +299,16 @@ def summarize_runs(app, runs):
     )
 
 
-def run_app(app, machine=None, duration_us=DEFAULT_DURATION_US,
-            iterations=DEFAULT_ITERATIONS, base_seed=100,
-            driver_mode=AUTOIT, keep_trace=False, gpu_method="sum",
-            turbo=True, dispatch_policy="spread", quantum=None,
-            jobs=None, executor=None, cache=None, streaming=False,
-            validate=False):
+def run_app(app, *, config=None, iterations=DEFAULT_ITERATIONS,
+            base_seed=100, executor=None, **knobs):
     """Run ``iterations`` seeded repetitions and summarize them.
 
-    ``jobs`` selects the execution backend (``None``/1 serial, 0 an
-    auto-sized process pool, N a pool of N workers); alternatively
-    pass a prebuilt ``executor``.  ``cache`` is an optional
-    :class:`~repro.harness.cache.ResultCache` consulted per iteration.
-    ``validate=True`` runs every iteration under the trace-invariant
-    checker (see :func:`run_app_once`).
+    ``app`` is a registry name (built once, with ``config``) or a
+    model; ``knobs`` are :func:`iteration_specs`'.  The runs go through
+    ``executor`` (a fresh :class:`~repro.harness.executor.SerialExecutor`
+    when none is given): pass one with workers, retries or a
+    :class:`~repro.harness.cache.ResultCache` to get those.
     """
-    specs = iteration_specs(
-        app, machine=machine, duration_us=duration_us,
-        iterations=iterations, base_seed=base_seed,
-        driver_mode=driver_mode, keep_trace=keep_trace,
-        gpu_method=gpu_method, turbo=turbo,
-        dispatch_policy=dispatch_policy, quantum=quantum,
-        streaming=streaming, validate=validate)
-    runs = resolve_executor(jobs=jobs, executor=executor, cache=cache).map(specs)
-    return summarize_runs(app, runs)
+    app = _resolve(app, config)
+    specs = iteration_specs(app, iterations, base_seed, **knobs)
+    return summarize_runs(app, (executor or SerialExecutor()).map(specs))

@@ -6,17 +6,16 @@ and the TLP > 4 count the paper's abstract headlines.
 
 The whole protocol is one flat grid of independent simulations
 (30 applications x 3 iterations), so it submits through the execution
-engine in a single batch: ``jobs=N`` fans the grid out over N worker
-processes with bit-identical results, and a ``cache`` skips grid
-points a previous campaign already computed.
+engine in a single batch: an ``executor=`` with N workers fans the
+grid out with bit-identical results, and one built over a result
+cache skips grid points a previous campaign already computed.
 """
 
 from dataclasses import dataclass, field
 
 from repro.apps import CATEGORIES, SUITE, create_app
-from repro.harness.executor import resolve_executor
+from repro.harness.executor import SerialExecutor
 from repro.harness.runner import (
-    DEFAULT_DURATION_US,
     DEFAULT_ITERATIONS,
     iteration_specs,
     summarize_runs,
@@ -66,22 +65,21 @@ class SuiteResult:
                 if r.max_instantaneous >= n_logical]
 
 
-def suite_spans(names, machine=None, duration_us=DEFAULT_DURATION_US,
-                iterations=DEFAULT_ITERATIONS, **kwargs):
+def suite_spans(names, iterations=DEFAULT_ITERATIONS, **knobs):
     """The flat spec grid of one suite, plus its per-app spans.
 
-    Returns ``(spans, specs)`` where ``spans`` is ``[(app, lo, hi),
-    ...]`` naming the slice of ``specs`` that measures each app.  The
-    sweep service submits through this too, so a service sweep and a
-    CLI suite of the same request are the *same* grid points — equal
-    cache keys, equal digests, equal results.
+    ``knobs`` (``base_seed`` and the run knobs) go to every app's
+    :func:`~repro.harness.runner.iteration_specs`.  Returns ``(spans,
+    specs)`` where ``spans`` is ``[(app, lo, hi), ...]`` naming the
+    slice of ``specs`` that measures each app.  The sweep service
+    submits through this too, so a service sweep and a CLI suite of
+    the same request are the *same* grid points — equal cache keys,
+    equal digests, equal results.
     """
     specs, spans = [], []
     for name in names:
         app = create_app(name)
-        app_specs = iteration_specs(app, machine=machine,
-                                    duration_us=duration_us,
-                                    iterations=iterations, **kwargs)
+        app_specs = iteration_specs(app, iterations, **knobs)
         spans.append((app, len(specs), len(specs) + len(app_specs)))
         specs.extend(app_specs)
     return spans, specs
@@ -105,14 +103,16 @@ def aggregate_results(spans, runs):
     return results
 
 
-def run_suite(names=SUITE, machine=None, duration_us=DEFAULT_DURATION_US,
-              iterations=DEFAULT_ITERATIONS, jobs=None, executor=None,
-              cache=None, **kwargs):
-    """Run the Table II protocol over ``names`` and aggregate."""
-    executor = resolve_executor(jobs=jobs, executor=executor, cache=cache)
-    spans, specs = suite_spans(names, machine=machine,
-                               duration_us=duration_us,
-                               iterations=iterations, **kwargs)
+def run_suite(names=SUITE, iterations=DEFAULT_ITERATIONS, executor=None,
+              **knobs):
+    """Run the Table II protocol over ``names`` and aggregate.
+
+    ``knobs`` are :func:`suite_spans`'; the grid runs on ``executor``,
+    a fresh :class:`~repro.harness.executor.SerialExecutor` when none
+    is given.
+    """
+    executor = executor or SerialExecutor()
+    spans, specs = suite_spans(names, iterations, **knobs)
     runs = executor.map(specs)
     return SuiteResult(
         results=aggregate_results(spans, runs),

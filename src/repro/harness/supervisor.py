@@ -271,9 +271,10 @@ class SupervisedExecutor(_CachingExecutor):
     ``map`` restores and stores cached runs and collects failures;
     this class supplies only ``_execute``.  Slots of runs that
     exhausted their attempts hold :class:`RunFailure` records instead
-    of results.  ``jobs`` follows :func:`resolve_executor` semantics —
-    except that a ``deadline_s`` forces process isolation even for
-    ``jobs=1``, because an in-process run cannot be killed.
+    of results.  ``jobs=None`` or 1 runs in process, N on N pooled
+    workers, and 0 on one worker per usable CPU (none on a one-CPU
+    machine) — except that a ``deadline_s`` forces process isolation
+    even for ``jobs=1``, because an in-process run cannot be killed.
 
     A pooled worker holds one run at a time, so ``deadline_s`` is one
     run's budget, and a worker that dies or is killed charges exactly

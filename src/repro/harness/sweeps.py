@@ -10,22 +10,18 @@ These drive the paper's architectural-decision experiments:
 
 Every grid point is an independent simulation, so each sweep builds
 its full grid of :class:`~repro.harness.executor.RunSpec` up front
-and submits it through the execution engine in one batch — ``jobs=N``
-/ ``executor=`` / ``cache=`` work exactly as in ``run_suite``.
+and submits it through the execution engine in one batch, on the
+``executor=`` given — exactly as in ``run_suite``.  The other keyword
+arguments are run knobs (see :func:`~repro.harness.runner.run_app`).
 """
 
 from repro.hardware import GTX_1080_TI, GTX_680, paper_machine
-from repro.harness.executor import make_spec, resolve_executor
-from repro.harness.runner import (
-    DEFAULT_DURATION_US,
-    iteration_specs,
-    summarize_runs,
-)
+from repro.harness.executor import SerialExecutor, make_spec
+from repro.harness.runner import iteration_specs, summarize_runs
 
 
 def core_scaling_sweep(app_factory, logical_cpus=(4, 8, 12), machine=None,
-                       duration_us=DEFAULT_DURATION_US, iterations=1,
-                       jobs=None, executor=None, cache=None, **kwargs):
+                       iterations=1, executor=None, **knobs):
     """Run an app at several logical-CPU counts (SMT enabled).
 
     ``app_factory`` is a zero-argument callable returning a *fresh*
@@ -33,24 +29,21 @@ def core_scaling_sweep(app_factory, logical_cpus=(4, 8, 12), machine=None,
     ordered dict ``{count: AppResult}``.
     """
     base = machine or paper_machine()
-    executor = resolve_executor(jobs=jobs, executor=executor, cache=cache)
     specs, spans = [], []
     for count in logical_cpus:
         app = app_factory()
-        app_specs = iteration_specs(app,
+        app_specs = iteration_specs(app, iterations,
                                     machine=base.with_logical_cpus(count),
-                                    duration_us=duration_us,
-                                    iterations=iterations, **kwargs)
+                                    **knobs)
         spans.append((count, app, len(specs), len(specs) + len(app_specs)))
         specs.extend(app_specs)
-    runs = executor.map(specs)
+    runs = (executor or SerialExecutor()).map(specs)
     return {count: summarize_runs(app, runs[lo:hi])
             for count, app, lo, hi in spans}
 
 
-def smt_sweep(app_factory, physical_cores=(2, 4, 6), gpus=None,
-              duration_us=DEFAULT_DURATION_US, seed=11, jobs=None,
-              executor=None, cache=None, **kwargs):
+def smt_sweep(app_factory, physical_cores=(2, 4, 6), gpus=None, seed=11,
+              executor=None, **knobs):
     """The Fig. 8 grid: physical cores x SMT on/off x GPU model.
 
     Returns ``{(gpu_name, smt_enabled, cores): SingleRun}``.  With SMT
@@ -58,7 +51,6 @@ def smt_sweep(app_factory, physical_cores=(2, 4, 6), gpus=None,
     SMT off they expose ``cores``.
     """
     gpus = gpus or (GTX_1080_TI, GTX_680)
-    executor = resolve_executor(jobs=jobs, executor=executor, cache=cache)
     keys, specs = [], []
     for gpu in gpus:
         base = paper_machine().with_gpu(gpu)
@@ -68,25 +60,21 @@ def smt_sweep(app_factory, physical_cores=(2, 4, 6), gpus=None,
                     cores * (2 if smt else 1))
                 keys.append((gpu.name, smt, cores))
                 specs.append(make_spec(app_factory(), machine=machine,
-                                       duration_us=duration_us, seed=seed,
-                                       **kwargs))
-    return dict(zip(keys, executor.map(specs)))
+                                       seed=seed, **knobs))
+    return dict(zip(keys, (executor or SerialExecutor()).map(specs)))
 
 
-def gpu_swap_sweep(app_factory, gpus=None, duration_us=DEFAULT_DURATION_US,
-                   iterations=1, jobs=None, executor=None, cache=None,
-                   **kwargs):
+def gpu_swap_sweep(app_factory, gpus=None, iterations=1, executor=None,
+                   **knobs):
     """Run an app on each GPU; returns ``{gpu_name: AppResult}``."""
     gpus = gpus or (GTX_680, GTX_1080_TI)
-    executor = resolve_executor(jobs=jobs, executor=executor, cache=cache)
     specs, spans = [], []
     for gpu in gpus:
         app = app_factory()
         app_specs = iteration_specs(
-            app, machine=paper_machine().with_gpu(gpu),
-            duration_us=duration_us, iterations=iterations, **kwargs)
+            app, iterations, machine=paper_machine().with_gpu(gpu), **knobs)
         spans.append((gpu.name, app, len(specs), len(specs) + len(app_specs)))
         specs.extend(app_specs)
-    runs = executor.map(specs)
+    runs = (executor or SerialExecutor()).map(specs)
     return {name: summarize_runs(app, runs[lo:hi])
             for name, app, lo, hi in spans}

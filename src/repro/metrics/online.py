@@ -337,13 +337,14 @@ class OnlineMetricsEngine:
             sweep.profile, sweep.max_concurrency,
             self.n_logical, self._window_us)
 
-    def gpu_result(self, method="sum"):
-        """GPU utilization of the last window — bit-identical to
-        ``measure_gpu_utilization`` over the equivalent trace."""
+    def gpu_result(self):
+        """GPU utilization of the last window (§III-B's sum method) —
+        bit-identical to ``measure_gpu_utilization`` over the
+        equivalent trace."""
         sweep = self._sealed(self._gpu_sweep)
         return gpu_result_from_totals(
             self._gpu_busy_sum, sweep.union_length, sweep.max_concurrency,
-            self._window_us, method)
+            self._window_us, "sum")
 
     def frame_stats(self):
         """Frame-present summary of the last (or current) window."""

@@ -6,7 +6,7 @@ records the paper extracts from ETW's CPU Usage (Precise) analysis.
 """
 
 from repro.os.energy import EnergyModel, EnergyReport
-from repro.os.kernel import Kernel, boot
+from repro.os.kernel import Kernel
 from repro.os.memmodel import MemoryModel, ProcessCounters
 from repro.os.scheduler import (
     DEFAULT_QUANTUM,
@@ -43,7 +43,6 @@ __all__ = [
     "Thread",
     "ThreadContext",
     "ThreadState",
-    "boot",
     "build_topology",
     "smt_pair_throughput",
     "WorkClass",

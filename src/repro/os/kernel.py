@@ -110,12 +110,3 @@ class Kernel:
                               WorkClass.UI)
 
         return body
-
-
-def boot(env, machine, session=None, seed=0, background_services=True,
-         turbo=True):
-    """Convenience: construct a kernel and start background services."""
-    kernel = Kernel(env, machine, session=session, seed=seed, turbo=turbo)
-    if background_services:
-        kernel.start_background_services()
-    return kernel

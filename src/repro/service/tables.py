@@ -97,7 +97,7 @@ class TableStore:
 
     # -- mutation path -------------------------------------------------
 
-    def update_goldens(self, apps, jobs=None):
+    def update_goldens(self, apps):
         """Re-record golden fingerprints for ``apps`` and merge them
         into the golden file — the caller holds :attr:`mutation_lock`.
         """
@@ -107,7 +107,7 @@ class TableStore:
             save_goldens,
         )
 
-        fingerprints = compute_fingerprints(apps, jobs=jobs)
+        fingerprints = compute_fingerprints(apps)
         try:
             merged = load_goldens(self.golden_path)
         except FileNotFoundError:

@@ -11,24 +11,21 @@ Public surface::
 """
 
 from repro.sim.environment import Environment, NORMAL, URGENT
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import Event, Process, Timeout
 from repro.sim.exceptions import Interrupt, SimulationError, StopSimulation
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 #: Microseconds per millisecond / second — helpers for readable literals.
 MS = 1_000
 SECOND = 1_000_000
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
     "MS",
     "NORMAL",
     "Process",
-    "Resource",
     "SECOND",
     "SimulationError",
     "StopSimulation",

@@ -9,7 +9,7 @@ import sys
 from heapq import heappop, heappush
 from sys import getrefcount
 
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import Event, Process, Timeout
 from repro.sim.exceptions import SimulationError, StopSimulation
 
 #: Default event priority.  Lower numbers fire first at equal times.
@@ -82,21 +82,9 @@ class Environment:
         """Start a new process from ``generator`` and return it."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events):
-        """Event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events):
-        """Event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     def stop(self, value=None):
         """Halt the run loop immediately (usable from inside a process)."""
         raise StopSimulation(value)
-
-    def peek(self):
-        """Time of the next scheduled event, or ``None`` if queue empty."""
-        return self._queue[0][0] if self._queue else None
 
     def quiescent(self):
         """True when no *other* event can run at the current instant.

@@ -125,68 +125,6 @@ class Timeout(Event):
                  (env._now + int(delay), _NORMAL, env._eid, self))
 
 
-class AnyOf(Event):
-    """Fires as soon as *any* of ``events`` fires.
-
-    The value is a dict mapping each already-fired event to its value.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, env, events):
-        super().__init__(env)
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.processed:
-                self._collect(event)
-                break
-            event.callbacks.append(self._collect)
-
-    def _collect(self, _event):
-        if self.triggered:
-            return
-        done = {e: e.value for e in self.events if e.processed and e.ok}
-        failed = [e for e in self.events if e.processed and not e.ok]
-        if failed:
-            self.fail(failed[0].value)
-        else:
-            self.succeed(done)
-
-
-class AllOf(Event):
-    """Fires once *all* of ``events`` have fired.
-
-    The value is a dict mapping every event to its value.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, env, events):
-        super().__init__(env)
-        self.events = list(events)
-        self._remaining = 0
-        for event in self.events:
-            if event.processed:
-                continue
-            self._remaining += 1
-            event.callbacks.append(self._collect)
-        if self._remaining == 0:
-            self.succeed({e: e.value for e in self.events})
-
-    def _collect(self, event):
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({e: e.value for e in self.events})
-
-
 class Process(Event):
     """A running simulation process wrapping a generator.
 

@@ -1,58 +1,12 @@
-"""Shared-resource primitives built on the event kernel.
+"""A shared-resource primitive built on the event kernel.
 
-These are used by higher layers: :class:`Resource` models exclusive
-devices (a GPU engine executing one packet at a time), :class:`Store`
-models bounded producer/consumer queues (video pipelines, browser IPC).
+:class:`Store` models bounded producer/consumer queues; the OS layer's
+message queues (video pipelines, browser IPC) are built on it.
 """
 
 from collections import deque
 
 from repro.sim.events import Event
-
-
-class Resource:
-    """A capacity-limited resource with FIFO granting.
-
-    Usage from a process::
-
-        request = resource.request()
-        yield request
-        ...use the resource...
-        resource.release(request)
-    """
-
-    def __init__(self, env, capacity=1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.users = set()
-        self.queue = deque()
-
-    @property
-    def count(self):
-        """Number of requests currently holding the resource."""
-        return len(self.users)
-
-    def request(self):
-        """Return an event that fires when the resource is granted."""
-        event = Event(self.env)
-        if len(self.users) < self.capacity:
-            self.users.add(event)
-            event.succeed()
-        else:
-            self.queue.append(event)
-        return event
-
-    def release(self, request):
-        """Release a previously granted ``request``."""
-        if request not in self.users:
-            raise ValueError("releasing a request that does not hold the resource")
-        self.users.discard(request)
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.popleft()
-            self.users.add(nxt)
-            nxt.succeed()
 
 
 class Store:

@@ -32,15 +32,7 @@ from repro.trace.records import (
     GpuPacketRecord,
     MarkRecord,
 )
-from repro.trace.session import (
-    ALL_PROVIDERS,
-    CPU_USAGE_PRECISE,
-    FRAME_PRESENTS,
-    GPU_UTILIZATION_FM,
-    MARKS,
-    NullSession,
-    TraceSession,
-)
+from repro.trace.session import NullSession, TraceSession
 from repro.trace.wpa import (
     CpuUsagePreciseTable,
     GpuUtilizationTable,
@@ -50,8 +42,6 @@ from repro.trace.wpa import (
 )
 
 __all__ = [
-    "ALL_PROVIDERS",
-    "CPU_USAGE_PRECISE",
     "ContextSwitchRecord",
     "CpuUsagePreciseTable",
     "CswitchColumns",
@@ -60,12 +50,9 @@ __all__ = [
     "GpuPacketColumns",
     "MarkColumns",
     "NameTable",
-    "FRAME_PRESENTS",
     "FramePresentRecord",
-    "GPU_UTILIZATION_FM",
     "GpuPacketRecord",
     "GpuUtilizationTable",
-    "MARKS",
     "MarkRecord",
     "NullSession",
     "SampledProfile",

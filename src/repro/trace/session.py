@@ -30,26 +30,17 @@ from repro.trace.columns import (
 )
 from repro.trace.etl import EtlTrace
 
-#: Provider flags, mirroring the WPA analyses the paper extracts.
-CPU_USAGE_PRECISE = "cpu-usage-precise"
-GPU_UTILIZATION_FM = "gpu-utilization-fm"
-FRAME_PRESENTS = "frame-presents"
-MARKS = "marks"
-
-ALL_PROVIDERS = frozenset(
-    {CPU_USAGE_PRECISE, GPU_UTILIZATION_FM, FRAME_PRESENTS, MARKS})
-
 
 class TraceSession:
-    """Collects records between :meth:`start` and :meth:`stop`."""
+    """Collects records between :meth:`start` and :meth:`stop`.
 
-    def __init__(self, env, providers=ALL_PROVIDERS, machine_name="",
-                 retain_records=True):
-        unknown = set(providers) - ALL_PROVIDERS
-        if unknown:
-            raise ValueError(f"unknown trace providers: {sorted(unknown)}")
+    A session records every provider the paper's WPA analyses read:
+    context switches (CPU Usage (Precise)), GPU packets (GPU
+    Utilization (FM)), frame presents and marks.
+    """
+
+    def __init__(self, env, machine_name="", retain_records=True):
         self.env = env
-        self.providers = frozenset(providers)
         self.machine_name = machine_name
         self.retain_records = retain_records
         self.recording = False
@@ -98,15 +89,13 @@ class TraceSession:
         # While recording with retention, the two high-volume
         # emit hooks collapse to the column stores' bound ``append``
         # methods (instance attributes shadowing the class methods):
-        # the per-record provider/flag checks run once here instead of
-        # tens of thousands of times in the scheduler hot loop.  The
+        # the per-record flag checks run once here instead of tens of
+        # thousands of times in the scheduler hot loop.  The
         # signatures match field-for-field; :meth:`stop` removes the
         # shadows so the checking class methods return.
         if self.retain_records:
-            if CPU_USAGE_PRECISE in self.providers:
-                self.emit_cswitch = self._cswitches.append
-            if GPU_UTILIZATION_FM in self.providers:
-                self.emit_gpu_packet = self._gpu_packets.append
+            self.emit_cswitch = self._cswitches.append
+            self.emit_gpu_packet = self._gpu_packets.append
         for consumer in self.subscribers:
             consumer.on_window_start(self.env.now)
 
@@ -142,23 +131,21 @@ class TraceSession:
 
     def emit_cswitch(self, process, pid, tid, thread_name, cpu,
                      ready_time, switch_in_time, switch_out_time):
-        if self.recording and CPU_USAGE_PRECISE in self.providers:
-            if self.retain_records:
-                self._cswitches.append(
-                    process, pid, tid, thread_name, cpu,
-                    ready_time, switch_in_time, switch_out_time)
+        if self.recording and self.retain_records:
+            self._cswitches.append(
+                process, pid, tid, thread_name, cpu,
+                ready_time, switch_in_time, switch_out_time)
 
     def emit_gpu_packet(self, process, pid, engine, packet_type,
                         submit_time, start_execution, finished):
-        if self.recording and GPU_UTILIZATION_FM in self.providers:
-            if self.retain_records:
-                self._gpu_packets.append(
-                    process, pid, engine, packet_type,
-                    submit_time, start_execution, finished)
+        if self.recording and self.retain_records:
+            self._gpu_packets.append(
+                process, pid, engine, packet_type,
+                submit_time, start_execution, finished)
 
     def emit_frame(self, process, pid, present_time, target_fps,
                    reprojected=False):
-        if self.recording and FRAME_PRESENTS in self.providers:
+        if self.recording:
             if self.retain_records:
                 self._frames.append(process, pid, present_time,
                                     target_fps, reprojected)
@@ -167,7 +154,7 @@ class TraceSession:
                                   reprojected)
 
     def emit_mark(self, process, pid, label):
-        if self.recording and MARKS in self.providers:
+        if self.recording:
             if self.retain_records:
                 self._marks.append(process, pid, self.env.now, label)
             for consumer in self.subscribers:

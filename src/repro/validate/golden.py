@@ -25,7 +25,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.harness.executor import make_spec, resolve_executor
+from repro.harness.executor import SerialExecutor, make_spec
 from repro.hardware import paper_machine
 from repro.sim import SECOND
 
@@ -91,20 +91,21 @@ def fingerprint_run(run):
     return payload
 
 
-def compute_fingerprints(apps, configs=GOLDEN_CONFIGS, jobs=None,
-                         executor=None, streaming=False):
+def compute_fingerprints(apps, configs=GOLDEN_CONFIGS, executor=None,
+                         streaming=False):
     """Fingerprint every ``app x config`` grid point.
 
     Returns ``{app: {config_id: fingerprint}}``.  The grid is one flat
-    batch of independent specs, so it fans out over any executor
-    backend (``jobs=N``) with bit-identical results — that equivalence
-    is exactly what the golden tests assert.
+    batch of independent specs, so it fans out over any ``executor``
+    (a fresh :class:`~repro.harness.executor.SerialExecutor` when none
+    is given) with bit-identical results — that equivalence is exactly
+    what the golden tests assert.
     """
     grid = [(app, cores, smt)
             for app in apps for cores, smt in configs]
     specs = [golden_spec(app, cores, smt, streaming=streaming)
              for app, cores, smt in grid]
-    runs = resolve_executor(jobs=jobs, executor=executor).map(specs)
+    runs = (executor or SerialExecutor()).map(specs)
     fingerprints = {}
     for (app, cores, smt), run in zip(grid, runs):
         fingerprints.setdefault(app, {})[config_id(cores, smt)] = \

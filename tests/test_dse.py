@@ -34,9 +34,8 @@ from repro.harness.executor import (
     SerialExecutor,
     execute_spec,
     make_spec,
-    resolve_executor,
 )
-from repro.harness.supervisor import SupervisedExecutor
+from repro.harness.supervisor import RunFailure, SupervisedExecutor
 from repro.hardware import paper_machine
 from repro.hardware.catalog import (
     FREQ_SCALE,
@@ -267,11 +266,15 @@ class TestCampaign:
 
     def test_failed_base_run_leaves_its_group_unscored(self):
         class FirstBaseRunFails:
-            failures = []
+            def __init__(self):
+                self.failures = []
 
             def map(self, specs):
                 results = SerialExecutor().map(specs)
-                results[0] = None
+                results[0] = RunFailure(index=0, app="chrome", seed=0,
+                                        kind="crash", attempts=1,
+                                        detail="injected")
+                self.failures.append(results[0])
                 return results
 
         machines = generate_machines(12, seed=3)
@@ -304,8 +307,9 @@ class TestCampaign:
 
         monkeypatch.setattr(supervisor, "execute_spec", hang_first_base_run)
         result = run_campaign(["excel"], machines, duration_us=SHORT,
-                              jobs=2, deadline_s=2.0,
-                              equivalence_samples=0)
+                              equivalence_samples=0,
+                              executor=SupervisedExecutor(jobs=2,
+                                                          deadline_s=2.0))
         assert result.stats.failed_runs == 1
         [failure] = result.failures
         assert failure.kind == "deadline" and failure.attempts == 1
@@ -361,7 +365,7 @@ class TestEquivalenceCheck:
             run = replace(run, energy=replace(run.energy,
                                               cpu_active_j=cpu_active_j))
         return _check_equivalence([("excel", 0)], [run], [machine],
-                                  scores, rtol=1e-6)
+                                  scores)
 
     def test_untouched_run_passes(self):
         report = self.check()
@@ -386,19 +390,26 @@ class TestAutoModeClamp:
     def test_auto_jobs_degrade_to_serial_on_one_cpu(self, monkeypatch):
         monkeypatch.setattr("repro.harness.executor.default_jobs",
                             lambda: 1)
-        assert isinstance(resolve_executor(jobs=0), SerialExecutor)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("auto mode on one CPU started a pool")
+
+        monkeypatch.setattr("repro.harness.executor._ProcessPool", no_pool)
+        executor = ParallelExecutor(jobs=0)
+        assert executor.jobs == 1
+        runs = executor.map([short_spec(seed=seed) for seed in (0, 1)])
+        assert executor.executed == 2
+        assert all(run.tlp.tlp > 0 for run in runs)
 
     def test_auto_jobs_keep_pool_on_many_cpus(self, monkeypatch):
         monkeypatch.setattr("repro.harness.executor.default_jobs",
                             lambda: 4)
-        executor = resolve_executor(jobs=0)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.jobs == 4
+        assert ParallelExecutor(jobs=0).jobs == 4
 
     def test_explicit_jobs_still_build_a_pool(self, monkeypatch):
         monkeypatch.setattr("repro.harness.executor.default_jobs",
                             lambda: 1)
-        assert isinstance(resolve_executor(jobs=2), ParallelExecutor)
+        assert ParallelExecutor(jobs=2).jobs == 2
 
     def test_supervisor_auto_degrades_to_no_pool(self, monkeypatch):
         monkeypatch.setattr("repro.harness.supervisor.default_jobs",
@@ -430,10 +441,12 @@ class TestMachineDigestCache:
         machines = generate_machines(6, seed=2)
         cold = run_campaign(["excel"], machines, duration_us=SHORT,
                             equivalence_samples=2,
-                            cache=ResultCache(tmp_path))
+                            executor=SupervisedExecutor(
+                                cache=ResultCache(tmp_path)))
         warm = run_campaign(["excel"], machines, duration_us=SHORT,
                             equivalence_samples=2,
-                            cache=ResultCache(tmp_path))
+                            executor=SupervisedExecutor(
+                                cache=ResultCache(tmp_path)))
         assert [s.to_payload() for s in cold.scores["excel"]] == \
             [s.to_payload() for s in warm.scores["excel"]]
 

@@ -6,6 +6,8 @@ to a serial run — same TLP fractions, same GPU utilization, float for
 float.
 """
 
+import inspect
+
 import pytest
 
 from repro.apps.transcoding import HandBrake
@@ -13,12 +15,18 @@ from repro.harness import (
     ParallelExecutor,
     SerialExecutor,
     make_spec,
-    resolve_executor,
+    run_app,
     run_suite,
     smt_sweep,
 )
 from repro.harness.cache import ResultCache
-from repro.harness.executor import _CachingExecutor, default_jobs, execute_spec
+from repro.harness.executor import (
+    RUN_DEFAULTS,
+    _CachingExecutor,
+    default_jobs,
+    execute_spec,
+)
+from repro.harness.runner import run_app_once
 from repro.harness.supervisor import SupervisedExecutor
 from repro.hardware import GTX_1080_TI, paper_machine
 from repro.sim import SECOND
@@ -27,26 +35,33 @@ from repro.validate import fingerprint_run
 SHORT = 3 * SECOND
 
 
-class TestResolveExecutor:
-    def test_default_is_serial(self):
-        assert isinstance(resolve_executor(), SerialExecutor)
-        assert isinstance(resolve_executor(jobs=1), SerialExecutor)
+class TestExecutorChoice:
+    """A library call runs on the ``executor=`` it is given, and on a
+    fresh :class:`SerialExecutor` without one."""
+
+    def test_default_is_serial(self, monkeypatch):
+        used = []
+        execute = SerialExecutor._execute
+
+        def spy(self, specs, pending):
+            used.append(self)
+            return execute(self, specs, pending)
+
+        monkeypatch.setattr(SerialExecutor, "_execute", spy)
+        run_app("excel", duration_us=SHORT, iterations=1)
+        run_suite(names=("excel",), duration_us=SHORT, iterations=1)
+        assert len(used) == 2 and used[0] is not used[1]
 
     def test_jobs_n_is_parallel(self):
-        executor = resolve_executor(jobs=4)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.jobs == 4
+        assert ParallelExecutor(jobs=4).jobs == 4
 
     def test_jobs_zero_autosizes(self):
-        assert resolve_executor(jobs=0).jobs == default_jobs() >= 1
+        assert ParallelExecutor(jobs=0).jobs == default_jobs() >= 1
 
     def test_explicit_executor_wins(self):
         executor = SerialExecutor()
-        assert resolve_executor(executor=executor) is executor
-
-    def test_jobs_and_executor_conflict(self):
-        with pytest.raises(ValueError):
-            resolve_executor(jobs=2, executor=SerialExecutor())
+        run_app("excel", duration_us=SHORT, iterations=2, executor=executor)
+        assert executor.executed == 2
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -63,6 +78,12 @@ class TestSpecs:
     def test_make_spec_rejects_unknown_knob(self):
         with pytest.raises(TypeError):
             make_spec("excel", quantums=1)
+
+    def test_run_defaults_are_run_app_once_defaults(self):
+        params = inspect.signature(run_app_once).parameters
+        assert RUN_DEFAULTS == {
+            name: param.default for name, param in params.items()
+            if name not in ("app", "config")}
 
     def test_execute_spec_by_name_and_config(self):
         run = execute_spec(make_spec("winx", config={"use_gpu": False},
@@ -83,9 +104,9 @@ class TestDeterminism:
     @pytest.fixture(scope="class")
     def suites(self):
         serial = run_suite(names=self.NAMES, duration_us=SHORT,
-                           iterations=2, jobs=1)
+                           iterations=2, executor=SerialExecutor())
         parallel = run_suite(names=self.NAMES, duration_us=SHORT,
-                             iterations=2, jobs=4)
+                             iterations=2, executor=ParallelExecutor(jobs=4))
         return serial, parallel
 
     def test_fractions_bit_identical(self, suites):
@@ -135,7 +156,7 @@ class TestParallelBackend:
             return smt_sweep(lambda: HandBrake(), physical_cores=(2,),
                              gpus=(GTX_1080_TI,), duration_us=SHORT, **kw)
 
-        serial, parallel = grid(), grid(jobs=2)
+        serial, parallel = grid(), grid(executor=ParallelExecutor(jobs=2))
         assert set(serial) == set(parallel)
         for key in serial:
             assert serial[key].tlp.fractions == parallel[key].tlp.fractions

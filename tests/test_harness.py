@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.harness
 from repro.apps.transcoding import HandBrake, WinXVideoConverter
 from repro.harness import (
     core_scaling_sweep,
@@ -14,6 +15,7 @@ from repro.harness import (
     run_app,
     run_app_once,
     run_suite,
+    runner,
     smt_sweep,
 )
 from repro.hardware import GTX_1080_TI, GTX_680
@@ -24,20 +26,34 @@ SHORT = 15 * SECOND
 
 
 class TestRunner:
+    def test_harness_reexports_the_runner(self):
+        assert repro.harness.run_app is runner.run_app
+        assert repro.harness.run_app_once is runner.run_app_once
+
     def test_run_app_once_by_name(self):
-        result = run_app_once("excel", duration_us=SHORT, seed=2)
+        result = runner.run_app_once("excel", duration_us=SHORT, seed=2)
         assert result.app_name == "excel"
         assert result.tlp.tlp > 0
         assert "EXCEL.EXE" in result.process_names
 
     def test_run_app_once_with_config(self):
-        result = run_app_once("winx", config={"use_gpu": False},
-                              duration_us=SHORT, seed=2)
+        result = runner.run_app_once("winx", config={"use_gpu": False},
+                                     duration_us=SHORT, seed=2)
+        assert result.outputs["gpu_path"] is False
+
+    def test_run_app_with_config(self):
+        result = runner.run_app("winx", config={"use_gpu": False},
+                                duration_us=SHORT, iterations=1)
         assert result.outputs["gpu_path"] is False
 
     def test_config_rejected_for_model_instances(self):
-        with pytest.raises(ValueError):
-            run_app_once(HandBrake(), config={"x": 1}, duration_us=SHORT)
+        with pytest.raises(ValueError,
+                           match="config kwargs only apply when app is a name"):
+            runner.run_app_once(HandBrake(), config={"x": 1},
+                                duration_us=SHORT)
+        with pytest.raises(ValueError,
+                           match="config kwargs only apply when app is a name"):
+            runner.run_app(HandBrake(), config={"x": 1}, duration_us=SHORT)
 
     def test_iterations_summarized(self):
         result = run_app("excel", duration_us=SHORT, iterations=3)

@@ -128,14 +128,6 @@ class TestStreamingRunEquivalence:
             assert live.gpu_util.capped == post.gpu_util.capped
             assert live.frame_stats == post.frame_stats
 
-    def test_union_method_also_identical(self):
-        post = run_app_once(create_app("premiere"), duration_us=2 * SECOND,
-                            seed=3, gpu_method="union")
-        live = run_app_once(create_app("premiere"), duration_us=2 * SECOND,
-                            seed=3, gpu_method="union", streaming=True)
-        assert (live.gpu_util.utilization_pct
-                == post.gpu_util.utilization_pct)
-
     def test_streaming_rejects_keep_trace(self):
         import pytest
 

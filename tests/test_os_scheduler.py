@@ -5,7 +5,7 @@ import pytest
 from repro.apps import SUITE, create_app
 from repro.harness import run_app_once
 from repro.hardware import GTX_1080_TI, MachineSpec, paper_machine
-from repro.os import Kernel, ThreadState, WorkClass, boot, build_topology
+from repro.os import Kernel, ThreadState, WorkClass, build_topology
 from repro.sim import MS, SECOND, Environment
 from repro.trace import CpuUsagePreciseTable, TraceSession
 
@@ -246,7 +246,8 @@ class TestBackgroundServices:
     def test_services_appear_in_trace_but_are_light(self):
         env = Environment()
         session = TraceSession(env)
-        kernel = boot(env, paper_machine(), session=session, seed=3)
+        kernel = Kernel(env, paper_machine(), session=session, seed=3)
+        kernel.start_background_services()
         session.start()
         env.run(until=3 * SECOND)
         trace = session.stop()

@@ -64,7 +64,8 @@ class TestSpecKeys:
 class TestResultCache:
     def test_hit_returns_identical_result(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = run_app("excel", duration_us=SHORT, iterations=2, cache=cache)
+        cold = run_app("excel", duration_us=SHORT, iterations=2,
+                       executor=SerialExecutor(cache=cache))
         assert (cache.hits, cache.misses, cache.stores) == (0, 2, 2)
 
         executor = SerialExecutor(cache=ResultCache(tmp_path))
@@ -79,7 +80,7 @@ class TestResultCache:
     def test_warm_suite_runs_zero_simulations(self, tmp_path):
         names = ("excel", "vlc")
         cold = run_suite(names=names, duration_us=SHORT, iterations=2,
-                         cache=ResultCache(tmp_path))
+                         executor=SerialExecutor(cache=ResultCache(tmp_path)))
         executor = SerialExecutor(cache=ResultCache(tmp_path))
         warm = run_suite(names=names, duration_us=SHORT, iterations=2,
                          executor=executor)
@@ -91,16 +92,17 @@ class TestResultCache:
     def test_keep_trace_bypasses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_app("excel", duration_us=SHORT, iterations=1, keep_trace=True,
-                cache=cache)
+                executor=SerialExecutor(cache=cache))
         assert (cache.hits, cache.misses, cache.stores) == (0, 0, 0)
         # And a keep_trace re-run is never served a stale cached result.
         result = run_app("excel", duration_us=SHORT, iterations=1,
-                         keep_trace=True, cache=cache)
+                         keep_trace=True, executor=SerialExecutor(cache=cache))
         assert result.runs[0].trace is not None
 
     def test_corrupt_entry_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = run_app("excel", duration_us=SHORT, iterations=1, cache=cache)
+        cold = run_app("excel", duration_us=SHORT, iterations=1,
+                       executor=SerialExecutor(cache=cache))
         (entry,) = list(tmp_path.rglob("*.pkl"))
         entry.write_bytes(b"not a pickle")
 
@@ -123,14 +125,17 @@ class TestResultCache:
         app = HandBrake()
         app.on_done = lambda: None
         cache = ResultCache(tmp_path)
-        result = run_app(app, duration_us=SHORT, iterations=1, cache=cache)
+        result = run_app(app, duration_us=SHORT, iterations=1,
+                         executor=SerialExecutor(cache=cache))
         assert result.tlp.mean > 0
         assert (cache.hits, cache.misses, cache.stores) == (0, 0, 0)
 
     def test_cross_app_isolation(self, tmp_path):
         cache = ResultCache(tmp_path)
-        excel = run_app("excel", duration_us=SHORT, iterations=1, cache=cache)
-        vlc = run_app("vlc", duration_us=SHORT, iterations=1, cache=cache)
+        excel = run_app("excel", duration_us=SHORT, iterations=1,
+                        executor=SerialExecutor(cache=cache))
+        vlc = run_app("vlc", duration_us=SHORT, iterations=1,
+                      executor=SerialExecutor(cache=cache))
         assert cache.hits == 0 and cache.misses == 2
         assert excel.fractions != vlc.fractions
 
@@ -165,7 +170,8 @@ class TestEntryFraming:
 
     def _seed_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_app("excel", duration_us=SHORT, iterations=1, cache=cache)
+        run_app("excel", duration_us=SHORT, iterations=1,
+                executor=SerialExecutor(cache=cache))
         (entry,) = list(tmp_path.rglob("*.pkl"))
         return entry
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.cache import ResultCache
+from repro.harness.executor import SerialExecutor
 from repro.harness.suite import run_suite
 from repro.reporting.payloads import canonical_json_bytes, suite_payload
 from repro.service import SweepService
@@ -73,7 +74,7 @@ def expected_bytes(index):
             names=tuple(candidate["apps"]),
             duration_us=int(candidate["duration_s"] * SECOND),
             iterations=candidate["iterations"],
-            cache=ResultCache(_EXPECTED_CACHE))
+            executor=SerialExecutor(cache=ResultCache(_EXPECTED_CACHE)))
         _EXPECTED[index] = canonical_json_bytes(suite_payload(
             suite, metadata={"duration_s": candidate["duration_s"],
                              "iterations": candidate["iterations"]}))

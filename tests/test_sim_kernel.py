@@ -49,14 +49,6 @@ class TestEnvironmentClock:
         with pytest.raises(ValueError):
             env.timeout(-1)
 
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(70)
-        env.timeout(30)
-        assert env.peek() == 30
-
-    def test_peek_empty_queue(self, env):
-        assert env.peek() is None
-
     def test_step_on_empty_queue_raises(self, env):
         with pytest.raises(SimulationError):
             env.step()
@@ -218,51 +210,6 @@ class TestProcesses:
         env.process(proc())
         assert env.run() == "halted"
         assert env.now == 10
-
-
-class TestCompositeEvents:
-    def test_any_of_fires_on_first(self, env):
-        def proc():
-            first = yield env.any_of([env.timeout(30, "slow"),
-                                      env.timeout(10, "fast")])
-            return sorted(first.values())
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == ["fast"]
-        assert env.now == 30  # remaining timeout still drains the queue
-
-    def test_all_of_waits_for_every_event(self, env):
-        def proc():
-            results = yield env.all_of([env.timeout(30, "a"),
-                                        env.timeout(10, "b")])
-            return sorted(results.values())
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == ["a", "b"]
-
-    def test_any_of_empty_fires_immediately(self, env):
-        def proc():
-            value = yield env.any_of([])
-            return value
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == {}
-
-    def test_all_of_with_pretriggered_events(self, env):
-        done = env.event()
-        done.succeed("x")
-
-        def proc():
-            yield env.timeout(5)
-            results = yield env.all_of([done])
-            return list(results.values())
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == ["x"]
 
 
 class TestDeterminism:

@@ -1,66 +1,13 @@
-"""Unit tests for Resource and Store primitives."""
+"""Unit tests for the Store primitive."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Store
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestResource:
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_grant_within_capacity_is_immediate(self, env):
-        resource = Resource(env, capacity=2)
-        first, second = resource.request(), resource.request()
-        assert first.triggered and second.triggered
-        assert resource.count == 2
-
-    def test_requests_beyond_capacity_queue(self, env):
-        resource = Resource(env, capacity=1)
-        held = resource.request()
-        waiting = resource.request()
-        assert held.triggered and not waiting.triggered
-        resource.release(held)
-        assert waiting.triggered
-
-    def test_fifo_granting(self, env):
-        resource = Resource(env, capacity=1)
-        held = resource.request()
-        queue = [resource.request() for _ in range(3)]
-        resource.release(held)
-        assert queue[0].triggered
-        assert not queue[1].triggered
-
-    def test_release_of_non_holder_raises(self, env):
-        resource = Resource(env, capacity=1)
-        resource.request()
-        with pytest.raises(ValueError):
-            resource.release(env.event())
-
-    def test_serialized_usage_from_processes(self, env):
-        resource = Resource(env, capacity=1)
-        spans = []
-
-        def user(hold):
-            request = resource.request()
-            yield request
-            start = env.now
-            yield env.timeout(hold)
-            spans.append((start, env.now))
-            resource.release(request)
-
-        env.process(user(10))
-        env.process(user(10))
-        env.run()
-        # The two holds must not overlap.
-        (a_start, a_stop), (b_start, b_stop) = sorted(spans)
-        assert a_stop <= b_start
 
 
 class TestStore:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, spec_key
 from repro.harness.executor import (
     ParallelExecutor,
     SerialExecutor,
@@ -80,6 +80,13 @@ class TestQuarantine:
         assert failure.kind == "crash"
         assert failure.attempts == 1
         assert "InjectedCrash" in failure.detail
+
+    def test_quarantined_run_carries_its_key_without_a_cache(self):
+        crashing = spec(seed=1, fault="worker-crash")
+        [failure] = SupervisedExecutor().map([crashing])
+        assert isinstance(failure, RunFailure)
+        assert failure.spec_key is not None
+        assert failure.spec_key == spec_key(crashing)
 
     def test_invalid_trace_classified(self):
         executor = SupervisedExecutor()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import Environment
 from repro.trace import (
-    CPU_USAGE_PRECISE,
     ContextSwitchRecord,
     CpuUsagePreciseTable,
     EtlTrace,
@@ -142,20 +141,6 @@ class TestTraceSession:
         trace = session.stop()
         session.emit_cswitch("p", 1, 2, "t", 0, 0, 0, 5)  # after stop
         assert len(trace.cswitches) == 1
-
-    def test_provider_filtering(self):
-        env = Environment()
-        session = TraceSession(env, providers={CPU_USAGE_PRECISE})
-        session.start()
-        session.emit_cswitch("p", 1, 2, "t", 0, 0, 0, 5)
-        session.emit_gpu_packet("p", 1, "3D", "frame", 0, 0, 5)
-        trace = session.stop()
-        assert len(trace.cswitches) == 1
-        assert len(trace.gpu_packets) == 0
-
-    def test_unknown_provider_rejected(self):
-        with pytest.raises(ValueError):
-            TraceSession(Environment(), providers={"bogus"})
 
     def test_double_start_rejected(self):
         session = TraceSession(Environment())
