@@ -49,34 +49,35 @@ def main():
 
     print("3. stop testbench, save trace (.etl)")
     trace = session.stop()
-    workdir = Path(tempfile.mkdtemp(prefix="repro-trace-"))
-    etl = workdir / "capture.etl.jsonl"
-    trace.save(etl)
-    print(f"   {len(trace.cswitches)} context switches, "
-          f"{len(trace.gpu_packets)} GPU packets -> {etl}")
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        workdir = Path(tmp)
+        etl = workdir / "capture.etl.jsonl"
+        trace.save(etl)
+        print(f"   {len(trace.cswitches)} context switches, "
+              f"{len(trace.gpu_packets)} GPU packets -> {etl}")
 
-    print("4. extract WPA tables and export CSVs (wpaexporter)")
-    loaded = EtlTrace.load(etl)
-    cpu_table = CpuUsagePreciseTable.from_trace(loaded)
-    gpu_table = GpuUtilizationTable.from_trace(loaded)
-    cpu_csv, gpu_csv = workdir / "cpu.csv", workdir / "gpu.csv"
-    export_csv(cpu_table, cpu_csv)
-    export_csv(gpu_table, gpu_csv)
-    print(f"   -> {cpu_csv}\n   -> {gpu_csv}")
+        print("4. extract WPA tables and export CSVs (wpaexporter)")
+        loaded = EtlTrace.load(etl)
+        cpu_table = CpuUsagePreciseTable.from_trace(loaded)
+        gpu_table = GpuUtilizationTable.from_trace(loaded)
+        cpu_csv, gpu_csv = workdir / "cpu.csv", workdir / "gpu.csv"
+        export_csv(cpu_table, cpu_csv)
+        export_csv(gpu_table, gpu_csv)
+        print(f"   -> {cpu_csv}\n   -> {gpu_csv}")
 
-    print("5. custom scripts: compute TLP and GPU utilization from CSV")
-    apps = runtime.process_names
-    tlp = measure_tlp(load_cpu_csv(cpu_csv), machine.logical_cpus,
-                      processes=apps)
-    util = measure_gpu_utilization(load_gpu_csv(gpu_csv), processes=apps)
-    print(f"   application TLP      = {tlp.tlp:.2f} "
-          f"(max instantaneous {tlp.max_instantaneous})")
-    print(f"   GPU utilization      = {util.utilization_pct:.2f}%")
+        print("5. custom scripts: compute TLP and GPU utilization from CSV")
+        apps = runtime.process_names
+        tlp = measure_tlp(load_cpu_csv(cpu_csv), machine.logical_cpus,
+                          processes=apps)
+        util = measure_gpu_utilization(load_gpu_csv(gpu_csv),
+                                       processes=apps)
+        print(f"   application TLP      = {tlp.tlp:.2f} "
+              f"(max instantaneous {tlp.max_instantaneous})")
+        print(f"   GPU utilization      = {util.utilization_pct:.2f}%")
 
-    print("6. cross-validate GPU data against device counters (§III-C)")
-    delta = cross_validate(gpu_table, gpu)
-    print(f"   |trace - device| = {delta:.3f} percentage points — OK")
-
+        print("6. cross-validate GPU data against device counters (§III-C)")
+        delta = cross_validate(gpu_table, gpu)
+        print(f"   |trace - device| = {delta:.3f} percentage points — OK")
 
 if __name__ == "__main__":
     main()

@@ -28,12 +28,6 @@ class AppDelta:
     def gpu_delta(self):
         return self.gpu_after - self.gpu_before
 
-    @property
-    def tlp_ratio(self):
-        if self.tlp_before == 0:
-            raise ValueError("zero baseline TLP")
-        return self.tlp_after / self.tlp_before
-
 
 @dataclass
 class SuiteComparison:
@@ -43,12 +37,6 @@ class SuiteComparison:
     only_before: list
     only_after: list
 
-    def delta(self, app_name):
-        for entry in self.deltas:
-            if entry.app_name == app_name:
-                return entry
-        raise KeyError(app_name)
-
     def improved(self, threshold=0.0):
         """Apps whose TLP rose by more than ``threshold``."""
         return [d.app_name for d in self.deltas if d.tlp_delta > threshold]
@@ -56,11 +44,6 @@ class SuiteComparison:
     def regressed(self, threshold=0.0):
         """Apps whose TLP fell by more than ``threshold``."""
         return [d.app_name for d in self.deltas if d.tlp_delta < -threshold]
-
-    def mean_tlp_delta(self):
-        if not self.deltas:
-            raise ValueError("no common applications")
-        return sum(d.tlp_delta for d in self.deltas) / len(self.deltas)
 
 
 def compare_suites(before, after):

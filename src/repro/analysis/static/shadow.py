@@ -87,7 +87,7 @@ class SyncInfo:
     """One sync primitive observed during the shadow build."""
 
     name: str
-    kind: str        # "lock" | "semaphore" | "barrier" | "queue" | "latch"
+    kind: str        # "lock" | "semaphore" | "queue" | "latch"
     site: str = None
 
 
@@ -231,9 +231,6 @@ class ShadowKernel:
         self.processes.append(process)
         return process
 
-    def find_processes(self, prefix):
-        return [p for p in self.processes if p.name.startswith(prefix)]
-
     def start_background_services(self, duty_cycle=0.004, services=None):
         """Background services are outside the app's structure."""
         return []
@@ -370,11 +367,6 @@ class AppStructure:
     build_ops: list = field(default_factory=list)    # SyncOp
     gpu_engines: dict = field(default_factory=dict)  # engine -> packets
     build_error: str = None
-
-    @property
-    def dynamic_spawns(self):
-        """True when any thread was spawned from a driven body."""
-        return any(t.dynamic for t in self.threads)
 
     @property
     def complete(self):

@@ -62,10 +62,6 @@ class AppRuntime:
         """Simulation time at which the testbench window closes."""
         return self.start_time + self.duration_us
 
-    def remaining(self):
-        """Microseconds left in the testbench window."""
-        return max(0, self.end_time - self.env.now)
-
     def spawn_process(self, name, image=None):
         """Create an application-owned OS process (tracked for TLP)."""
         process = self.kernel.spawn_process(name, image=image)
@@ -95,10 +91,6 @@ class AppModel:
     def build(self, rt):
         """Spawn the application's processes and threads into ``rt``."""
         raise NotImplementedError
-
-    def describe(self):
-        """One-line description for reports."""
-        return f"{self.display_name} ({self.category.value})"
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"

@@ -21,7 +21,7 @@ from repro.gpu.device import (ENGINE_COMPUTE, ENGINE_VIDEO_DECODE,
                               ENGINE_VIDEO_ENCODE)
 from repro.os.sync import MessageQueue, Semaphore
 from repro.os.work import WorkClass
-from repro.sim import MS, SECOND
+from repro.sim import MS
 
 
 class _TranscoderBase(AppModel):
@@ -113,11 +113,6 @@ class _TranscoderBase(AppModel):
                               packet_ref_us=2 * MS,
                               engine=ENGINE_VIDEO_DECODE,
                               packet_type="nvdec", name="preview")
-
-    def transcode_fps(self, rt_outputs, duration_us):
-        """Frames per second achieved over the run (or until completion)."""
-        elapsed = rt_outputs.get("completed_at_us", duration_us)
-        return rt_outputs["frames"] * SECOND / max(1, elapsed)
 
 
 class HandBrake(_TranscoderBase):

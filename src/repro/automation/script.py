@@ -85,10 +85,6 @@ class InputScript:
         """A keystroke or shortcut chord."""
         return self._add(KEY, label, 40 * MS)
 
-    def type_text(self, label, characters=20):
-        """Typing a run of text (~5 chars/second)."""
-        return self._add(TEXT, label, characters * 200 * MS // 1)
-
     def speak(self, label, duration_us):
         """A spoken query (manual-testing input, §III-E)."""
         return self._add(VOICE, label, duration_us)

@@ -8,7 +8,6 @@ from repro.hardware.catalog import (
     GTX_680,
     SMP_2000,
     XEON_2010,
-    machine_2000,
     machine_2010,
     paper_machine,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "MachineSpec",
     "SMP_2000",
     "XEON_2010",
-    "machine_2000",
     "machine_2010",
     "paper_machine",
 ]

@@ -129,12 +129,6 @@ def machine_2010():
                        os_name="Windows 7")
 
 
-def machine_2000():
-    """Flautner et al.'s 2000-era SMP reference machine."""
-    return MachineSpec(cpu=SMP_2000, gpu=GTX_285, ram_gb=1,
-                       os_name="Linux 2.2 / Windows 2000")
-
-
 #: Name -> GpuSpec lookup used by the harness CLI and benches.
 GPUS = {
     "gtx-1080-ti": GTX_1080_TI,

@@ -22,7 +22,7 @@ from repro.harness.supervisor import (
     RunFailure,
     SupervisedExecutor,
 )
-from repro.harness.sweeps import core_scaling_sweep, gpu_swap_sweep, smt_sweep
+from repro.harness.sweeps import core_scaling_sweep, smt_sweep
 
 __all__ = [
     "AppResult",
@@ -39,7 +39,6 @@ __all__ = [
     "SuiteResult",
     "SupervisedExecutor",
     "core_scaling_sweep",
-    "gpu_swap_sweep",
     "make_spec",
     "run_app",
     "run_app_once",

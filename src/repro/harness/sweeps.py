@@ -1,4 +1,4 @@
-"""Parameter sweeps: core scaling, SMT, GPU swap.
+"""Parameter sweeps: core scaling and SMT.
 
 These drive the paper's architectural-decision experiments:
 
@@ -6,7 +6,6 @@ These drive the paper's architectural-decision experiments:
   the per-application time plots of Figs. 5-7.
 * :func:`smt_sweep` — Fig. 8 (transcode rate and GPU utilization at
   2/4/6 physical cores, SMT on/off, two GPUs).
-* :func:`gpu_swap_sweep` — Figs. 9-10 (GTX 680 vs GTX 1080 Ti).
 
 Every grid point is an independent simulation, so each sweep builds
 its full grid of :class:`~repro.harness.executor.RunSpec` up front
@@ -63,18 +62,3 @@ def smt_sweep(app_factory, physical_cores=(2, 4, 6), gpus=None, seed=11,
                                        seed=seed, **knobs))
     return dict(zip(keys, (executor or SerialExecutor()).map(specs)))
 
-
-def gpu_swap_sweep(app_factory, gpus=None, iterations=1, executor=None,
-                   **knobs):
-    """Run an app on each GPU; returns ``{gpu_name: AppResult}``."""
-    gpus = gpus or (GTX_680, GTX_1080_TI)
-    specs, spans = [], []
-    for gpu in gpus:
-        app = app_factory()
-        app_specs = iteration_specs(
-            app, iterations, machine=paper_machine().with_gpu(gpu), **knobs)
-        spans.append((gpu.name, app, len(specs), len(specs) + len(app_specs)))
-        specs.extend(app_specs)
-    runs = (executor or SerialExecutor()).map(specs)
-    return {name: summarize_runs(app, runs[lo:hi])
-            for name, app, lo, hi in spans}

@@ -9,7 +9,6 @@ from repro.metrics.gpu import (
 from repro.metrics.intervals import (
     FusedSweep,
     clip,
-    concurrency_profile,
     fused_sweep,
     interval_events,
 )
@@ -30,7 +29,6 @@ from repro.metrics.stats import Summary, mean, relative_difference_pct, summariz
 from repro.metrics.timeseries import (
     TimeSeries,
     frame_rate_series,
-    instantaneous_gpu_utilization,
     instantaneous_tlp,
 )
 from repro.metrics.tlp import (
@@ -54,12 +52,10 @@ __all__ = [
     "TimeSeries",
     "TlpResult",
     "clip",
-    "concurrency_profile",
     "cross_validate",
     "frame_rate_series",
     "fused_sweep",
     "gpu_result_from_totals",
-    "instantaneous_gpu_utilization",
     "interval_events",
     "instantaneous_tlp",
     "mean",

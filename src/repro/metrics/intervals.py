@@ -119,12 +119,3 @@ def first_time_above(events, bound):
             above_since = None
     return None
 
-
-def concurrency_profile(intervals, window_start, window_stop, *, events=None):
-    """Time spent at each concurrency level within the window.
-
-    Returns a dict ``{level: microseconds}`` where ``level`` counts how
-    many intervals overlap; level 0 covers the remainder of the window.
-    """
-    return fused_sweep(intervals, window_start, window_stop,
-                       events=events).profile

@@ -188,12 +188,6 @@ class OnlineSweep:
         profile[0] = total - self._covered
         return FusedSweep(profile, self._covered, self._peak)
 
-    @property
-    def pending_edges(self):
-        """Queue length — bounded by open-interval depth, not trace
-        length (asserted by the memory-guard test)."""
-        return len(self._pending)
-
 
 @dataclass(frozen=True, slots=True)
 class FrameStats:
@@ -354,8 +348,3 @@ class OnlineMetricsEngine:
             first_present=self._frame_first,
             last_present=self._frame_last,
         )
-
-    @property
-    def pending_edges(self):
-        """Total queued edges across both sweeps (memory introspection)."""
-        return self.cpu.pending_edges + self.gpu.pending_edges

@@ -1,13 +1,12 @@
-"""Windowed time series: instantaneous TLP, GPU utilization, frame rate.
+"""Windowed time series: instantaneous TLP and frame rate.
 
 These back the paper's time-resolved plots — Figs. 5-7 (instantaneous
-TLP and GPU utilization over time for HandBrake / Photoshop / Project
-CARS 2) and Fig. 13 (instantaneous frame rate per VR headset).
+TLP over time for HandBrake / Photoshop / Project CARS 2) and Fig. 13
+(instantaneous frame rate per VR headset).
 """
 
 from dataclasses import dataclass
 
-from repro.metrics.gpu import measure_gpu_utilization
 from repro.metrics.tlp import measure_tlp
 from repro.sim import SECOND
 
@@ -19,11 +18,6 @@ class TimeSeries:
     start_us: int
     step_us: int
     values: list
-
-    def times_seconds(self):
-        """Sample timestamps in seconds (window starts)."""
-        return [(self.start_us + i * self.step_us) / SECOND
-                for i in range(len(self.values))]
 
     def __len__(self):
         return len(self.values)
@@ -54,18 +48,6 @@ def instantaneous_tlp(cpu_table, n_logical, processes=None,
                                step_us)
     ]
     return TimeSeries(cpu_table.trace_start, step_us, values)
-
-
-def instantaneous_gpu_utilization(gpu_table, processes=None,
-                                  step_us=100_000, method="sum"):
-    """Per-window GPU utilization percentage."""
-    values = [
-        measure_gpu_utilization(gpu_table, processes=processes,
-                                window=(lo, hi), method=method).utilization_pct
-        for lo, hi in _windows(gpu_table.trace_start, gpu_table.trace_stop,
-                               step_us)
-    ]
-    return TimeSeries(gpu_table.trace_start, step_us, values)
 
 
 def frame_rate_series(frames, trace_start, trace_stop, processes=None,

@@ -33,12 +33,6 @@ class TlpResult:
     def idle_fraction(self):
         return self.fractions[0] if self.fractions else 1.0
 
-    def fraction_at_level(self, level):
-        """c_level (0.0 if the level never occurred)."""
-        if 0 <= level < len(self.fractions):
-            return self.fractions[level]
-        return 0.0
-
 
 def tlp_from_fractions(fractions):
     """Apply Equation 1 to a list ``[c0, c1, ..., cn]``.

@@ -17,12 +17,11 @@ from repro.os.scheduler import (
     Scheduler,
     build_topology,
 )
-from repro.os.sync import Barrier, CountdownLatch, Lock, MessageQueue, Semaphore
+from repro.os.sync import CountdownLatch, Lock, MessageQueue, Semaphore
 from repro.os.threads import OsProcess, Thread, ThreadContext, ThreadState
 from repro.os.work import DEFAULT_SMT_THROUGHPUT, WorkClass, smt_pair_throughput
 
 __all__ = [
-    "Barrier",
     "EnergyModel",
     "EnergyReport",
     "CountdownLatch",

@@ -174,10 +174,6 @@ class EnergyModel:
             total += power[work_class] * factor ** exponent * wall_us / 1e6
         return total
 
-    def process_active_j(self, process_name):
-        """Active CPU joules attributed to one process."""
-        return self.active_j((process_name,))
-
     def activity(self, processes=None):
         """``{(work_class, clock_factor): µs}`` aggregated over
         ``processes`` (all processes when ``None``).

@@ -57,10 +57,6 @@ class Kernel:
         self.processes.append(process)
         return process
 
-    def find_processes(self, prefix):
-        """All processes whose name starts with ``prefix``."""
-        return [p for p in self.processes if p.name.startswith(prefix)]
-
     def register_sync(self, primitive, kind, name=None):
         """Record a sync primitive; returns its (auto-assigned) name.
 

@@ -56,10 +56,6 @@ class LogicalCpu:
         self.thread = None
         self.work_class = None
 
-    @property
-    def idle(self):
-        return self.thread is None
-
     def __repr__(self):
         return f"<LCPU {self.index} core={self.core} way={self.way}>"
 
@@ -131,9 +127,9 @@ class Scheduler:
         #: Sibling tuples indexed by ``lcpu.index`` — precomputed once
         #: so the per-slice hot paths below never rebuild sibling lists.
         self._siblings = self._map_siblings()
-        #: Incremental per-core busy counters (kept in sync by
-        #: ``_occupy``/``_vacate``) replace the per-slice set
-        #: comprehensions of ``busy_physical_cores``.
+        #: Incremental per-core busy counters, kept in sync by
+        #: ``_occupy``/``_vacate``: ``_busy_cores`` is the number of
+        #: physical cores with at least one busy sibling.
         self._core_busy = [0] * (max((lcpu.core for lcpu in self.lcpus),
                                      default=-1) + 1)
         self._busy_cores = 0
@@ -198,24 +194,10 @@ class Scheduler:
             self._free_core_lcpu_mask |= self._core_lcpu_mask[core]
         self._idle_mask |= 1 << lcpu.index
 
-    # -- state inspection ----------------------------------------------
-
-    @property
-    def ready_count(self):
-        return len(self._ready)
-
-    def busy_physical_cores(self):
-        """Number of physical cores with at least one busy sibling."""
-        return self._busy_cores
-
     def _compute_clock_factor(self, busy_cores):
         """Turbo-boost speed multiplier for ``busy_cores`` active cores."""
         return compute_clock_factor(self.machine.cpu, busy_cores,
                                     self._n_cores, turbo=self.turbo)
-
-    def _clock_factor(self):
-        """Current turbo multiplier (precomputed per busy-core count)."""
-        return self._clock_table[self._busy_cores]
 
     # -- dispatch -------------------------------------------------------
 
@@ -292,7 +274,7 @@ class Scheduler:
         **Epoch-partitioned execution**: a thread granted a CPU while
         the environment is *quiescent* — no other event queued at the
         current instant and no callback cascade in flight
-        (:meth:`~repro.sim.environment.Environment.quiescent`) — takes
+        (``Environment._cb_pending`` is 0) — takes
         the CPU synchronously instead of round-tripping a grant event
         through the global queue.  Between such grants the thread
         advances on its own virtual clock (its slice timeouts), merging
@@ -332,7 +314,8 @@ class Scheduler:
         while remaining > 0:
             thread.state = state_ready
             ready_time = env._now
-            # ``env.quiescent()`` inlined (same test, no call).
+            # Quiescent: nothing else can run at this instant (no
+            # queued event at ``now``, no callback cascade in flight).
             if (not ready and self._idle_mask
                     and env._cb_pending == 0
                     and (not queue or queue[0][0] > ready_time)):

@@ -74,10 +74,6 @@ class Lock(_SyncPrimitive):
         self._waiters = deque()
 
     @property
-    def locked(self):
-        return self._owner is not None
-
-    @property
     def owner(self):
         """The token currently holding the lock (None when free)."""
         return self._owner
@@ -162,35 +158,6 @@ class Semaphore(_SyncPrimitive):
     def __repr__(self):
         return (f"<Semaphore {self.name!r} value={self._value}, "
                 f"{len(self._waiters)} waiting>")
-
-
-class Barrier(_SyncPrimitive):
-    """A reusable N-party barrier (generation-based)."""
-
-    kind = "barrier"
-
-    def __init__(self, kernel, parties, name=None):
-        if parties < 1:
-            raise ValueError("parties must be >= 1")
-        self._register(kernel, name)
-        self.parties = parties
-        self._arrived = 0
-        self._gate = self.env.event()
-
-    def wait(self):
-        """Event firing once ``parties`` threads have arrived."""
-        self._record("wait")
-        self._arrived += 1
-        gate = self._gate
-        if self._arrived == self.parties:
-            self._arrived = 0
-            self._gate = self.env.event()
-            gate.succeed()
-        return gate
-
-    def __repr__(self):
-        return (f"<Barrier {self.name!r} "
-                f"{self._arrived}/{self.parties} arrived>")
 
 
 class MessageQueue(_SyncPrimitive):

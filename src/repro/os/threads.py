@@ -18,7 +18,6 @@ from enum import Enum
 from heapq import heappop
 
 from repro.os.work import WorkClass
-from repro.sim.events import PENDING
 from repro.sim.exceptions import Interrupt
 
 
@@ -129,6 +128,10 @@ class Thread:
         return self.state not in (ThreadState.NEW, ThreadState.TERMINATED)
 
     def _run(self):
+        """The thread's simulation process: it interprets the body's
+        requests.  A CPU burst is delegated to ``Scheduler.run_burst``,
+        a sleep yields one timeout, and a wait yields its event unless
+        that event heads the queue with nothing else to run first."""
         ctx = ThreadContext(self)
         generator = self.body(ctx)
         scheduler = self.kernel.scheduler
@@ -148,44 +151,26 @@ class Thread:
                         value = None
                     elif kind is _SleepRequest:
                         self.state = ThreadState.SLEEPING
-                        # Epoch fast path: an uncontended sleep advances
-                        # this thread's virtual clock without an event
-                        # (see Environment.advance for the equivalence).
-                        if not env.advance(request.duration):
-                            yield env.timeout(request.duration)
+                        yield env.timeout(request.duration)
                         value = None
                     elif kind is _WaitRequest:
                         event = request.event
                         self.state = ThreadState.BLOCKED
-                        # Epoch fast paths for waits that cannot block:
-                        # an uncontended sync op hands back an already-
-                        # triggered event whose processing would be the
-                        # very next step — consume it synchronously
-                        # (popping it from the queue) instead of parking
-                        # the thread for one event round-trip.  Failed
-                        # events always take the event path so throw/
-                        # defuse semantics stay in one place.
-                        if (event._ok
-                                and event._value is not PENDING
-                                and env._cb_pending == 0):
-                            queue = env._queue
-                            if (event.callbacks is None
-                                    and (not queue
-                                         or queue[0][0] > env._now)):
-                                # Processed earlier: the relay event
-                                # would fire next with no other
-                                # runnable work — skip it.
-                                value = event._value
-                            elif (event.callbacks == []
-                                    and queue and queue[0][3] is event):
-                                # Triggered, unprocessed, head of the
-                                # queue, nobody else waiting: process
-                                # it here, exactly as the loop would.
-                                heappop(queue)
-                                event.callbacks = None
-                                value = event._value
-                            else:
-                                value = yield event
+                        # Epoch fast path: an uncontended sync op hands
+                        # back a triggered event that heads the queue
+                        # with nobody else waiting on it and no callback
+                        # cascade in flight.  Its processing would be
+                        # the very next step, so it is done here (popped
+                        # from the queue) instead of parking the thread
+                        # for one event round-trip.  Every other wait,
+                        # failed events included, takes the event path.
+                        queue = env._queue
+                        if (event._ok and env._cb_pending == 0
+                                and event.callbacks == []
+                                and queue and queue[0][3] is event):
+                            heappop(queue)
+                            event.callbacks = None
+                            value = event._value
                         else:
                             value = yield event
                     else:

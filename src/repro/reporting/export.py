@@ -1,7 +1,7 @@
-"""Machine-readable exports of suite results: CSV and Markdown.
+"""Machine-readable export of suite results as CSV.
 
 The text renderers in :mod:`repro.reporting.tables` target terminals;
-these exports target spreadsheets and READMEs.
+this export targets spreadsheets.
 """
 
 import csv
@@ -35,31 +35,3 @@ def suite_to_csv(suite_result, path):
                     result.max_instantaneous, result.gpu_capped,
                 ])
 
-
-def suite_to_markdown(suite_result):
-    """Render the suite as a GitHub-flavoured Markdown table."""
-    lines = [
-        "| Category | Application | TLP | σ | paper | GPU % | σ | paper |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for category, names in CATEGORIES.items():
-        for name in names:
-            if name not in suite_result.results:
-                continue
-            result = suite_result.results[name]
-            paper_tlp, paper_gpu = PAPER_TABLE2[name]
-            gpu_text = f"{result.gpu_util.mean:.1f}"
-            if result.gpu_capped:
-                gpu_text = "\\*" + gpu_text
-            lines.append(
-                f"| {category.value} | {result.display_name} "
-                f"| {result.tlp.mean:.1f} | {result.tlp.std:.2f} "
-                f"| {paper_tlp} | {gpu_text} "
-                f"| {result.gpu_util.std:.2f} | {paper_gpu} |")
-    averages = suite_result.category_averages()
-    lines.append("")
-    lines.append("| Category | avg TLP | avg GPU % |")
-    lines.append("|---|---|---|")
-    for category, (tlp, gpu) in averages.items():
-        lines.append(f"| {category.value} | {tlp:.2f} | {gpu:.2f} |")
-    return "\n".join(lines)

@@ -2,6 +2,9 @@
 
 Time is an integer count of microseconds.  Processes are generators
 that yield :class:`Event` objects and are resumed when those fire.
+``Environment.run`` runs to an integer horizon, or drains the queue
+without one; a process whose generator raises fails, and ``run``
+raises that error.
 
 Public surface::
 
@@ -12,7 +15,7 @@ Public surface::
 
 from repro.sim.environment import Environment, NORMAL, URGENT
 from repro.sim.events import Event, Process, Timeout
-from repro.sim.exceptions import Interrupt, SimulationError, StopSimulation
+from repro.sim.exceptions import Interrupt, SimulationError
 from repro.sim.resources import Store
 
 #: Microseconds per millisecond / second — helpers for readable literals.
@@ -28,7 +31,6 @@ __all__ = [
     "Process",
     "SECOND",
     "SimulationError",
-    "StopSimulation",
     "Store",
     "Timeout",
     "URGENT",

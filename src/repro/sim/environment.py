@@ -10,7 +10,6 @@ from heapq import heappop, heappush
 from sys import getrefcount
 
 from repro.sim.events import Event, Process, Timeout
-from repro.sim.exceptions import SimulationError, StopSimulation
 
 #: Default event priority.  Lower numbers fire first at equal times.
 NORMAL = 1
@@ -31,10 +30,12 @@ class Environment:
         self._queue = []
         self._eid = 0
         self._timeout_pool = []
-        #: Callbacks of the event being stepped that have not run yet.
-        #: Together with the queue head this defines :meth:`quiescent`.
+        #: Callbacks of the event being processed that have not run
+        #: yet.  They are invisible to the queue, so the epoch fast
+        #: paths (:meth:`advance`, ``run_burst``'s synchronous grant)
+        #: act only while it is 0.
         self._cb_pending = 0
-        #: Time bound of the innermost :meth:`run` call (``None`` when
+        #: Time bound of the current :meth:`run` call (``None`` when
         #: unbounded): :meth:`advance` must never move the clock past
         #: it, because a timeout beyond the horizon never fires.
         self._horizon = None
@@ -44,19 +45,17 @@ class Environment:
         """Current simulation time in microseconds."""
         return self._now
 
-    def schedule(self, event, priority=NORMAL, delay=0):
-        """Queue ``event`` to fire ``delay`` microseconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+    def schedule(self, event, priority=NORMAL):
+        """Queue ``event`` to fire at the current time."""
         self._eid += 1
-        heappush(self._queue, (self._now + int(delay), priority, self._eid, event))
+        heappush(self._queue, (self._now, priority, self._eid, event))
 
     def timeout(self, delay, value=None):
         """Return an event firing after ``delay`` microseconds.
 
         Timeouts dominate event allocation (every burst, wait and
         service interval is one), so fired timeouts proven unreachable
-        by the caller (refcount check in :meth:`step`) are recycled
+        by the caller (refcount check in :meth:`run`) are recycled
         from a free list instead of being rebuilt from scratch.
         """
         pool = self._timeout_pool
@@ -81,26 +80,6 @@ class Environment:
     def process(self, generator, name=None):
         """Start a new process from ``generator`` and return it."""
         return Process(self, generator, name=name)
-
-    def stop(self, value=None):
-        """Halt the run loop immediately (usable from inside a process)."""
-        raise StopSimulation(value)
-
-    def quiescent(self):
-        """True when no *other* event can run at the current instant.
-
-        This is the epoch-boundary test of the partitioned run loop:
-        when it holds, the code currently executing is the only engine
-        that can act before simulation time advances, so it may keep
-        running on its private virtual clock (e.g. the scheduler's
-        synchronous CPU grant) without an observable ordering change.
-        Two channels could interleave same-instant work and both are
-        checked: queued events at ``now`` (the heap head) and the
-        not-yet-run callbacks of the event being stepped — the latter
-        are invisible to the queue, so :meth:`step` counts them.
-        """
-        return self._cb_pending == 0 and (
-            not self._queue or self._queue[0][0] > self._now)
 
     def advance(self, delay):
         """Move the clock forward ``delay`` µs synchronously if — and
@@ -134,65 +113,38 @@ class Environment:
             return True
         return False
 
-    def step(self):
-        """Process exactly one event from the queue."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        self._now, _, _, event = heappop(self._queue)
-        callbacks, event.callbacks = event.callbacks, None
-        if len(callbacks) == 1:
-            # Fast path: a single callback leaves ``_cb_pending`` at 0
-            # throughout, so :meth:`quiescent` needs no bookkeeping.
-            callbacks[0](event)
-        else:
-            remaining = len(callbacks)
-            for callback in callbacks:
-                remaining -= 1
-                self._cb_pending = remaining
-                callback(event)
-        if not event._ok and not getattr(event, "defused", False):
-            raise event._value
-        # Recycle the timeout if nothing else references it: exactly
-        # two refs means only the local `event` and the getrefcount
-        # argument — no process, queue entry or caller can observe the
-        # object being reused.
-        if (type(event) is Timeout
-                and len(self._timeout_pool) < _TIMEOUT_POOL_CAP
-                and getrefcount(event) == 2):
-            self._timeout_pool.append(event)
-
     def run(self, until=None):
-        """Run until the queue drains, ``until`` µs, or an event fires.
+        """Process events in time order until the queue drains or the
+        next event lies past ``until``.
 
-        ``until`` may be an integer time, an :class:`Event` (run until
-        it fires, returning its value), or ``None`` (run to exhaustion).
+        ``until`` is an integer time in µs, or ``None`` to run to
+        exhaustion; anything ``int()`` rejects (an event, say) raises
+        ``TypeError``.  A run that stops at ``until`` leaves the clock
+        there.  An event that failed unhandled — a thread body that
+        raised fails its process — is raised from here.
         """
-        stop_event = None
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
+        if until is not None:
             until = int(until)
             if until < self._now:
                 raise ValueError(
                     f"until ({until}) must not be before current time ({self._now})")
-        self._horizon = until if stop_event is None else None
-        # The loop below is :meth:`step` unrolled with everything bound
-        # to locals — the dispatch overhead of the method call and the
-        # repeated attribute loads is measurable at millions of events.
+        self._horizon = until
+        # Everything the loop touches is bound to locals: the repeated
+        # attribute loads are measurable at millions of events.
         queue = self._queue
         pool = self._timeout_pool
         pop = heappop
-        bounded = stop_event is None and until is not None
+        bounded = until is not None
         try:
             while queue:
-                if stop_event is not None and stop_event.processed:
-                    break
                 if bounded and queue[0][0] > until:
                     self._now = until
                     break
                 self._now, _, _, event = pop(queue)
                 callbacks, event.callbacks = event.callbacks, None
                 if len(callbacks) == 1:
+                    # A single callback leaves ``_cb_pending`` at 0
+                    # throughout, so it needs no bookkeeping.
                     callbacks[0](event)
                 else:
                     remaining = len(callbacks)
@@ -202,19 +154,13 @@ class Environment:
                         callback(event)
                 if not event._ok and not getattr(event, "defused", False):
                     raise event._value
+                # Recycle the timeout if nothing else references it:
+                # exactly two refs means only the local ``event`` and
+                # the getrefcount argument — no process, queue entry or
+                # caller can observe the object being reused.
                 if (type(event) is Timeout
                         and len(pool) < _TIMEOUT_POOL_CAP
                         and getrefcount(event) == 2):
                     pool.append(event)
-        except StopSimulation as stop:
-            return stop.args[0] if stop.args else None
         finally:
             self._horizon = None
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError("run(until=event) exhausted the queue "
-                                      "before the event fired")
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        return None

@@ -83,20 +83,6 @@ class Event:
         heappush(env._queue, (env._now, _NORMAL, env._eid, self))
         return self
 
-    def fail(self, exception):
-        """Trigger the event with an exception.
-
-        Waiting processes will have the exception thrown into them.
-        """
-        if self.triggered:
-            raise SimulationError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self)
-        return self
-
     def __repr__(self):
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

@@ -5,14 +5,6 @@ class SimulationError(Exception):
     """Base class for all simulation kernel errors."""
 
 
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Environment.run` early.
-
-    Users normally trigger this through ``env.stop()`` from inside a
-    process; it is caught by the event loop and never escapes.
-    """
-
-
 class Interrupt(Exception):
     """Raised inside a process that was interrupted by another process.
 

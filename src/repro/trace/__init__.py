@@ -11,13 +11,6 @@ Pipeline (mirrors the paper's Fig. 1)::
     ... repro.metrics consumes the tables ...
 """
 
-from repro.trace.analysis import (
-    SampledProfile,
-    WaitAnalysis,
-    gpu_by_process,
-    threads_by_time,
-    timeline_by_process,
-)
 from repro.trace.columns import (
     CswitchColumns,
     FrameColumns,
@@ -55,13 +48,8 @@ __all__ = [
     "GpuUtilizationTable",
     "MarkRecord",
     "NullSession",
-    "SampledProfile",
-    "WaitAnalysis",
     "TraceSession",
     "export_csv",
     "load_cpu_csv",
-    "gpu_by_process",
-    "threads_by_time",
     "load_gpu_csv",
-    "timeline_by_process",
 ]

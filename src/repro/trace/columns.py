@@ -53,8 +53,7 @@ class NameTable:
 
 
 class _ColumnStore:
-    """Shared construction, materialization and sizing of the four
-    stores."""
+    """Shared construction and materialization of the four stores."""
 
     __slots__ = ()
 
@@ -81,17 +80,6 @@ class _ColumnStore:
 
     def __bool__(self):
         return len(self) > 0
-
-    def nbytes(self):
-        """Approximate retained bytes of the column buffers."""
-        total = 0
-        for name in self.__slots__:
-            column = getattr(self, name)
-            if isinstance(column, array):
-                total += column.buffer_info()[1] * column.itemsize
-            elif isinstance(column, NameTable):
-                total += sum(len(n) for n in column.names)
-        return total
 
 
 class CswitchColumns(_ColumnStore):

@@ -122,20 +122,6 @@ class EtlTrace:
         packet_type, submit, start_execution, finished)``."""
         return self._stores["gpu_packets"].rows()
 
-    def filter_processes(self, predicate):
-        """A new trace keeping only records whose process satisfies
-        ``predicate`` — this is the paper's application-level filtering
-        (application TLP, as opposed to Blake et al.'s system TLP)."""
-        return EtlTrace(
-            self.start_time,
-            self.stop_time,
-            [r for r in self.cswitches if predicate(r.process)],
-            [r for r in self.gpu_packets if predicate(r.process)],
-            [r for r in self.frames if predicate(r.process)],
-            [r for r in self.marks if predicate(r.process)],
-            machine_name=self.machine_name,
-        )
-
     def save(self, path):
         """Write the trace as JSON lines (header line + one per record)."""
         with open(path, "w", encoding="utf-8") as fh:

@@ -76,9 +76,6 @@ class TraceSession:
         self.subscribers.append(consumer)
         return consumer
 
-    def unsubscribe(self, consumer):
-        self.subscribers.remove(consumer)
-
     def start(self):
         """Begin recording (idempotent error: cannot start twice)."""
         if self.recording:

@@ -51,7 +51,6 @@ from repro.validate.invariants import (
     ValidationReport,
     Violation,
     check_single_run,
-    validate_trace,
 )
 
 __all__ = [
@@ -81,5 +80,4 @@ __all__ = [
     "is_exec_fault",
     "load_goldens",
     "save_goldens",
-    "validate_trace",
 ]

@@ -64,15 +64,6 @@ class ValidationReport:
     def ok(self):
         return not self.violations
 
-    @property
-    def invariants_violated(self):
-        """Names of the invariants that fired, in catalogue order."""
-        seen = []
-        for violation in self.violations:
-            if violation.invariant not in seen:
-                seen.append(violation.invariant)
-        return seen
-
     def raise_if_failed(self):
         if self.violations:
             raise TraceValidationError(self)
@@ -273,12 +264,6 @@ _CHECKS = {
 
 #: The invariant catalogue, in check order.
 INVARIANT_NAMES = tuple(_CHECKS)
-
-
-def validate_trace(trace, n_logical=None, invariants=None):
-    """One-shot helper: validate ``trace`` and return the report."""
-    return TraceValidator(n_logical=n_logical,
-                          invariants=invariants).validate(trace)
 
 
 class OnlineValidator:

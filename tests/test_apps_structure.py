@@ -46,13 +46,6 @@ class TestTranscodingPipeline:
         types = {p.packet_type for p in run.trace.gpu_packets}
         assert "nvenc" in types and "cuda-filter" in types
 
-    def test_transcode_fps_helper(self):
-        app = HandBrake(total_frames=60)
-        run = run_app_once(app, duration_us=30 * SECOND, seed=1)
-        fps = app.transcode_fps(run.outputs, 30 * SECOND)
-        assert fps == pytest.approx(
-            60 * SECOND / run.outputs["completed_at_us"], rel=0.01)
-
 
 class TestBrowserTopology:
     def test_all_test_names_valid(self):

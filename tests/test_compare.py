@@ -11,6 +11,12 @@ from repro.sim import SECOND
 SHORT = 12 * SECOND
 
 
+def delta_of(comparison, app_name):
+    """The one delta of ``app_name`` in ``comparison``."""
+    (delta,) = [d for d in comparison.deltas if d.app_name == app_name]
+    return delta
+
+
 @pytest.fixture(scope="module")
 def suites():
     narrow = run_suite(names=("handbrake", "excel"), iterations=1,
@@ -35,24 +41,13 @@ class TestCompareSuites:
         comparison = compare_suites(narrow, wide)
         # HandBrake gains massively from 4 -> 12 logical CPUs.
         assert "handbrake" in comparison.improved(threshold=2.0)
-        delta = comparison.delta("handbrake")
-        assert delta.tlp_ratio > 2.0
+        delta = delta_of(comparison, "handbrake")
+        assert delta.tlp_after > 2.0 * delta.tlp_before
 
     def test_serial_app_unchanged(self, suites):
         narrow, wide = suites
         comparison = compare_suites(narrow, wide)
-        assert abs(comparison.delta("excel").tlp_delta) < 0.8
-
-    def test_unknown_app_delta_raises(self, suites):
-        comparison = compare_suites(*suites)
-        with pytest.raises(KeyError):
-            comparison.delta("doom")
-
-    def test_mean_delta(self, suites):
-        comparison = compare_suites(*suites)
-        deltas = [d.tlp_delta for d in comparison.deltas]
-        assert comparison.mean_tlp_delta() == pytest.approx(
-            sum(deltas) / len(deltas))
+        assert abs(delta_of(comparison, "excel").tlp_delta) < 0.8
 
     def test_works_on_persisted_suites(self, suites, tmp_path):
         narrow, wide = suites
@@ -62,7 +57,8 @@ class TestCompareSuites:
         save_suite(wide, after_path)
         comparison = compare_suites(load_suite(before_path),
                                     load_suite(after_path))
-        assert comparison.delta("handbrake").tlp_ratio > 2.0
+        delta = delta_of(comparison, "handbrake")
+        assert delta.tlp_after > 2.0 * delta.tlp_before
 
     def test_render(self, suites):
         comparison = compare_suites(*suites)

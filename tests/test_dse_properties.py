@@ -40,17 +40,19 @@ from repro.hardware.catalog import (
     GENERATOR_CORES,
     GENERATOR_SMT_WAYS,
     GPUS,
+    GTX_285,
     GTX_1080_TI,
+    SMP_2000,
     TECH_NODES,
     VTH_V,
     MachineGrid,
     dvfs_bounds,
     generate_machines,
-    machine_2000,
     machine_2010,
     paper_machine,
     parametric_machine,
 )
+from repro.hardware.specs import MachineSpec
 from repro.metrics.kernels import argmin, batch_active_energy, score_tail
 from repro.os.energy import EnergyCoefficients, default_coefficients
 from repro.os.memmodel import MemoryModel
@@ -61,6 +63,10 @@ from repro.validate import GOLDEN_CONFIGS, golden_machine
 from tests.test_kernels import each_backend
 
 SHORT = SECOND // 10
+
+#: Flautner et al.'s 2000-era SMP: a catalog CPU without SMT.
+MACHINE_2000 = MachineSpec(cpu=SMP_2000, gpu=GTX_285, ram_gb=1,
+                           os_name="Linux 2.2 / Windows 2000")
 
 #: Base runs per (app, cores, smt) — one simulation per signature for
 #: the whole suite, exactly the economy the engine itself exploits.
@@ -273,7 +279,7 @@ def machine_strategy():
         st.one_of(st.none(), st.floats(60.0, 400.0)),
         st.sampled_from(sorted(GPUS.values(), key=lambda g: g.name)))
     catalog = st.sampled_from([paper_machine(), machine_2010(),
-                               machine_2000(),
+                               MACHINE_2000,
                                paper_machine().with_smt(False)])
     return st.one_of(parametric, catalog)
 
@@ -488,7 +494,7 @@ def restricted(machine):
     return variants
 
 
-CATALOG = [paper_machine(), machine_2010(), machine_2000()]
+CATALOG = [paper_machine(), machine_2010(), MACHINE_2000]
 
 
 class TestArithmeticSignature:

@@ -22,23 +22,23 @@ class TestEnergyModelUnit:
         model = EnergyModel(paper_machine())
         model.record_slice("a.exe", WorkClass.BALANCED, 100 * MS, 1.0)
         model.record_slice("b.exe", WorkClass.BALANCED, 100 * MS, 1.0)
-        assert model.process_active_j("a.exe") > 0
-        assert model.process_active_j("a.exe") == pytest.approx(
-            model.process_active_j("b.exe"))
+        assert model.active_j(("a.exe",)) > 0
+        assert model.active_j(("a.exe",)) == pytest.approx(
+            model.active_j(("b.exe",)))
 
     def test_fu_bound_work_costs_more_than_ui(self):
         model = EnergyModel(paper_machine())
         model.record_slice("fu.exe", WorkClass.FU_BOUND, 100 * MS, 1.0)
         model.record_slice("ui.exe", WorkClass.UI, 100 * MS, 1.0)
-        assert (model.process_active_j("fu.exe")
-                > model.process_active_j("ui.exe"))
+        assert (model.active_j(("fu.exe",))
+                > model.active_j(("ui.exe",)))
 
     def test_turbo_clock_raises_power_superlinearly(self):
         model = EnergyModel(paper_machine())
         model.record_slice("base.exe", WorkClass.BALANCED, 100 * MS, 1.0)
         model.record_slice("turbo.exe", WorkClass.BALANCED, 100 * MS, 1.27)
-        ratio = (model.process_active_j("turbo.exe")
-                 / model.process_active_j("base.exe"))
+        ratio = (model.active_j(("turbo.exe",))
+                 / model.active_j(("base.exe",)))
         assert ratio == pytest.approx(1.27 ** 2, rel=0.01)
 
     def test_report_filters_by_process(self):

@@ -7,8 +7,8 @@ from repro.hardware import (
     GTX_1080_TI,
     GTX_285,
     GTX_680,
+    SMP_2000,
     CpuSpec,
-    machine_2000,
     machine_2010,
     paper_machine,
 )
@@ -96,7 +96,7 @@ class TestMachineSpec:
         assert machine.gpu is GTX_285
 
     def test_machine_2000_is_pre_smt(self):
-        assert machine_2000().cpu.smt_ways == 1
+        assert SMP_2000.smt_ways == 1
 
     def test_specs_are_immutable(self):
         with pytest.raises(AttributeError):

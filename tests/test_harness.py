@@ -11,18 +11,25 @@ import repro.harness
 from repro.apps.transcoding import HandBrake, WinXVideoConverter
 from repro.harness import (
     core_scaling_sweep,
-    gpu_swap_sweep,
     run_app,
     run_app_once,
     run_suite,
     runner,
     smt_sweep,
 )
-from repro.hardware import GTX_1080_TI, GTX_680
+from repro.hardware import GTX_1080_TI, GTX_680, paper_machine
 from repro.sim import SECOND
 from repro.validate import InjectedCrash, TraceValidationError
 
 SHORT = 15 * SECOND
+
+
+def gpu_swap(app_factory):
+    """Figs. 9-10: one run of a fresh model on each GPU, by GPU name."""
+    return {gpu.name: run_app(app_factory(), iterations=1,
+                              machine=paper_machine().with_gpu(gpu),
+                              duration_us=SHORT)
+            for gpu in (GTX_680, GTX_1080_TI)}
 
 
 class TestRunner:
@@ -155,16 +162,14 @@ class TestSweeps:
         assert nosmt_frames >= smt_frames
 
     def test_gpu_swap_raises_utilization_on_weaker_gpu(self):
-        sweep = gpu_swap_sweep(lambda: WinXVideoConverter(),
-                               duration_us=SHORT)
+        sweep = gpu_swap(WinXVideoConverter)
         assert (sweep[GTX_680.name].gpu_util.mean
                 > 2.0 * sweep[GTX_1080_TI.name].gpu_util.mean)
 
     def test_gpu_swap_keeps_nvenc_rate(self):
         # Fig. 8a: transcode rates overlap exactly across GPUs because
         # NVENC is fixed-function.
-        sweep = gpu_swap_sweep(lambda: WinXVideoConverter(),
-                               duration_us=SHORT)
+        sweep = gpu_swap(WinXVideoConverter)
         rate_680 = sweep[GTX_680.name].outputs["frames"]
         rate_1080 = sweep[GTX_1080_TI.name].outputs["frames"]
         assert rate_680 == pytest.approx(rate_1080, rel=0.06)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.metrics import (
     clip,
-    concurrency_profile,
     fused_sweep,
     interval_events,
     measure_gpu_utilization,
@@ -44,7 +43,7 @@ class TestZeroWidthWindow:
         assert fused_sweep((), 7, 7, events=events).max_concurrency == 0
 
     def test_concurrency_profile(self):
-        assert concurrency_profile(INTERVALS, 7, 7) == {0: 0}
+        assert fused_sweep(INTERVALS, 7, 7).profile == {0: 0}
 
 
 class TestZeroWidthIntervals:

@@ -10,7 +10,6 @@ window.
 from hypothesis import given, strategies as st
 
 from repro.metrics import (
-    concurrency_profile,
     fused_sweep,
     interval_events,
 )
@@ -57,7 +56,6 @@ def test_fused_profile_matches_reference(intervals):
     expected = reference_profile(intervals, *WINDOW)
     sweep = fused_sweep(intervals, *WINDOW)
     assert sweep.profile == expected
-    assert concurrency_profile(intervals, *WINDOW) == expected
 
 
 @given(intervals_strategy)

@@ -1,14 +1,13 @@
-"""Unit tests for windowed time series (instantaneous TLP/GPU/FPS)."""
+"""Unit tests for windowed time series (instantaneous TLP and FPS)."""
 
 import pytest
 
 from repro.metrics import (
     frame_rate_series,
-    instantaneous_gpu_utilization,
     instantaneous_tlp,
 )
 from repro.sim import SECOND
-from repro.trace import CpuUsagePreciseTable, FramePresentRecord, GpuUtilizationTable
+from repro.trace import CpuUsagePreciseTable, FramePresentRecord
 
 
 class TestInstantaneousTlp:
@@ -36,7 +35,7 @@ class TestInstantaneousTlp:
         rows = [("app.exe", 8, 1, "a", 0, 0, 0, SECOND)]
         table = CpuUsagePreciseTable(rows, 0, 2 * SECOND)
         series = instantaneous_tlp(table, 4, step_us=SECOND)
-        assert series.times_seconds() == [0.0, 1.0]
+        assert (series.start_us, series.step_us) == (0, SECOND)
         assert series.maximum() == pytest.approx(1.0)
         assert series.mean() == pytest.approx(0.5)
 
@@ -44,14 +43,6 @@ class TestInstantaneousTlp:
         table = CpuUsagePreciseTable([], 0, SECOND)
         with pytest.raises(ValueError):
             instantaneous_tlp(table, 4, step_us=0)
-
-
-class TestInstantaneousGpu:
-    def test_busy_then_idle(self):
-        rows = [("app.exe", 8, "3D", "frame", 0, 0, SECOND)]
-        table = GpuUtilizationTable(rows, 0, 2 * SECOND)
-        series = instantaneous_gpu_utilization(table, step_us=SECOND)
-        assert series.values == [pytest.approx(100.0), pytest.approx(0.0)]
 
 
 class TestFrameRate:

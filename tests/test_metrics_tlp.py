@@ -3,7 +3,6 @@
 import pytest
 
 from repro.metrics import (
-    concurrency_profile,
     fused_sweep,
     measure_tlp,
     tlp_from_fractions,
@@ -20,21 +19,21 @@ def table_from_intervals(intervals, start=0, stop=100):
 
 class TestIntervals:
     def test_profile_of_empty_set_is_all_idle(self):
-        assert concurrency_profile([], 0, 100) == {0: 100}
+        assert fused_sweep([], 0, 100).profile == {0: 100}
 
     def test_profile_partitions_window(self):
-        profile = concurrency_profile([(10, 40), (30, 60)], 0, 100)
+        profile = fused_sweep([(10, 40), (30, 60)], 0, 100).profile
         assert sum(profile.values()) == 100
         assert profile[2] == 10  # overlap 30..40
         assert profile[1] == 40  # 10..30 and 40..60
         assert profile[0] == 50
 
     def test_profile_clips_to_window(self):
-        profile = concurrency_profile([(-50, 20)], 0, 100)
+        profile = fused_sweep([(-50, 20)], 0, 100).profile
         assert profile[1] == 20
 
     def test_identical_intervals_stack(self):
-        profile = concurrency_profile([(0, 10)] * 3, 0, 10)
+        profile = fused_sweep([(0, 10)] * 3, 0, 10).profile
         assert profile[3] == 10
 
     def test_union_length(self):
@@ -47,7 +46,7 @@ class TestIntervals:
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            concurrency_profile([], 10, 0)
+            fused_sweep([], 10, 0).profile
 
 
 class TestEquationOne:
@@ -89,7 +88,7 @@ class TestMeasureTlp:
         table = table_from_intervals([(0, 0, 100), (1, 0, 100)])
         result = measure_tlp(table, n_logical=4)
         assert result.tlp == pytest.approx(2.0)
-        assert result.fraction_at_level(2) == pytest.approx(1.0)
+        assert result.fractions[2] == pytest.approx(1.0)
 
     def test_mixed_serial_and_parallel(self):
         # 2 CPUs busy 0..50, 1 CPU busy 50..100: TLP = (.5*2 + .5*1)/1 = 1.5
@@ -121,11 +120,6 @@ class TestMeasureTlp:
         result = measure_tlp(table, n_logical=12)
         assert len(result.fractions) == 13
         assert sum(result.fractions) == pytest.approx(1.0)
-
-    def test_fraction_at_out_of_range_level(self):
-        table = table_from_intervals([(0, 0, 100)])
-        result = measure_tlp(table, n_logical=2)
-        assert result.fraction_at_level(99) == 0.0
 
     def test_n_logical_validation(self):
         table = table_from_intervals([(0, 0, 100)])

@@ -238,8 +238,9 @@ class TestTurbo:
 
     def test_clock_factor_declines_with_load(self):
         env, kernel, _ = make_kernel(turbo=True)
-        scheduler = kernel.scheduler
-        assert scheduler._clock_factor() == pytest.approx(4.70 / 3.70)
+        table = kernel.scheduler._clock_table
+        assert table[0] == pytest.approx(4.70 / 3.70)
+        assert table == sorted(table, reverse=True)
 
 
 class TestBackgroundServices:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware import paper_machine
-from repro.os import Barrier, CountdownLatch, Kernel, Lock, MessageQueue, Semaphore
+from repro.os import CountdownLatch, Kernel, Lock, MessageQueue, Semaphore
 from repro.sim import MS, Environment
 
 
@@ -17,7 +17,7 @@ class TestLock:
         lock = Lock(kernel)
         grant = lock.acquire("a")
         assert grant.triggered
-        assert lock.locked
+        assert lock.owner == "a"
 
     def test_contended_acquire_waits_for_release(self, kernel):
         lock = Lock(kernel)
@@ -26,7 +26,7 @@ class TestLock:
         assert not second.triggered
         lock.release("a")
         assert second.triggered
-        assert lock.locked  # now held by "b"
+        assert lock.owner == "b"
 
     def test_release_unheld_raises(self, kernel):
         with pytest.raises(RuntimeError,
@@ -121,49 +121,6 @@ class TestSemaphore:
             Semaphore(kernel, value=-1)
 
 
-class TestBarrier:
-    def test_fires_when_all_arrive(self, kernel):
-        barrier = Barrier(kernel, parties=3)
-        gates = [barrier.wait() for _ in range(3)]
-        assert all(g.triggered for g in gates)
-        assert gates[0] is gates[1] is gates[2]
-
-    def test_not_before_all_arrive(self, kernel):
-        barrier = Barrier(kernel, parties=2)
-        gate = barrier.wait()
-        assert not gate.triggered
-
-    def test_reusable_across_generations(self, kernel):
-        barrier = Barrier(kernel, parties=2)
-        first = [barrier.wait(), barrier.wait()]
-        second = [barrier.wait(), barrier.wait()]
-        assert all(g.triggered for g in first + second)
-        assert first[0] is not second[0]
-
-    def test_parties_validation(self, kernel):
-        with pytest.raises(ValueError):
-            Barrier(kernel, parties=0)
-
-    def test_threads_synchronize_at_barrier(self, kernel):
-        env = kernel.env
-        barrier = Barrier(kernel, parties=3)
-        process = kernel.spawn_process("app.exe")
-        release_times = []
-
-        def body(delay):
-            def run(ctx):
-                yield ctx.sleep(delay)
-                yield ctx.wait(barrier.wait())
-                release_times.append(ctx.now)
-
-            return run
-
-        for delay in (5 * MS, 10 * MS, 20 * MS):
-            process.spawn_thread(body(delay))
-        env.run()
-        assert release_times == [20 * MS] * 3
-
-
 class TestMessageQueue:
     def test_put_get_through_threads(self, kernel):
         env = kernel.env
@@ -198,7 +155,6 @@ class TestNamingAndRegistry:
         assert Lock(kernel).name == "lock-1"
         assert Lock(kernel).name == "lock-2"
         assert Semaphore(kernel).name == "semaphore-1"
-        assert Barrier(kernel, parties=2).name == "barrier-1"
         assert MessageQueue(kernel).name == "queue-1"
         assert CountdownLatch(kernel, count=1).name == "latch-1"
 
@@ -213,7 +169,6 @@ class TestNamingAndRegistry:
 
     def test_reprs_name_the_primitive(self, kernel):
         assert "'semaphore-1' value=2" in repr(Semaphore(kernel, value=2))
-        assert "'barrier-1' 0/3" in repr(Barrier(kernel, parties=3))
         assert "'queue-1' len=0" in repr(MessageQueue(kernel))
         assert "remaining=2" in repr(CountdownLatch(kernel, count=2))
 

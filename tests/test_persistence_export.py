@@ -1,4 +1,4 @@
-"""Tests for result persistence (JSON) and exports (CSV/Markdown)."""
+"""Tests for result persistence (JSON) and the CSV export."""
 
 import csv
 
@@ -10,7 +10,7 @@ from repro.harness.persistence import (
     load_suite,
     save_suite,
 )
-from repro.reporting.export import suite_to_csv, suite_to_markdown
+from repro.reporting.export import suite_to_csv
 from repro.sim import SECOND
 
 
@@ -67,10 +67,3 @@ class TestExports:
         by_app = {row["app"]: row for row in rows}
         assert float(by_app["handbrake"]["tlp_paper"]) == 9.4
         assert by_app["phoenixminer"]["gpu_capped"] == "True"
-
-    def test_markdown_export(self, suite):
-        text = suite_to_markdown(suite)
-        assert text.startswith("| Category |")
-        assert "HandBrake" in text
-        assert "\\*100.0" in text  # PhoenixMiner's saturated footnote
-        assert "| avg TLP |" in text

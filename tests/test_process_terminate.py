@@ -108,7 +108,7 @@ class TestTerminate:
         env.process(killer())
         env.run(until=300 * MS)
         assert victim.exited.triggered
-        assert kernel.scheduler.ready_count <= 1
+        assert len(kernel.scheduler._ready) <= 1
 
     def test_terminate_is_idempotent(self):
         env, kernel, _ = make_kernel()

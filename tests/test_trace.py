@@ -62,13 +62,6 @@ class TestEtlTrace:
     def test_processes_lists_all_sources(self):
         assert make_trace().processes == ["System", "app.exe", "other.exe"]
 
-    def test_filter_processes(self):
-        filtered = make_trace().filter_processes(lambda name: name == "app.exe")
-        assert filtered.processes == ["app.exe"]
-        assert len(filtered.cswitches) == 2
-        assert len(filtered.gpu_packets) == 1
-        assert filtered.duration == 100
-
     def test_save_load_round_trip(self, tmp_path):
         trace = make_trace()
         path = tmp_path / "capture.etl.jsonl"

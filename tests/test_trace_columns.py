@@ -122,13 +122,6 @@ class TestColumnarEquivalence:
         assert loaded.frames == trace.frames
         assert loaded.marks == trace.marks
 
-    def test_nbytes_grows_with_appends(self):
-        store = GpuPacketColumns()
-        for k in range(1000):
-            store.append("app.exe", 4, "3D", "dma", k, k + 1, k + 2)
-        assert store.nbytes() > 0
-        assert len(store) == 1000
-
 
 class TestOneStorageForm:
     def test_every_trace_holds_column_stores(self, tmp_path):
@@ -138,8 +131,6 @@ class TestOneStorageForm:
         traces = {
             "records": built,
             "load": EtlTrace.load(path),
-            "filter_processes": built.filter_processes(
-                lambda name: name == "app.exe"),
             "inject_fault": inject_fault(built, "duplicated-gpu-packet"),
         }
         for name, trace in traces.items():

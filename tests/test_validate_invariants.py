@@ -18,7 +18,6 @@ from repro.validate import (
     TraceValidationError,
     TraceValidator,
     check_single_run,
-    validate_trace,
 )
 
 
@@ -54,16 +53,21 @@ CLEAN_GPU = [
 ]
 
 
+def violated(report):
+    """Names of the invariants ``report`` flags."""
+    return {violation.invariant for violation in report.violations}
+
+
 @pytest.mark.parametrize("factory", [columnar_trace, record_trace])
 def test_clean_trace_passes(factory):
-    report = validate_trace(factory(CLEAN_CSWITCHES, CLEAN_GPU), n_logical=4)
+    report = TraceValidator(n_logical=4).validate(factory(CLEAN_CSWITCHES, CLEAN_GPU))
     assert report.ok
-    assert report.invariants_violated == []
+    assert report.violations == []
     assert tuple(report.checked) == INVARIANT_NAMES
 
 
 def test_empty_trace_passes():
-    assert validate_trace(columnar_trace(), n_logical=4).ok
+    assert TraceValidator(n_logical=4).validate(columnar_trace()).ok
 
 
 def test_thread_monotonic_violation():
@@ -72,18 +76,18 @@ def test_thread_monotonic_violation():
         ("app.exe", 10, 100, "main", 0, 0, 10, 50),
         ("app.exe", 10, 100, "main", 1, 0, 30, 70),
     ])
-    report = validate_trace(trace, n_logical=4)
-    assert "thread-monotonic" in report.invariants_violated
+    report = TraceValidator(n_logical=4).validate(trace)
+    assert "thread-monotonic" in violated(report)
 
 
 def test_balanced_edges_row_disorder():
     # switch_out before switch_in — impossible for a real slice.
     trace = columnar_trace([("app.exe", 10, 100, "main", 0, 0, 40, 20)])
-    report = validate_trace(trace, n_logical=4)
-    assert "balanced-switch-edges" in report.invariants_violated
+    report = TraceValidator(n_logical=4).validate(trace)
+    assert "balanced-switch-edges" in violated(report)
     # A negative-duration slice also breaks busy-time conservation
     # against the fused-sweep histogram.
-    assert "busy-conservation" in report.invariants_violated
+    assert "busy-conservation" in violated(report)
 
 
 def test_cpu_occupancy_double_booking():
@@ -91,17 +95,17 @@ def test_cpu_occupancy_double_booking():
         ("app.exe", 10, 100, "main", 0, 0, 10, 50),
         ("app.exe", 10, 101, "worker", 0, 0, 30, 70),
     ])
-    report = validate_trace(trace, n_logical=4)
-    assert "cpu-occupancy" in report.invariants_violated
+    report = TraceValidator(n_logical=4).validate(trace)
+    assert "cpu-occupancy" in violated(report)
 
 
 def test_cpu_occupancy_index_out_of_range():
     trace = columnar_trace([("app.exe", 10, 100, "main", 9, 0, 10, 50)])
-    report = validate_trace(trace, n_logical=4)
-    assert "cpu-occupancy" in report.invariants_violated
+    report = TraceValidator(n_logical=4).validate(trace)
+    assert "cpu-occupancy" in violated(report)
     # Without a machine bound, per-CPU exclusivity still holds and the
     # index check is skipped.
-    assert validate_trace(trace).ok
+    assert TraceValidator().validate(trace).ok
 
 
 def test_gpu_engine_exclusive_violation():
@@ -109,8 +113,8 @@ def test_gpu_engine_exclusive_violation():
         ("app.exe", 10, "3D", "render", 0, 10, 40),
         ("app.exe", 10, "3D", "render", 0, 30, 60),
     ])
-    report = validate_trace(trace, n_logical=4)
-    assert "gpu-engine-exclusive" in report.invariants_violated
+    report = TraceValidator(n_logical=4).validate(trace)
+    assert "gpu-engine-exclusive" in violated(report)
 
 
 def test_gpu_different_engines_may_overlap():
@@ -118,21 +122,21 @@ def test_gpu_different_engines_may_overlap():
         ("app.exe", 10, "3D", "render", 0, 10, 40),
         ("app.exe", 10, "Copy", "dma", 0, 30, 60),
     ])
-    assert validate_trace(trace, n_logical=4).ok
+    assert TraceValidator(n_logical=4).validate(trace).ok
 
 
 def test_window_containment_violation():
     trace = columnar_trace(
         [("app.exe", 10, 100, "main", 0, 0, 10, 50)], stop=30)
-    report = validate_trace(trace, n_logical=4)
-    assert "window-containment" in report.invariants_violated
+    report = TraceValidator(n_logical=4).validate(trace)
+    assert "window-containment" in violated(report)
 
 
 def test_ready_time_before_window_is_legal():
     # A thread may become ready before the recording window opens.
     trace = columnar_trace(
         [("app.exe", 10, 100, "main", 0, 0, 10, 50)], start=5)
-    assert validate_trace(trace, n_logical=4).ok
+    assert TraceValidator(n_logical=4).validate(trace).ok
 
 
 def test_invariant_subset_selection():
@@ -157,7 +161,7 @@ def test_max_report_caps_violations():
 
 def test_raise_if_failed():
     trace = columnar_trace([("app.exe", 10, 100, "main", 0, 0, 40, 20)])
-    report = validate_trace(trace, n_logical=4)
+    report = TraceValidator(n_logical=4).validate(trace)
     with pytest.raises(TraceValidationError) as excinfo:
         report.raise_if_failed()
     assert "balanced-switch-edges" in str(excinfo.value)
@@ -190,14 +194,13 @@ class TestOnlineValidator:
         session.emit_cpu_busy("app.exe", 0)
         session.emit_cpu_busy("app.exe", 0)
         report = validator.report()
-        assert "cpu-occupancy" in report.invariants_violated
+        assert "cpu-occupancy" in violated(report)
 
     def test_idle_without_busy_flagged(self):
         env, session, validator = self.make()
         session.start()
         session.emit_cpu_idle("app.exe", 0)
-        assert ("balanced-switch-edges"
-                in validator.report().invariants_violated)
+        assert "balanced-switch-edges" in violated(validator.report())
 
     def test_occupancy_above_machine_flagged(self):
         env, session, validator = self.make(n_logical=1)
@@ -207,7 +210,7 @@ class TestOnlineValidator:
         env._now = 10
         session.emit_cpu_busy("app.exe", 1)  # second CPU on a 1-CPU box
         report = validator.report()
-        assert "cpu-occupancy" in report.invariants_violated
+        assert "cpu-occupancy" in violated(report)
 
     def test_conservation_across_window(self):
         env, session, validator = self.make()
