@@ -21,14 +21,7 @@ checks a sampled subset against full re-simulation, and reports a
 Pareto frontier (Eq.-1 TLP vs energy-delay) per app.
 """
 
-from repro.analysis.dse.axes import (
-    AXES,
-    TRACE_CHANGING,
-    TRACE_INVARIANT,
-    TRACE_RESCALING,
-    partition_configs,
-    sim_signature,
-)
+from repro.analysis.dse.axes import partition_configs, sim_signature
 from repro.analysis.dse.engine import (
     CampaignResult,
     CampaignStats,
@@ -46,14 +39,10 @@ from repro.analysis.dse.score import (
 )
 
 __all__ = [
-    "AXES",
     "CampaignResult",
     "CampaignStats",
     "ConfigScore",
     "EquivalenceReport",
-    "TRACE_CHANGING",
-    "TRACE_INVARIANT",
-    "TRACE_RESCALING",
     "batch_score",
     "coefficients_for",
     "node_power_scale",

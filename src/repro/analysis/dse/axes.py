@@ -62,22 +62,6 @@ from heapq import merge
 from repro.hardware.catalog import MachineGrid
 from repro.os.scheduler import compute_clock_factor
 
-#: Axis classes, in increasing order of cost.
-TRACE_INVARIANT = "trace-invariant"
-TRACE_RESCALING = "trace-rescaling"
-TRACE_CHANGING = "trace-changing"
-
-#: Classification of every generator axis (the table above).
-AXES = {
-    "coefficients": TRACE_INVARIANT,
-    "tech_nm.power": TRACE_INVARIANT,
-    "tech_nm.frequency": TRACE_RESCALING,
-    "dvfs_ratio": TRACE_RESCALING,
-    "cores": TRACE_CHANGING,
-    "smt_ways": TRACE_CHANGING,
-}
-
-
 #: The only CPU fields :func:`compute_clock_factor` reads.
 _Clocks = namedtuple("_Clocks", "base_clock_ghz turbo_clock_ghz")
 

@@ -43,6 +43,8 @@ class AppRuntime:
         self.driver = driver
         self.duration_us = int(duration_us)
         self.start_time = kernel.env.now
+        #: Simulation time at which the testbench window closes.
+        self.end_time = self.start_time + self.duration_us
         self.rng = random.Random(seed)
         #: Process names owned by the application (for TLP filtering).
         self.process_names = set()
@@ -56,11 +58,6 @@ class AppRuntime:
     @property
     def machine(self):
         return self.kernel.machine
-
-    @property
-    def end_time(self):
-        """Simulation time at which the testbench window closes."""
-        return self.start_time + self.duration_us
 
     def spawn_process(self, name, image=None):
         """Create an application-owned OS process (tracked for TLP)."""

@@ -5,7 +5,6 @@ from repro.automation.script import (
     CLICK,
     DRAG,
     KEY,
-    TEXT,
     VOICE,
     InputAction,
     InputScript,
@@ -20,6 +19,5 @@ __all__ = [
     "InputScript",
     "KEY",
     "MANUAL",
-    "TEXT",
     "VOICE",
 ]

@@ -17,7 +17,6 @@ from repro.sim import MS
 
 CLICK = "click"
 KEY = "key"
-TEXT = "text"
 VOICE = "voice"
 DRAG = "drag"
 

@@ -72,7 +72,6 @@ class GpuEngine:
         self._normal = deque()
         self._wakeup = None
         self.busy_us = 0
-        self.packets_executed = 0
         device.env.process(self._run(), name=f"gpu-{device.spec.name}-{name}")
 
     @property
@@ -108,7 +107,6 @@ class GpuEngine:
             if not env.advance(service):
                 yield env.timeout(service)
             self.busy_us += service
-            self.packets_executed += 1
             if session.subscribers:
                 session.emit_engine_idle(packet.process_name, self.name)
             session.emit_gpu_packet(

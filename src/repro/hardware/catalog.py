@@ -173,11 +173,6 @@ DVFS_MAX = 1.3
 #: machine and the i7-8700K share a time base.
 REF_BASE_CLOCK_GHZ = CORE_I7_8700K.base_clock_ghz
 
-#: Turbo headroom ratio, held fixed across the whole parametric family
-#: (the 8700K's 4.7/3.7).  The scheduler reads only the turbo/base
-#: *ratio*, so uniform frequency scaling never perturbs the schedule.
-TURBO_RATIO = CORE_I7_8700K.turbo_clock_ghz / CORE_I7_8700K.base_clock_ghz
-
 
 def dvfs_bounds(tech_nm):
     """``(lo, hi)`` admissible DVFS voltage ratios at a tech node.

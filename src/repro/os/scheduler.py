@@ -15,12 +15,12 @@ Responsibilities:
   read once, at run end (:meth:`Scheduler.fold_slices`).
 """
 
-import math
 from collections import deque
+from math import ceil, floor
 
-from repro.os.threads import ThreadState
 from repro.os.work import smt_pair_throughput
 from repro.sim import MS
+from repro.sim.events import Event, Timeout
 from repro.sim.exceptions import Interrupt
 
 #: Windows' foreground quantum is ~2 clock ticks (~31 ms); we use a
@@ -47,14 +47,13 @@ _SIBLING_STATES = 3
 class LogicalCpu:
     """One schedulable hardware thread."""
 
-    __slots__ = ("index", "core", "way", "thread", "work_class")
+    __slots__ = ("index", "core", "way", "thread")
 
     def __init__(self, index, core, way):
         self.index = index
         self.core = core
         self.way = way
         self.thread = None
-        self.work_class = None
 
     def __repr__(self):
         return f"<LCPU {self.index} core={self.core} way={self.way}>"
@@ -186,7 +185,6 @@ class Scheduler:
         if self.session.subscribers:
             self.session.emit_cpu_idle(lcpu.thread.process.name, lcpu.index)
         lcpu.thread = None
-        lcpu.work_class = None
         core = lcpu.core
         self._core_busy[core] -= 1
         if self._core_busy[core] == 0:
@@ -201,8 +199,9 @@ class Scheduler:
 
     # -- dispatch -------------------------------------------------------
 
-    def _pick_idle_lcpu(self, thread=None):
-        """Idle LCPU according to the dispatch policy.
+    def _pick_idle_lcpu(self, thread):
+        """Idle LCPU for ``thread`` according to the dispatch policy;
+        callers make sure one is idle.
 
         A thread's previously-used CPU is preferred among equivalent
         choices (Windows' "ideal processor" heuristic: warm caches),
@@ -215,17 +214,14 @@ class Scheduler:
         lcpu in enumeration order — the same choice the walk made.
         """
         idle = self._idle_mask
-        if not idle:
-            return None
         warm = None
-        if thread is not None:
-            last = getattr(thread, "last_cpu", None)
-            if last is not None and last < len(self.lcpus) and (idle >> last) & 1:
-                candidate = self.lcpus[last]
-                if (self.dispatch_policy == "fill"
-                        or self._core_busy[candidate.core] == 0):
-                    return candidate
-                warm = candidate
+        last = thread.last_cpu
+        if last is not None and (idle >> last) & 1:
+            candidate = self.lcpus[last]
+            if (self.dispatch_policy == "fill"
+                    or self._core_busy[candidate.core] == 0):
+                return candidate
+            warm = candidate
         if self.dispatch_policy == "fill":
             return self.lcpus[(idle & -idle).bit_length() - 1]
         free = idle & self._free_core_lcpu_mask
@@ -235,16 +231,18 @@ class Scheduler:
             return warm
         return self.lcpus[(idle & -idle).bit_length() - 1]
 
+    def _claim(self, thread):
+        """Occupy the idle LCPU the dispatch policy picks for ``thread``."""
+        lcpu = self._pick_idle_lcpu(thread)
+        self._occupy(lcpu, thread)
+        thread.last_cpu = lcpu.index
+        return lcpu
+
     def _dispatch(self):
-        while self._ready:
-            thread, grant = self._ready[0]
-            lcpu = self._pick_idle_lcpu(thread)
-            if lcpu is None:
-                return
-            self._ready.popleft()
-            self._occupy(lcpu, thread)
-            thread.last_cpu = lcpu.index
-            grant.succeed(lcpu)
+        ready = self._ready
+        while ready and self._idle_mask:
+            thread, grant = ready.popleft()
+            grant.succeed(self._claim(thread))
 
     def _enqueue(self, thread, grant):
         """Add to the ready queue honouring thread priority.
@@ -289,43 +287,32 @@ class Scheduler:
         pins the result across all 150 grid points.
         """
         env = self.env
-        session = self.session
         remaining = int(amount)
-        # Locals for the per-slice loop: attribute loads repeated tens
-        # of thousands of times per run are bound once.  Only values
-        # that never change mid-run may be hoisted — mutable scheduler
-        # state (masks, ready queue) is re-read after every yield.
+        # Locals: only what one slice reads more than once.  Most
+        # bursts run a single slice, so binding a value read once per
+        # slice costs as much as the load it saves.  Mutable scheduler
+        # state (masks, ready queue contents) is re-read after every
+        # yield.
         ready = self._ready
-        siblings = self._siblings
-        clock_table = self._clock_table
-        pair_cache = self._pair_cache
-        retired = self.retired_work
-        quantum = self.quantum
-        ceil = math.ceil
+        queue = env._queue
         process = thread.process
         process_name = process.name
         slices = self._slices.get((process_name, work_class))
         if slices is None:
-            slices = [0] * (_SIBLING_STATES * len(clock_table))
+            slices = [0] * (_SIBLING_STATES * len(self._clock_table))
             self._slices[process_name, work_class] = slices
-        state_ready = ThreadState.READY
-        state_running = ThreadState.RUNNING
-        queue = env._queue
         while remaining > 0:
-            thread.state = state_ready
             ready_time = env._now
             # Quiescent: nothing else can run at this instant (no
             # queued event at ``now``, no callback cascade in flight).
             if (not ready and self._idle_mask
                     and env._cb_pending == 0
                     and (not queue or queue[0][0] > ready_time)):
-                # Synchronous grant: same CPU choice and occupancy
-                # bookkeeping as _dispatch, minus the event round-trip.
-                lcpu = self._pick_idle_lcpu(thread)
-                self._occupy(lcpu, thread)
-                thread.last_cpu = lcpu.index
+                # Synchronous grant: _dispatch's CPU choice, minus the
+                # event round-trip.
+                lcpu = self._claim(thread)
             else:
-                grant = env.event()
+                grant = Event(env)
                 self._enqueue(thread, grant)
                 self._dispatch()
                 try:
@@ -343,13 +330,11 @@ class Scheduler:
                         self._vacate(grant.value)
                         self._dispatch()
                     raise
-            thread.state = state_running
-            lcpu.work_class = work_class
             # One fused pass over the SMT siblings feeds both the speed
             # factor (busy-sibling count) and the sibling state.
             busy_siblings = 0
             sibling = SIBLING_IDLE
-            for s in siblings[lcpu.index]:
+            for s in self._siblings[lcpu.index]:
                 other = s.thread
                 if other is not None:
                     busy_siblings += 1
@@ -357,18 +342,17 @@ class Scheduler:
                         sibling = SIBLING_SAME_PROCESS
                     elif sibling == SIBLING_IDLE:
                         sibling = SIBLING_OTHER_PROCESS
-            speed = clock_table[self._busy_cores]
+            speed = self._clock_table[self._busy_cores]
             if busy_siblings:
-                pair = pair_cache.get(work_class)
+                pair = self._pair_cache.get(work_class)
                 if pair is None:
                     pair = smt_pair_throughput(self.machine.cpu, work_class)
-                    pair_cache[work_class] = pair
+                    self._pair_cache[work_class] = pair
                 speed *= pair / (1 + busy_siblings)
-            cap = quantum if ready else RESAMPLE_PERIOD
+            cap = self.quantum if ready else RESAMPLE_PERIOD
+            # At least 1: the ceiling of a positive quotient.
             wall = ceil(remaining / speed)
-            if wall < 1:
-                wall = 1
-            elif wall > cap:
+            if wall > cap:
                 wall = cap
             switch_in = env._now
             interrupted = None
@@ -382,17 +366,18 @@ class Scheduler:
                 env._now = target
             else:
                 try:
-                    yield env.timeout(wall)
+                    yield Timeout(env, wall)
                 except Interrupt as exc:
                     # Killed mid-slice: account for the time actually
                     # spent on the CPU, then unwind.
                     interrupted = exc
                     wall = env._now - switch_in
             if wall > 0:
-                done = min(remaining, max(1, math.floor(wall * speed)))
+                done = min(remaining, max(1, floor(wall * speed)))
                 remaining -= done
+                retired = self.retired_work
                 retired[process_name] = retired.get(process_name, 0) + done
-                session.emit_cswitch(
+                self.session.emit_cswitch(
                     process_name, process.pid, thread.tid,
                     thread.name, lcpu.index, ready_time, switch_in, env._now)
                 # Busy cores at switch-out: this CPU still counts.

@@ -1,8 +1,8 @@
 """Synchronization primitives for simulated threads.
 
 All primitives hand out kernel events; thread bodies block on them via
-``yield ctx.wait(...)``, which parks the thread off-CPU (state
-``BLOCKED``) until the primitive grants it.
+``yield ctx.wait(...)``, which parks the thread off-CPU until the
+primitive grants it.
 
 Every primitive is *named*: pass ``name=`` or the kernel assigns a
 stable ``lock-1`` / ``semaphore-2`` style name at construction.  Names

@@ -18,15 +18,17 @@ from enum import Enum
 from heapq import heappop
 
 from repro.os.work import WorkClass
+from repro.sim.events import Timeout
 from repro.sim.exceptions import Interrupt
 
 
 class ThreadState(Enum):
+    """A thread's lifecycle: NEW until its body starts, RUNNING while
+    the body lives (on a CPU, queued for one, asleep or blocked), and
+    TERMINATED once it has exited."""
+
     NEW = "new"
-    READY = "ready"
     RUNNING = "running"
-    SLEEPING = "sleeping"
-    BLOCKED = "blocked"
     TERMINATED = "terminated"
 
 
@@ -101,6 +103,8 @@ class Thread:
         #: Scheduling priority (see scheduler.PRIORITY_*).
         self.priority = priority
         self.state = ThreadState.NEW
+        #: Index of the logical CPU the thread last ran on.
+        self.last_cpu = None
         #: Fires with the body's return value when the thread exits.
         self.joined = kernel.env.event()
         self._sim_process = None
@@ -125,13 +129,14 @@ class Thread:
 
     @property
     def is_alive(self):
-        return self.state not in (ThreadState.NEW, ThreadState.TERMINATED)
+        return self.state is ThreadState.RUNNING
 
     def _run(self):
         """The thread's simulation process: it interprets the body's
         requests.  A CPU burst is delegated to ``Scheduler.run_burst``,
         a sleep yields one timeout, and a wait yields its event unless
         that event heads the queue with nothing else to run first."""
+        self.state = ThreadState.RUNNING
         ctx = ThreadContext(self)
         generator = self.body(ctx)
         scheduler = self.kernel.scheduler
@@ -150,12 +155,10 @@ class Thread:
                             self, request.amount, request.work_class)
                         value = None
                     elif kind is _SleepRequest:
-                        self.state = ThreadState.SLEEPING
-                        yield env.timeout(request.duration)
+                        yield Timeout(env, request.duration)
                         value = None
                     elif kind is _WaitRequest:
                         event = request.event
-                        self.state = ThreadState.BLOCKED
                         # Epoch fast path: an uncontended sync op hands
                         # back a triggered event that heads the queue
                         # with nobody else waiting on it and no callback

@@ -13,7 +13,7 @@ Public surface::
     env.run(until=1_000_000)
 """
 
-from repro.sim.environment import Environment, NORMAL, URGENT
+from repro.sim.environment import Environment, NORMAL
 from repro.sim.events import Event, Process, Timeout
 from repro.sim.exceptions import Interrupt, SimulationError
 from repro.sim.resources import Store
@@ -33,5 +33,4 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
-    "URGENT",
 ]

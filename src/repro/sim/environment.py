@@ -5,21 +5,12 @@ integers keeps event ordering exact and runs deterministic — two runs
 with the same seed produce bit-identical traces.
 """
 
-import sys
 from heapq import heappop, heappush
-from sys import getrefcount
 
 from repro.sim.events import Event, Process, Timeout
 
 #: Default event priority.  Lower numbers fire first at equal times.
 NORMAL = 1
-#: Priority used for urgent deliveries such as interrupts.
-URGENT = 0
-
-#: Upper bound on recycled Timeout objects kept per environment.  The
-#: refcount-based recycling below is only meaningful on CPython;
-#: elsewhere the pool stays empty and every timeout is freshly built.
-_TIMEOUT_POOL_CAP = 1024 if sys.implementation.name == "cpython" else 0
 
 
 class Environment:
@@ -29,7 +20,6 @@ class Environment:
         self._now = int(initial_time)
         self._queue = []
         self._eid = 0
-        self._timeout_pool = []
         #: Callbacks of the event being processed that have not run
         #: yet.  They are invisible to the queue, so the epoch fast
         #: paths (:meth:`advance`, ``run_burst``'s synchronous grant)
@@ -46,31 +36,13 @@ class Environment:
         return self._now
 
     def schedule(self, event, priority=NORMAL):
-        """Queue ``event`` to fire at the current time."""
+        """Queue ``event`` to fire at the current time.  Priority 0,
+        the interrupt priority, fires ahead of same-instant events."""
         self._eid += 1
         heappush(self._queue, (self._now, priority, self._eid, event))
 
     def timeout(self, delay, value=None):
-        """Return an event firing after ``delay`` microseconds.
-
-        Timeouts dominate event allocation (every burst, wait and
-        service interval is one), so fired timeouts proven unreachable
-        by the caller (refcount check in :meth:`run`) are recycled
-        from a free list instead of being rebuilt from scratch.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            event = pool.pop()
-            event.callbacks = []
-            event._ok = True
-            event._value = value
-            event.delay = delay
-            self._eid += 1
-            heappush(self._queue,
-                     (self._now + int(delay), NORMAL, self._eid, event))
-            return event
+        """Return a new event firing after ``delay`` microseconds."""
         return Timeout(self, delay, value)
 
     def event(self):
@@ -132,15 +104,18 @@ class Environment:
         # Everything the loop touches is bound to locals: the repeated
         # attribute loads are measurable at millions of events.
         queue = self._queue
-        pool = self._timeout_pool
         pop = heappop
         bounded = until is not None
         try:
             while queue:
-                if bounded and queue[0][0] > until:
+                # The horizon is tested on the entry just popped; the
+                # one entry past it goes back once, when the run stops.
+                now, _, _, event = entry = pop(queue)
+                if bounded and now > until:
+                    heappush(queue, entry)
                     self._now = until
                     break
-                self._now, _, _, event = pop(queue)
+                self._now = now
                 callbacks, event.callbacks = event.callbacks, None
                 if len(callbacks) == 1:
                     # A single callback leaves ``_cb_pending`` at 0
@@ -154,13 +129,5 @@ class Environment:
                         callback(event)
                 if not event._ok and not getattr(event, "defused", False):
                     raise event._value
-                # Recycle the timeout if nothing else references it:
-                # exactly two refs means only the local ``event`` and
-                # the getrefcount argument — no process, queue entry or
-                # caller can observe the object being reused.
-                if (type(event) is Timeout
-                        and len(pool) < _TIMEOUT_POOL_CAP
-                        and getrefcount(event) == 2):
-                    pool.append(event)
         finally:
             self._horizon = None

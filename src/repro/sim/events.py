@@ -90,11 +90,7 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically after ``delay`` time units.
-
-    Fired timeouts with no remaining references are recycled through
-    :attr:`Environment._timeout_pool` — see ``Environment.timeout``.
-    """
+    """An event that fires automatically after ``delay`` time units."""
 
     __slots__ = ("delay",)
 
@@ -119,7 +115,7 @@ class Process(Event):
     for each other simply by yielding the :class:`Process` object.
     """
 
-    __slots__ = ("generator", "name")
+    __slots__ = ("generator", "name", "_resume_cb")
 
     def __init__(self, env, generator, name=None):
         if not hasattr(generator, "send"):
@@ -127,11 +123,13 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        #: ``self._resume`` bound once: every wait registers it.
+        self._resume_cb = self._resume
         init = Event(env)
         init._ok = True
         init._value = None
         env.schedule(init)
-        init.callbacks.append(self._resume)
+        init.callbacks.append(self._resume_cb)
 
     @property
     def is_alive(self):
@@ -151,7 +149,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event.defused = True
         self.env.schedule(event, priority=0)
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._resume_cb)
 
     def _resume(self, event):
         # The single most-executed function of a run (every event with
@@ -189,9 +187,9 @@ class Process(Event):
             relay._value = next_target._value
             relay.defused = True
             self.env.schedule(relay)
-            relay.callbacks.append(self._resume)
+            relay.callbacks.append(self._resume_cb)
         else:
-            next_target.callbacks.append(self._resume)
+            next_target.callbacks.append(self._resume_cb)
 
     def _fail_with(self, error):
         self._ok = False

@@ -15,6 +15,7 @@ freshly rendered frame or applies the headset's miss policy:
 """
 
 from repro.gpu.device import ENGINE_3D
+from repro.os.scheduler import PRIORITY_HIGH
 from repro.os.work import WorkClass
 from repro.sim import MS, SECOND
 from repro.vr.headsets import ASW
@@ -49,7 +50,7 @@ class Compositor:
         # on the CPU and its timewarp packets use the GPU's preemption
         # queue, as real VR runtimes do.
         self.process.spawn_thread(self._compositor_body, name="compositor",
-                                  priority=1)
+                                  priority=PRIORITY_HIGH)
         for index in range(headset.runtime_threads):
             self.process.spawn_thread(self._runtime_body(),
                                       name=f"runtime-{index}")

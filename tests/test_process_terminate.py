@@ -2,6 +2,7 @@
 
 from repro.hardware import paper_machine
 from repro.os import Kernel, ThreadState, WorkClass
+from repro.os.sync import Semaphore
 from repro.sim import MS, SECOND, Environment
 from repro.trace import TraceSession
 
@@ -53,6 +54,25 @@ class TestTerminate:
 
         env.process(killer())
         env.run(until=SECOND)
+        assert process.exited.triggered
+
+    def test_terminates_blocked_threads(self):
+        env, kernel, _ = make_kernel()
+        process = kernel.spawn_process("victim.exe")
+        gate = Semaphore(kernel)
+
+        def blocked(ctx):
+            yield ctx.wait(gate.acquire())   # never released
+
+        thread = process.spawn_thread(blocked)
+
+        def killer():
+            yield env.timeout(30 * MS)
+            process.terminate()
+
+        env.process(killer())
+        env.run(until=SECOND)
+        assert thread.state is ThreadState.TERMINATED
         assert process.exited.triggered
 
     def test_killed_process_stops_consuming_cpu(self):

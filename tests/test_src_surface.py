@@ -1,8 +1,9 @@
 """Every definition under ``src/repro`` is used by something other than a test.
 
-The rule: a function, method or class (dunders aside) stays in ``src``
-only if a run, a verb, a benchmark, an example or perfbench reaches it,
-or if it is on :data:`KEEP` with the reason it stays.  A definition that
+The rule: a function, method, class or module-level constant (dunders
+aside) stays in ``src`` only if a run, a verb, a benchmark, an example
+or perfbench reaches it, or if it is on :data:`KEEP` with the reason it
+stays.  A definition that
 only tests reference is either deleted with its tests, or keep-listed
 here because a remaining test uses it as the reference for kept code.
 
@@ -62,6 +63,9 @@ KEEP = {
         "tests read the GPU Utilization (FM) running-time column",
     "repro.trace.records.GpuPacketRecord.queue_time":
         "tests read the GPU Utilization (FM) queue-time column",
+    # Module constants.
+    "repro.hardware.catalog.SMP_2000":
+        "the reference CPU two tests build machines from",
 }
 
 #: ``ast.NodeVisitor`` dispatches ``visit_<NodeType>`` by string.
@@ -146,9 +150,40 @@ def _references(tree, package_init=False):
     return found
 
 
-def _definitions(tree, module):
-    """``[(qualified name, simple name, first line, last line)]``."""
+def _constants(tree, module):
+    """``[(qualified name, simple name, first line, last line)]`` for
+    every name bound by an assignment at module level, also inside a
+    module-level ``if``, ``try`` or ``with``."""
     found = []
+
+    def walk(body):
+        for node in body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for name in ast.walk(target):
+                        if (isinstance(name, ast.Name)
+                                and isinstance(name.ctx, ast.Store)
+                                and not (name.id.startswith("__")
+                                         and name.id.endswith("__"))):
+                            found.append((f"{module}.{name.id}", name.id,
+                                          node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.If, ast.Try, ast.With)):
+                walk(node.body)
+                walk(getattr(node, "orelse", ()))
+                walk(getattr(node, "finalbody", ()))
+                for handler in getattr(node, "handlers", ()):
+                    walk(handler.body)
+
+    walk(tree.body)
+    return found
+
+
+def _definitions(tree, module):
+    """``[(qualified name, simple name, first line, last line)]`` for
+    every function, method and class, and every module constant."""
+    found = _constants(tree, module)
 
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
@@ -212,6 +247,27 @@ def test_no_src_definition_is_referenced_only_by_tests():
         "referenced only by tests (delete them, or keep-list them in "
         "tests/test_src_surface.py with the reason they stay):\n  "
         + "\n  ".join(unexplained))
+
+
+def test_module_constants_are_definitions():
+    tree = ast.parse(
+        "A = 1\n"
+        "B, _c = 2, 3\n"
+        "D: int = 4\n"
+        "__all__ = ['A']\n"
+        "M[A] = 9\n"
+        "if A:\n"
+        "    E = 5\n"
+        "try:\n"
+        "    F = 6\n"
+        "except ImportError:\n"
+        "    F = None\n"
+        "def f():\n"
+        "    local = 7\n"
+        "class K:\n"
+        "    attr = 8\n")
+    names = [name for _q, name, _first, _last in _definitions(tree, "m")]
+    assert sorted(names) == ["A", "B", "D", "E", "F", "F", "K", "_c", "f"]
 
 
 def test_every_keep_list_entry_names_a_definition_and_a_reason():
